@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .kleene_twist import (build_restricted_operators, build_restricted_twist,
-                           check_kleene_twist, check_restriction_assumptions)
+from .kleene_twist import AssumptionError, check_kleene_twist
 from .order import OrderError, is_distributive, is_lattice
 from .report import CheckItem, exit_code, render
 from .residuation import (StructureError, check_condition, check_derived_laws,
@@ -18,8 +17,8 @@ from .residuation import (StructureError, check_condition, check_derived_laws,
 from .search import (EnumerationError, check_universal, enumerate_posets,
                      enumerate_structures, suite_properties, STRUCTURE_KINDS)
 from .structfile import ParseError, emit_tables, load
-from .twist import (PairMap, build_operator_twist, check_embedding,
-                    check_operator_residuated, check_twist_lifting, full_twist)
+from .twist import (PairMap, build_operator_twist, check_embeddings,
+                    check_operator_residuated, check_twist_lifting, pair_name)
 
 
 def _load_structure(path):
@@ -46,9 +45,7 @@ def _cmd_check(args):
     print("classification: " + flags.summary())
     items = []
     for k in range(1, 11):
-        item = check_condition(s, k)
-        items.append(CheckItem(item.check_id, item.passed, item.witness,
-                               gating=False))
+        items.append(_ungated(check_condition(s, k)))
     if s.designated is not None:
         if s.zero is not None:
             items.append(_ungated(check_condition(s, 11)))
@@ -142,15 +139,7 @@ def _cmd_optwist(args):
                 "%s does not define operation tables" % args.file)
         s = sf.structure
         ops = build_operator_twist(s)
-        items = check_operator_residuated(ops)
-        twist = full_twist(s.poset)
-        emb = CheckItem("embedding", True)
-        for a0 in range(s.poset.n):
-            found = check_embedding(s.poset, twist.poset, a0)
-            if not found.passed:
-                emb = found
-                break
-        items = items + [emb]
+        items = check_operator_residuated(ops) + [check_embeddings(s.poset)]
     print(render(items))
     if args.tables or args.out:
         _emit_output(args, emit_tables(ops, style=args.style))
@@ -158,47 +147,37 @@ def _cmd_optwist(args):
 
 
 def _cmd_pa(args):
-    sf = _load_structure(args.file)
-    s = sf.structure
+    s = _load_structure(args.file).structure
     if args.a is not None:
         a = s.poset.index(args.a)
     elif s.designated is not None:
         a = s.designated
     else:
         raise StructureError("no designated element: pass --a")
-    flags = classify(s)
-    if not flags.bcrm:
-        raise StructureError(
-            "restricted twist needs a bounded commutative residuated monoid"
-            " (structure is %s)" % flags.summary())
-    rt = build_restricted_twist(s.poset, a)
+    try:
+        report = check_kleene_twist(s, a)
+        rt, assumptions = report.rt, report.assumptions
+    except AssumptionError as e:
+        report, rt, assumptions = None, e.rt, e.items
     print("carrier: " + " ".join(rt.poset.names))
     for x, y in rt.poset.cover_pairs():
         print("cover %s < %s" % (rt.poset.names[x], rt.poset.names[y]))
-    assumptions = check_restriction_assumptions(s, rt)
     print(render(assumptions))
-    if not all(it.passed for it in assumptions):
+    if report is None:
         print("ASSUMPTION-FAIL: restricted twist verdict withheld")
         return 1
-    _, items, audit = check_kleene_twist(s, a)
-    for item in items:
+    for item in report.items:
         print(item.line())
         if item.check_id == "closure" and item.passed:
-            print(render(audit))
-    if items[2].passed:
-        tables = emit_tables(build_restricted_operators(s, rt),
-                             style=args.style, names=_style_names(rt, args))
+            print(render(report.audit))
+    if report.operators is not None:
+        names = None
+        if args.style == "long":
+            names = tuple(pair_name(rt.base, m, long=True) for m in rt.members)
         print()
-        _emit_output(args, tables)
-    return exit_code(list(assumptions) + list(items))
-
-
-def _style_names(rt, args):
-    if args.style == "long":
-        base = rt.base
-        return tuple("(%s,%s)" % (base.names[x], base.names[y])
-                     for x, y in rt.members)
-    return None
+        _emit_output(args, emit_tables(report.operators, style=args.style,
+                                       names=names))
+    return exit_code(assumptions + report.items)
 
 
 def _cmd_enumerate(args):

@@ -15,18 +15,20 @@ import dataclasses
 from dataclasses import dataclass
 
 from .order import Poset, is_kleene, is_pseudo_kleene, set_leq
-from .report import CheckItem
+from .report import CheckItem, all_pass
 from .residuation import StructureError, check_condition, classify
 from .twist import OperatorStructure, check_operator_residuated, \
-    operator_implication, operator_product
+    operator_implication, operator_product, pair_name, pair_names
 
 
 class AssumptionError(Exception):
     """The restricted twist's standing assumptions fail; carries the
-    assumption check items so callers can render them."""
+    restricted twist and the assumption check items so callers can render
+    them."""
 
-    def __init__(self, items):
+    def __init__(self, rt, items):
         super().__init__("restricted twist assumptions fail")
+        self.rt = rt
         self.items = items
 
 
@@ -58,10 +60,6 @@ def build_restricted_twist(base, a):
                     for x in range(base.n) for y in range(base.n)
                     if pair_in_carrier(base, a, x, y))
     index = {pair: i for i, pair in enumerate(members)}
-    names = tuple(base.names[x] + base.names[y] for x, y in members)
-    if len(set(names)) != len(names):
-        names = tuple("(%s,%s)" % (base.names[x], base.names[y])
-                      for x, y in members)
     m = len(members)
     up = [0] * m
     down = [0] * m
@@ -71,7 +69,9 @@ def build_restricted_twist(base, a):
                 up[i] |= 1 << j
                 down[j] |= 1 << i
     swap = tuple(index[(y, x)] for x, y in members)
-    return RestrictedTwist(base, a, members, Poset(names, tuple(up), tuple(down)),
+    return RestrictedTwist(base, a, members,
+                           Poset(pair_names(base, members), tuple(up),
+                                 tuple(down)),
                            swap)
 
 
@@ -195,12 +195,25 @@ def classify_escape(s, a, op, ppair, qpair, member):
     raise AssertionError("operator escape matches no closure case")
 
 
-def check_restricted_closure(s, rt):
-    """Scan all operand pairs (row-major, product before implication) for
-    the first image member outside the carrier."""
+def _assumed(s, rt):
+    """The assumption items, raising AssumptionError if one fails."""
     items = check_restriction_assumptions(s, rt)
-    if not all(it.passed for it in items):
-        raise AssumptionError(items)
+    if not all_pass(items):
+        raise AssumptionError(rt, items)
+    return items
+
+
+def check_restricted_closure(s, rt):
+    """Check the standing assumptions (AssumptionError when they fail),
+    then scan for the first image member outside the carrier."""
+    _assumed(s, rt)
+    return _first_escape(s, rt)
+
+
+def _first_escape(s, rt):
+    """Scan all operand pairs (row-major, product before implication) for
+    the first image member outside the carrier; assumes the standing
+    assumptions hold."""
     base = rt.base
     for ppair in rt.members:
         for qpair in rt.members:
@@ -216,9 +229,9 @@ def check_restricted_closure(s, rt):
                                                member)
                         witness = (
                             ("op", op),
-                            ("p", _pair_name(base, ppair)),
-                            ("q", _pair_name(base, qpair)),
-                            ("member", _pair_name(base, member)),
+                            ("p", pair_name(base, ppair)),
+                            ("q", pair_name(base, qpair)),
+                            ("member", pair_name(base, member)),
                             ("pattern", diag.pattern),
                             ("compare", diag.compare),
                             ("needs", diag.needs),
@@ -226,10 +239,6 @@ def check_restricted_closure(s, rt):
                         )
                         return CheckItem("closure", False, witness), diag
     return CheckItem("closure", True), None
-
-
-def _pair_name(base, pair):
-    return base.names[pair[0]] + base.names[pair[1]]
 
 
 def build_restricted_operators(s, rt):
@@ -267,7 +276,7 @@ def check_restricted_embedding(s, rt):
         if i is None:
             return CheckItem("embedding", False,
                              (("x", base.names[x]),
-                              ("image", _pair_name(base, (x, a))),
+                              ("image", pair_name(base, (x, a))),
                               ("missing", "true")))
         image.append(i)
     for x in range(base.n):
@@ -286,13 +295,27 @@ def check_involution_membership(s, rt):
         target = y * s.poset.n + x
         if target not in image:
             return CheckItem("involution-membership", False,
-                             (("p", _pair_name(s.poset, (x, y))),))
+                             (("p", pair_name(s.poset, (x, y))),))
     return CheckItem("involution-membership", True)
+
+
+@dataclass(frozen=True)
+class KleeneTwistReport:
+    """What check_kleene_twist established: the restricted twist, the
+    (passing) assumption items, the report items, the operator audit and
+    the restricted operator tables (the last two only when closure
+    holds: an empty audit and None otherwise)."""
+    rt: RestrictedTwist
+    assumptions: list
+    items: list
+    audit: list
+    operators: OperatorStructure | None
 
 
 def check_kleene_twist(s, a):
     """Full restricted-twist report for a bounded commutative residuated
-    monoid and a designated element.
+    monoid and a designated element; AssumptionError when the standing
+    assumptions fail.
 
     Items, in order: conditions (11) and (12); closure of the operator
     images; the five-point operator-residuation audit on the restricted
@@ -301,6 +324,8 @@ def check_kleene_twist(s, a):
     [(11) and (12)] iff [closed and audited]; the pseudo-Kleene and
     Kleene involution checks; the embedding; and involution membership.
     The Kleene line is informational (not claimed by the equivalence).
+    The biconditional is checked over every small monoid by the
+    restricted-twist-biconditional sweep.
     """
     flags = classify(s)
     if not flags.bcrm:
@@ -308,21 +333,24 @@ def check_kleene_twist(s, a):
             "restricted twist needs a bounded commutative residuated monoid"
             " (structure is %s)" % flags.summary())
     rt = build_restricted_twist(s.poset, a)
-    closure_item, diag = check_restricted_closure(s, rt)  # may raise
+    assumptions = _assumed(s, rt)
+    closure_item, diag = _first_escape(s, rt)
 
     items = [check_condition_11(s, a), check_condition_12(s, a), closure_item]
     conds_hold = items[0].passed and items[1].passed
 
+    ops = None
+    audit = []
     if closure_item.passed:
-        audit = check_operator_residuated(build_restricted_operators(s, rt))
-        audit_ok = all(it.passed for it in audit)
+        ops = build_restricted_operators(s, rt)
+        audit = check_operator_residuated(ops)
+        audit_ok = all_pass(audit)
         witness = ()
         if not audit_ok:
             first = next(it for it in audit if not it.passed)
             witness = (("axiom", first.check_id),) + first.witness
         items.append(CheckItem("operator-residuated", audit_ok, witness))
     else:
-        audit = []
         items.append(CheckItem(
             "operator-residuated", False,
             (("axiom", "closure"), ("breaks", str(diag.breaks)))))
@@ -344,4 +372,4 @@ def check_kleene_twist(s, a):
     items.append(CheckItem("kleene", kl.ok, gating=False))
     items.append(check_restricted_embedding(s, rt))
     items.append(check_involution_membership(s, rt))
-    return rt, items, audit
+    return KleeneTwistReport(rt, assumptions, items, audit, ops)

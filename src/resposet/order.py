@@ -186,21 +186,6 @@ def minimal_elements(p, mask):
     return mask_of(x for x in bits(mask) if p.down[x] & mask == 1 << x)
 
 
-def maximum_of(p, mask):
-    """The greatest element of the subset, or None."""
-    for x in bits(mask):
-        if mask & ~p.down[x] == 0:
-            return x
-    return None
-
-
-def minimum_of(p, mask):
-    for x in bits(mask):
-        if mask & ~p.up[x] == 0:
-            return x
-    return None
-
-
 def bounds(p):
     """(bottom, top) of the whole poset, each None when absent."""
     bottom = top = None
@@ -245,17 +230,14 @@ class DistributivityVerdict:
 
 
 def is_distributive(p):
-    """Evaluate both cone-distributivity identities over all triples.
+    """Cone distributivity: L(U(x,y), z) = LU(L(x,z) u L(y,z)) for every
+    triple, with the first failing triple (row-major) as witness.
 
-    The two identities are equivalent; we still compute both verdicts and
-    refuse to answer if they ever disagreed, since everything downstream
-    leans on that equivalence.
+    The dual identity is equivalent; that equivalence is a theorem checked
+    by the distributivity-identities-agree sweep in search, not here.
     """
-    first1 = _lu_identity_failure(p, dual=False)
-    first2 = _lu_identity_failure(p, dual=True)
-    if (first1 is None) != (first2 is None):
-        raise OrderError("cone distributivity identities disagree")
-    return DistributivityVerdict(first1 is None, first1)
+    first = _lu_identity_failure(p, dual=False)
+    return DistributivityVerdict(first is None, first)
 
 
 def _lu_identity_failure(p, dual):

@@ -82,24 +82,22 @@ def _need(s, mul=False, imp=False, zero=False, designated=False):
 # element indices, scanned in lexicographic order with loop variables in
 # the order they appear in the condition.
 
-def _cond1(s):
-    p, m = s.poset, s.mul
+def _monotone_failure(p, t, antitone=False):
+    """Conditions (1), (2), (4) and (5): x <= y must give t[z][x] <= t[z][y]
+    for every z (t[z][y] <= t[z][x] when antitone), where t is an operation
+    table or its transpose.  The witness is (x, y, z)."""
+    up = p.up
+    cone = p.down if antitone else up
     for x in range(p.n):
-        for y in bits(p.up[x]):
+        for y in bits(up[x]):
             for z in range(p.n):
-                if not p.leq(m[z][x], m[z][y]):
+                if not cone[t[z][x]] >> t[z][y] & 1:
                     return (x, y, z)
     return None
 
 
-def _cond2(s):
-    p, m = s.poset, s.mul
-    for x in range(p.n):
-        for y in bits(p.up[x]):
-            for z in range(p.n):
-                if not p.leq(m[x][z], m[y][z]):
-                    return (x, y, z)
-    return None
+def _transpose(t):
+    return tuple(zip(*t))
 
 
 def _cond3(s):
@@ -112,26 +110,6 @@ def _cond3(s):
             iy = i[y]
             for z in range(n):
                 if (mxy_up >> z ^ upx >> iy[z]) & 1:
-                    return (x, y, z)
-    return None
-
-
-def _cond4(s):
-    p, i = s.poset, s.imp
-    for x in range(p.n):
-        for y in bits(p.up[x]):
-            for z in range(p.n):
-                if not p.leq(i[z][x], i[z][y]):
-                    return (x, y, z)
-    return None
-
-
-def _cond5(s):
-    p, i = s.poset, s.imp
-    for x in range(p.n):
-        for y in bits(p.up[x]):
-            for z in range(p.n):
-                if not p.leq(i[y][z], i[x][z]):
                     return (x, y, z)
     return None
 
@@ -205,11 +183,15 @@ def _cond13(s):
 
 
 _CONDITIONS = {
-    1: (_cond1, ("x", "y", "z"), dict(mul=True)),
-    2: (_cond2, ("x", "y", "z"), dict(mul=True)),
+    1: (lambda s: _monotone_failure(s.poset, s.mul),
+        ("x", "y", "z"), dict(mul=True)),
+    2: (lambda s: _monotone_failure(s.poset, _transpose(s.mul)),
+        ("x", "y", "z"), dict(mul=True)),
     3: (_cond3, ("x", "y", "z"), dict(mul=True, imp=True)),
-    4: (_cond4, ("x", "y", "z"), dict(imp=True)),
-    5: (_cond5, ("x", "y", "z"), dict(imp=True)),
+    4: (lambda s: _monotone_failure(s.poset, s.imp),
+        ("x", "y", "z"), dict(imp=True)),
+    5: (lambda s: _monotone_failure(s.poset, _transpose(s.imp), True),
+        ("x", "y", "z"), dict(imp=True)),
     6: (_cond6, ("x",), dict(mul=True)),
     7: (_cond7, ("x", "y"), dict(mul=True)),
     8: (_cond8, ("x", "y", "z"), dict(mul=True, imp=True)),
@@ -231,24 +213,28 @@ def condition_holds(s, k):
     return w is None, w
 
 
-def check_condition(s, k):
-    fn, varnames, needs = _CONDITIONS[k]
-    _need(s, **needs)
-    w = fn(s)
+def _named(s, k, w):
+    """Witness indices of condition k as (variable, element name) pairs."""
     if w is None:
-        return CheckItem(str(k), True)
-    names = s.poset.names
-    return CheckItem(str(k), False,
-                     tuple((v, names[i]) for v, i in zip(varnames, w)))
+        return ()
+    return tuple((v, s.poset.names[i]) for v, i in zip(_CONDITIONS[k][1], w))
 
 
-def condition_applicable(s, k):
-    _, _, needs = _CONDITIONS[k]
+def check_condition(s, k):
+    ok, w = condition_holds(s, k)
+    return CheckItem(str(k), ok, _named(s, k, w))
+
+
+def _has(s, needs):
     try:
         _need(s, **needs)
     except StructureError:
         return False
     return True
+
+
+def condition_applicable(s, k):
+    return _has(s, _CONDITIONS[k][2])
 
 
 def is_commutative(s):
@@ -319,33 +305,44 @@ class SynthesisResult:
     candidates: int = 0     # bitmask: the solution set at the failure point
 
 
-def synthesize_residuum(poset, mul):
-    """Recover y->z as the greatest x with x*y <= z.
+def residuum_row(p, col):
+    """Recover y->z for one product column col[x] = x*y: row[z] is the
+    greatest x with col[x] <= z.
 
     The recovery is legitimate only when the solution set is the full
     principal down-set of that greatest element; a unique maximal element
-    alone is not enough for the adjunction to hold, so that case is
-    reported as its own failure kind.
+    alone is not enough for the adjunction to hold, so that case is its
+    own failure kind.  Returns (row, None), or (None, (kind, z,
+    candidates)) at the first z that fails.
     """
+    row = []
+    for z in range(p.n):
+        below = p.down[z]
+        sol = mask_of(x for x in range(p.n) if below >> col[x] & 1)
+        if not sol:
+            return None, ("empty", z, 0)
+        tops = maximal_elements(p, sol)
+        if popcount(tops) != 1:
+            return None, ("no-maximum", z, tops)
+        top = next(bits(tops))
+        if sol != p.down[top]:
+            return None, ("not-principal", z, sol)
+        row.append(top)
+    return tuple(row), None
+
+
+def synthesize_residuum(poset, mul):
+    """Recover the implication table from the product, column by column
+    (see residuum_row)."""
     mul = _as_table(mul, poset.n)
-    n = poset.n
     imp = []
-    for y in range(n):
-        row = []
-        for z in range(n):
-            sol = mask_of(x for x in range(n) if poset.leq(mul[x][y], z))
-            if not sol:
-                return SynthesisResult(False, kind="empty", at=(y, z))
-            tops = maximal_elements(poset, sol)
-            if popcount(tops) != 1:
-                return SynthesisResult(False, kind="no-maximum", at=(y, z),
-                                       candidates=tops)
-            top = next(bits(tops))
-            if sol != poset.down[top]:
-                return SynthesisResult(False, kind="not-principal", at=(y, z),
-                                       candidates=sol)
-            row.append(top)
-        imp.append(tuple(row))
+    for y in range(poset.n):
+        row, failure = residuum_row(poset, tuple(r[y] for r in mul))
+        if failure is not None:
+            kind, z, candidates = failure
+            return SynthesisResult(False, kind=kind, at=(y, z),
+                                   candidates=candidates)
+        imp.append(row)
     return SynthesisResult(True, imp=tuple(imp))
 
 
@@ -374,8 +371,11 @@ def _flag_unit_top(s):
     return s.poset.down[s.one] == s.poset.full
 
 
-# law id, premise tests, conclusion condition, ingredients
-_LAWS = (
+# The derived laws (Lemma-style implications between the conditions):
+# law id, premise tests, conclusion condition, ingredients.  A premise is a
+# condition number or a structure flag.  Laws needing a designated element
+# are evaluated with each element designated in turn by the sweeps.
+LAWS = (
     ("5-from-1-3", (1, 3), 5, dict(mul=True, imp=True)),
     ("7-from-comm-1-6-top", (_flag_unit_top, _flag_comm, 1, 6), 7,
      dict(mul=True)),
@@ -389,6 +389,18 @@ _LAWS = (
 )
 
 
+def evaluate_law(s, law):
+    """One entry of LAWS on one structure that has its ingredients:
+    ("VACUOUS", None) when a premise fails, else ("CONFIRMED", None) or
+    ("REFUTED", first witness of the conclusion)."""
+    _, premises, conclusion, _ = law
+    for prem in premises:
+        if not (prem(s) if callable(prem) else condition_holds(s, prem)[0]):
+            return "VACUOUS", None
+    ok, w = condition_holds(s, conclusion)
+    return ("CONFIRMED", None) if ok else ("REFUTED", w)
+
+
 def check_derived_laws(s):
     """Evaluate every applicable implication law on this one structure.
 
@@ -398,26 +410,9 @@ def check_derived_laws(s):
     as an alarm, not a routine failure.
     """
     out = []
-    for law_id, premises, conclusion, needs in _LAWS:
-        try:
-            _need(s, **needs)
-        except StructureError:
-            continue
-        premises_hold = True
-        for prem in premises:
-            if callable(prem):
-                ok = prem(s)
-            else:
-                ok = condition_holds(s, prem)[0]
-            if not ok:
-                premises_hold = False
-                break
-        if not premises_hold:
-            out.append(LawVerdict(law_id, "VACUOUS"))
-            continue
-        item = check_condition(s, conclusion)
-        if item.passed:
-            out.append(LawVerdict(law_id, "CONFIRMED"))
-        else:
-            out.append(LawVerdict(law_id, "REFUTED", item.witness))
+    for law in LAWS:
+        law_id, _, conclusion, needs = law
+        if _has(s, needs):
+            status, w = evaluate_law(s, law)
+            out.append(LawVerdict(law_id, status, _named(s, conclusion, w)))
     return out

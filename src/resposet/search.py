@@ -13,15 +13,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .order import (OrderError, Poset, bits, bounds, is_distributive,
-                    is_kleene, is_pseudo_kleene, mask_of, maximal_elements,
-                    popcount)
-from .residuation import (condition_holds, is_associative, is_commutative,
-                          structure, synthesize_residuum)
-from .twist import (PairMap, build_operator_twist, check_embedding,
-                    check_operator_residuated, check_twist_lifting, full_twist)
-from .kleene_twist import (build_restricted_twist, check_kleene_twist,
-                           check_restriction_assumptions)
+from .order import (Poset, _lu_identity_failure, bits, bounds,
+                    is_distributive, is_kleene, is_pseudo_kleene, mask_of)
+from .residuation import (LAWS, evaluate_law, is_associative, is_commutative,
+                          residuum_row, structure, synthesize_residuum)
+from .twist import (PairMap, build_operator_twist, check_embeddings,
+                    check_operator_residuated, check_twist_lifting,
+                    cone_product_failure, pair_names)
+from .kleene_twist import (AssumptionError, build_restricted_twist,
+                           check_kleene_twist)
 
 
 class EnumerationError(ValueError):
@@ -79,23 +79,13 @@ def _extensions(rows, k):
 
 @functools.lru_cache(maxsize=None)
 def residuable_columns(p):
-    """Map each product column admitting a residuum to its residuum row:
-    row[z] is the greatest x with col[x] <= z, where the solution set
-    must be exactly that element's down-set."""
+    """Map each product column admitting a residuum to its residuum row
+    (see residuation.residuum_row)."""
     out = {}
     for col in itertools.product(range(p.n), repeat=p.n):
-        row = []
-        for z in range(p.n):
-            sol = mask_of(x for x in range(p.n) if p.leq(col[x], z))
-            tops = maximal_elements(p, sol)
-            if popcount(tops) != 1:
-                break
-            t = next(bits(tops))
-            if p.down[t] != sol:
-                break
-            row.append(t)
-        else:
-            out[col] = tuple(row)
+        row, failure = residuum_row(p, col)
+        if failure is None:
+            out[col] = row
     return out
 
 
@@ -267,53 +257,30 @@ def check_universal(name, sizes=None):
     return UniversalResult(name, cases, None)
 
 
-def _law_runner(kind, premises, conclusion):
+def _designations(s, needs):
+    """The structure, or for a law about a designated element, the
+    structure with each element designated in turn, with a witness label."""
+    if not needs.get("designated"):
+        return (("", s),)
+    return tuple((";a=" + s.poset.names[a],
+                  dataclasses.replace(s, designated=a))
+                 for a in range(s.poset.n))
+
+
+def _law_runner(kind, law):
+    conclusion, needs = law[2], law[3]
+
     def run(n):
         for s in enumerate_structures(n, kind):
-            premise_ok = True
-            for prem in premises:
-                ok = prem(s) if callable(prem) else condition_holds(s, prem)[0]
-                if not ok:
-                    premise_ok = False
-                    break
-            if not premise_ok:
-                yield None
-                continue
-            ok, w = condition_holds(s, conclusion)
-            if ok:
-                yield None
-            else:
-                yield "%s :: condition %s fails at %s" % (
-                    describe_structure(s), conclusion, _witness_names(s, w))
+            for label, t in _designations(s, needs):
+                status, w = evaluate_law(t, law)
+                if status != "REFUTED":
+                    yield None
+                else:
+                    yield "%s%s :: condition %s fails at %s" % (
+                        describe_structure(s), label, conclusion,
+                        _witness_names(s, w))
     return run
-
-
-def _comm(s):
-    return is_commutative(s)[0]
-
-
-def _assoc(s):
-    return is_associative(s)[0]
-
-
-def _unit_top(s):
-    return s.poset.down[s.one] == s.poset.full
-
-
-def _run_condition_13(n):
-    for s in enumerate_structures(n, "commutative-residuated-monoid"):
-        for a in range(s.poset.n):
-            if s.mul[a][a] != a:
-                yield None
-                continue
-            sa = dataclasses.replace(s, designated=a)
-            ok, w = condition_holds(sa, 13)
-            if ok:
-                yield None
-            else:
-                yield "%s;a=%s :: condition 13 fails at %s" % (
-                    describe_structure(s), s.poset.names[a],
-                    _witness_names(s, w))
 
 
 def _run_synthesis(n):
@@ -363,11 +330,9 @@ def _run_operator_audit(n):
                         if (len(img) == 1) != collapse:
                             failure = "implication image cardinality law fails"
         if failure is None:
-            twist = full_twist(s.poset)
-            for a0 in range(nn):
-                if not check_embedding(s.poset, twist.poset, a0).passed:
-                    failure = "embedding fails at a0=" + s.poset.names[a0]
-                    break
+            emb = check_embeddings(s.poset)
+            if not emb.passed:
+                failure = "embedding fails at a0=" + dict(emb.witness)["a0"]
         yield None if failure is None else \
             describe_structure(s) + " :: " + failure
 
@@ -377,14 +342,18 @@ _RESTRICTED_CLAIMS = ("biconditional", "pseudo-kleene", "embedding",
 
 
 def _run_restricted_biconditional(n):
+    """The restricted-twist theorem: under its standing assumptions,
+    (11) and (12) hold exactly when the operators restrict to a residuated
+    structure; also its pseudo-Kleene, embedding and membership claims.
+    check_kleene_twist evaluates each case; cases whose assumptions fail
+    count but claim nothing."""
     for s in enumerate_structures(n, "bounded-commutative-residuated-monoid"):
         for a in range(s.poset.n):
-            rt = build_restricted_twist(s.poset, a)
-            assumptions = check_restriction_assumptions(s, rt)
-            if not all(it.passed for it in assumptions):
+            try:
+                items = check_kleene_twist(s, a).items
+            except AssumptionError:
                 yield None
                 continue
-            _, items, _ = check_kleene_twist(s, a)
             bad = [it for it in items
                    if it.check_id in _RESTRICTED_CLAIMS and not it.passed]
             if not bad:
@@ -395,12 +364,16 @@ def _run_restricted_biconditional(n):
 
 
 def _run_cone_product(n):
+    """The cone product law of the twist order (twist.cone_product_failure);
+    full_twist builds the pair poset without re-checking it."""
     for p in enumerate_posets(n):
-        try:
-            full_twist(p)
+        w = cone_product_failure(p)
+        if w is None:
             yield None
-        except AssertionError as e:
-            yield "poset %s :: %s" % ("".join(p.names), e)
+        else:
+            names = pair_names(p)
+            yield "poset %s :: cone product law broken at %s, %s" % (
+                "".join(p.names), names[w[0]], names[w[1]])
 
 
 def _run_restricted_pseudo_kleene(n):
@@ -431,38 +404,33 @@ def _run_restricted_pseudo_kleene(n):
 
 
 def _run_distributivity_agreement(n):
+    """The two cone-distributivity identities agree on every poset;
+    is_distributive evaluates only the first and relies on this."""
     for p in enumerate_posets(n):
-        try:
-            is_distributive(p)
+        if (_lu_identity_failure(p, dual=False) is None) == \
+                (_lu_identity_failure(p, dual=True) is None):
             yield None
-        except OrderError as e:
-            yield "poset :: %s" % e
+        else:
+            yield "poset :: cone distributivity identities disagree"
 
 
-_register("law-5-from-1-3", "lemmas",
-          EnumerationSpec((1, 2, 3), "residuated-pair"),
-          _law_runner("residuated-pair", (1, 3), 5))
-_register("law-7-from-comm-1-6-top", "lemmas",
-          EnumerationSpec((1, 2, 3), "unital-groupoid"),
-          _law_runner("unital-groupoid", (_unit_top, _comm, 1, 6), 7))
-_register("law-8-from-assoc-2-3", "lemmas",
-          EnumerationSpec((1, 2, 3), "residuated-pair"),
-          _law_runner("residuated-pair", (_assoc, 2, 3), 8))
-_register("law-2-from-3-6", "lemmas",
-          EnumerationSpec((1, 2, 3), "left-residuated-groupoid"),
-          _law_runner("left-residuated-groupoid", (3, 6), 2))
-_register("law-4-from-3-6", "lemmas",
-          EnumerationSpec((1, 2, 3), "left-residuated-groupoid"),
-          _law_runner("left-residuated-groupoid", (3, 6), 4))
-_register("law-9-from-3-6", "lemmas",
-          EnumerationSpec((1, 2, 3), "left-residuated-groupoid"),
-          _law_runner("left-residuated-groupoid", (3, 6), 9))
-_register("law-10-from-5-9-top", "lemmas",
-          EnumerationSpec((1, 2, 3), "unital-implication"),
-          _law_runner("unital-implication", (_unit_top, 5, 9), 10))
-_register("law-13-from-idempotent", "lemmas",
-          EnumerationSpec((1, 2, 3), "commutative-residuated-monoid"),
-          _run_condition_13)
+# Which structures each law of residuation.LAWS is swept over.
+_LAW_KINDS = {
+    "5-from-1-3": "residuated-pair",
+    "7-from-comm-1-6-top": "unital-groupoid",
+    "8-from-assoc-2-3": "residuated-pair",
+    "2-from-3-6": "left-residuated-groupoid",
+    "4-from-3-6": "left-residuated-groupoid",
+    "9-from-3-6": "left-residuated-groupoid",
+    "10-from-5-9-top": "unital-implication",
+    "13-from-idempotent": "commutative-residuated-monoid",
+}
+
+for _law in LAWS:
+    _kind = _LAW_KINDS[_law[0]]
+    _register("law-" + _law[0], "lemmas", EnumerationSpec((1, 2, 3), _kind),
+              _law_runner(_kind, _law))
+
 _register("synthesis-adjunction", "lemmas",
           EnumerationSpec((1, 2, 3), "residuated-pair"),
           _run_synthesis)

@@ -33,6 +33,18 @@ _SECTION_WORDS = {"elements", "covers", "order", "table", "const",
                   "designated", "pairmap", "optable"}
 
 
+def _check_names(names, where=""):
+    """The format's one rule for element names: none may be empty, hold
+    whitespace or '#', or be a section word, since each of those reads
+    back as something else."""
+    for name in names:
+        if (not name or name in _SECTION_WORDS
+                or any(c == "#" or c.isspace() for c in name)):
+            raise ParseError(
+                "%selement name %r is empty, a section word, or contains"
+                " whitespace or '#'" % (where, name))
+
+
 def _lines(text):
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -72,6 +84,7 @@ def parse(text):
     names = tuple(parts[1:])
     if not names:
         _fail(lineno, "elements line declares no elements")
+    _check_names(names, "line %d: " % lineno)
     if len(set(names)) != len(names):
         _fail(lineno, "duplicate element names")
     index = {nm: k for k, nm in enumerate(names)}
@@ -102,49 +115,33 @@ def parse(text):
                 i += 1
             continue
 
-        if word == "table":
-            if len(parts) != 2 or parts[1] not in ("mul", "imp"):
-                _fail(lineno, "expected 'table mul' or 'table imp'")
+        if word in ("table", "optable"):
+            labels = ("mul", "imp") if word == "table" else ("odot", "oimp")
+            if len(parts) != 2 or parts[1] not in labels:
+                _fail(lineno, "expected '%s %s' or '%s %s'"
+                      % (word, labels[0], word, labels[1]))
             label = parts[1]
-            if label in tables:
-                _fail(lineno, "duplicate table %s" % label)
+            found = tables if word == "table" else optables
+            if label in found:
+                _fail(lineno, "duplicate %s %s" % (word, label))
             rows = []
             i += 1
             for _ in range(n):
                 if i >= len(entries):
-                    _fail(lineno, "table %s ends early" % label)
+                    _fail(lineno, "%s %s ends early" % (word, label))
                 lno, body = entries[i]
                 cells = body.split()
                 if len(cells) != n:
                     _fail(lno, "expected %d entries" % n)
-                rows.append(tuple(lookup(lno, index, c) for c in cells))
+                if word == "table":
+                    rows.append(tuple(lookup(lno, index, c) for c in cells))
+                else:
+                    rows.append(tuple(
+                        tuple(sorted(lookup(lno, index, m)
+                                     for m in _split_cell(lno, c)))
+                        for c in cells))
                 i += 1
-            tables[label] = tuple(rows)
-            continue
-
-        if word == "optable":
-            if len(parts) != 2 or parts[1] not in ("odot", "oimp"):
-                _fail(lineno, "expected 'optable odot' or 'optable oimp'")
-            label = parts[1]
-            if label in optables:
-                _fail(lineno, "duplicate optable %s" % label)
-            rows = []
-            i += 1
-            for _ in range(n):
-                if i >= len(entries):
-                    _fail(lineno, "optable %s ends early" % label)
-                lno, body = entries[i]
-                cells = body.split()
-                if len(cells) != n:
-                    _fail(lno, "expected %d entries" % n)
-                row = []
-                for cell in cells:
-                    members = _split_cell(lno, cell)
-                    row.append(tuple(sorted(
-                        lookup(lno, index, m) for m in members)))
-                rows.append(tuple(row))
-                i += 1
-            optables[label] = tuple(rows)
+            found[label] = tuple(rows)
             continue
 
         if word == "const":
@@ -282,8 +279,9 @@ def load(path):
 
 def emit_structure(s):
     """Canonical text for a structure; parse(emit_structure(s)) rebuilds
-    an equal structure."""
+    an equal structure; names the format cannot hold are a ParseError."""
     p = s.poset
+    _check_names(p.names)
     out = ["elements " + " ".join(p.names), ""]
     covers = p.cover_pairs()
     if covers:

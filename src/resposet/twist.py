@@ -20,15 +20,24 @@ from .report import CheckItem
 from .residuation import StructureError, classify, condition_holds, structure
 
 
-def pair_names(base):
-    """Compressed concatenated pair names, falling back to explicit
-    "(x,y)" names whenever concatenation would be ambiguous."""
-    short = tuple(base.names[x] + base.names[y]
-                  for x in range(base.n) for y in range(base.n))
+def pair_name(base, pair, long=False):
+    """The pair (x, y) named by concatenation, or as "(x,y)" when long."""
+    x, y = pair
+    if long:
+        return "(%s,%s)" % (base.names[x], base.names[y])
+    return base.names[x] + base.names[y]
+
+
+def pair_names(base, pairs=None):
+    """Names of the given pairs (all of them, row-major, by default):
+    concatenated, falling back to explicit "(x,y)" names whenever
+    concatenation would be ambiguous among them."""
+    if pairs is None:
+        pairs = [(x, y) for x in range(base.n) for y in range(base.n)]
+    short = tuple(pair_name(base, pair) for pair in pairs)
     if len(set(short)) == len(short):
         return short
-    return tuple("(%s,%s)" % (base.names[x], base.names[y])
-                 for x in range(base.n) for y in range(base.n))
+    return tuple(pair_name(base, pair, long=True) for pair in pairs)
 
 
 @dataclass(frozen=True)
@@ -38,9 +47,6 @@ class TwistProduct:
 
     def pair_index(self, x, y):
         return x * self.base.n + y
-
-    def pair_of(self, i):
-        return divmod(i, self.base.n)
 
 
 def _product_mask(n, amask, bmask):
@@ -53,34 +59,42 @@ def _product_mask(n, amask, bmask):
 
 @functools.lru_cache(maxsize=None)
 def full_twist(base):
-    """Build the pair poset and verify its cone product laws:
-    L({p,q}) = L(x,z) x U(y,v) and dually, for p=(x,y), q=(z,v)."""
+    """Build the pair poset: (x,y) <= (z,v) when x <= z and v <= y.
+
+    Its cones factor as products of base cones; that law is checked by
+    cone_product_failure in the cone-product-law sweep, not on each build.
+    """
     n = base.n
-    names = pair_names(base)
     up = []
     down = []
     for x in range(n):
         for y in range(n):
             up.append(_product_mask(n, base.up[x], base.down[y]))
             down.append(_product_mask(n, base.down[x], base.up[y]))
-    twist = TwistProduct(base, Poset(names, tuple(up), tuple(down)))
+    return TwistProduct(base, Poset(pair_names(base), tuple(up), tuple(down)))
+
+
+def cone_product_failure(base):
+    """The cone product law of the pair poset, for p=(x,y) and q=(z,v):
+    L({p,q}) = L(x,z) x U(y,v) and U({p,q}) = U(x,z) x L(y,v).  Returns
+    the first (p, q) in row-major order where it fails, or None."""
+    n = base.n
+    twist = full_twist(base).poset
     for x in range(n):
         for y in range(n):
-            p = twist.pair_index(x, y)
+            p = x * n + y
             for z in range(n):
                 for v in range(n):
-                    q = twist.pair_index(z, v)
-                    lo = twist.poset.down[p] & twist.poset.down[q]
-                    hi = twist.poset.up[p] & twist.poset.up[q]
+                    q = z * n + v
+                    lo = twist.down[p] & twist.down[q]
+                    hi = twist.up[p] & twist.up[q]
                     want_lo = _product_mask(
                         n, base.down[x] & base.down[z], base.up[y] & base.up[v])
                     want_hi = _product_mask(
                         n, base.up[x] & base.up[z], base.down[y] & base.down[v])
                     if lo != want_lo or hi != want_hi:
-                        raise AssertionError(
-                            "cone product law broken at %s, %s"
-                            % (names[p], names[q]))
-    return twist
+                        return p, q
+    return None
 
 
 @dataclass(frozen=True)
@@ -369,4 +383,15 @@ def check_embedding(base, twist_poset, a0):
                      ("a0", base.names[a0]),
                      ("base", "PASS" if base_le else "FAIL"),
                      ("twist", "PASS" if twist_le else "FAIL")))
+    return CheckItem("embedding", True)
+
+
+def check_embeddings(base):
+    """check_embedding into the full twist for each a0 in turn: the first
+    failure, or a pass."""
+    twist = full_twist(base).poset
+    for a0 in range(base.n):
+        item = check_embedding(base, twist, a0)
+        if not item.passed:
+            return item
     return CheckItem("embedding", True)

@@ -60,13 +60,15 @@ def test_chain3_swap_involution(chain3):
 
 
 def test_chain3_full_report(chain3):
-    rt, items, audit = check_kleene_twist(chain3, 1)
+    report = check_kleene_twist(chain3, 1)
+    items, audit = report.items, report.audit
     assert [it.check_id for it in items] == [
         "11", "12", "closure", "operator-residuated", "biconditional",
         "pseudo-kleene", "kleene", "embedding", "involution-membership"]
     assert all(it.passed for it in items), [it.line() for it in items]
     assert len(audit) == 5
     assert all(it.passed for it in audit)
+    assert emit_tables(report.operators) == CHAIN3_TABLES
 
 
 def test_chain3_golden_tables(chain3):
@@ -113,7 +115,8 @@ def test_example1_a1_diagnostics(example1):
 
 def test_example1_report_shape(example1):
     for a in (0, example1.poset.index("1")):
-        rt, items, audit = check_kleene_twist(example1, a)
+        report = check_kleene_twist(example1, a)
+        items, audit = report.items, report.audit
         by_id = {it.check_id: it for it in items}
         assert not by_id["closure"].passed
         assert not by_id["operator-residuated"].passed
@@ -124,6 +127,7 @@ def test_example1_report_shape(example1):
         assert by_id["embedding"].passed
         assert by_id["involution-membership"].passed
         assert audit == []
+        assert report.operators is None
 
 
 def test_assumption_failure_on_diamond(diamond):

@@ -168,3 +168,25 @@ def test_emit_parse_chain_with_odd_names(names):
     mul = tuple(tuple(min(x, y) for y in range(n)) for x in range(n))
     s = structure(p, mul=mul, imp=None, one=n - 1)
     assert parse(emit_structure(s)).structure == s
+
+
+@pytest.mark.parametrize("names, parse_error", [
+    (("covers", "x"), "line 1: element name 'covers'"),
+    (("order", "b"), "line 1: element name 'order'"),
+    (("a#", "b"), "line 3"),   # '#' starts a comment on the elements line
+])
+def test_unwritable_element_names_are_rejected(names, parse_error):
+    # "covers" used to parse back as a different structure (its cover
+    # line read as a new section); "order" and "a#" made the emitted text
+    # unparseable
+    from resposet.order import chain
+    from resposet.residuation import structure
+    p = chain(2)
+    p = type(p)(names, p.up, p.down)
+    s = structure(p, mul=((0, 0), (0, 1)), imp=None, one=1)
+    with pytest.raises(ParseError, match="element name"):
+        emit_structure(s)
+    text = ("elements {0} {1}\ncovers\n{0} < {1}\n"
+            "table mul\n{0} {0}\n{0} {1}\nconst one = {1}\n").format(*names)
+    with pytest.raises(ParseError, match=parse_error):
+        parse(text)
