@@ -2,6 +2,8 @@
 
 Each file in tests/golden/ holds one command: its first line is
 "exit <code>", the rest is exactly what the command printed to stdout.
+The failing-audit case runs optwist on an optable file whose audit fails
+associativity and adjunction, pinning those witnesses' text.
 The condition digest covers the first witness of conditions (1)-(10) on
 every enumerated residuated pair with at most three elements, so any
 change to a scan's loop order shows up here.
@@ -54,6 +56,10 @@ def captured(argv):
     return "exit %d\n%s" % (code, out.getvalue())
 
 
+AUDIT_FAILS = ["optwist", str(GOLDEN / "optable_audit_fails.struct"),
+               "--tables"]
+
+
 def condition_digest():
     h = hashlib.sha256()
     for n in (1, 2, 3):
@@ -67,6 +73,12 @@ def condition_digest():
 def test_cli_output_is_pinned(argv):
     want = (GOLDEN / golden_name(argv)).read_text(encoding="utf-8")
     assert captured(argv) == want
+
+
+def test_failing_audit_witnesses_are_pinned():
+    want = (GOLDEN / "optwist_optable_audit_fails.txt").read_text(
+        encoding="utf-8")
+    assert captured(AUDIT_FAILS) == want
 
 
 def test_condition_witnesses_are_pinned():
