@@ -368,7 +368,7 @@ def check_kleene_twist(s, a):
         () if pk.ok else ((("reason", pk.reason),) + tuple(
             ("w%d" % k, rt.poset.names[i])
             for k, i in enumerate(pk.witness)))))
-    kl = is_kleene(rt.poset, rt.swap)
+    kl = is_kleene(rt.poset, rt.swap, pk)
     items.append(CheckItem("kleene", kl.ok, gating=False))
     items.append(check_restricted_embedding(s, rt))
     items.append(check_involution_membership(s, rt))

@@ -1,9 +1,10 @@
 """Finite posets with bitmask cone arithmetic.
 
 Elements are integer indices into a tuple of display names.  Subsets are
-plain Python ints used as bitmasks, so cone computations are a handful of
-AND/OR operations even for the largest carriers we care about (twist
-products of 10-element posets, i.e. 100 elements).
+plain Python ints used as bitmasks of any width, so a cone is a handful of
+AND/OR operations and a row of cones is compared in one list comparison;
+the pair carriers of twist products (n^2 elements for an n-element base)
+are the largest posets the package builds.
 """
 
 from __future__ import annotations
@@ -81,6 +82,24 @@ class Poset:
         return out
 
 
+# Words that open a section of the structure file format; an element
+# with one of these names would read back as that section.
+SECTION_WORDS = frozenset(("elements", "covers", "order", "table", "const",
+                           "designated", "pairmap", "optable"))
+
+
+def check_names(names):
+    """The one rule for element names: none may be empty, hold whitespace
+    or '#', or be a section word, since the structure file format would
+    read each of those back as something else."""
+    for name in names:
+        if (not name or name in SECTION_WORDS
+                or any(c == "#" or c.isspace() for c in name)):
+            raise OrderError(
+                "element name %r is empty, a section word, or contains"
+                " whitespace or '#'" % (name,))
+
+
 def _validate_leq(names, leq):
     n = len(names)
     for x in range(n):
@@ -104,10 +123,11 @@ def _validate_leq(names, leq):
 
 def poset_from_leq(names, leq):
     """Build a poset from a full boolean relation matrix, validating the
-    reflexivity, antisymmetry and transitivity laws (error names the law
-    and a witness)."""
+    element names (check_names) and the reflexivity, antisymmetry and
+    transitivity laws (error names the law and a witness)."""
     names = tuple(names)
     n = len(names)
+    check_names(names)
     if len(set(names)) != n:
         raise OrderError("duplicate element names")
     _validate_leq(names, leq)
@@ -155,18 +175,35 @@ def poset_from_covers(names, pairs):
 
 def lower_cone(p, mask):
     """L(A): elements below every member of A.  L(empty) is everything."""
-    cone = p.full
-    for x in bits(mask):
-        cone &= p.down[x]
-    return cone
+    return _cone(p.full, p.down, mask)
 
 
 def upper_cone(p, mask):
     """U(A): elements above every member of A.  U(empty) is everything."""
-    cone = p.full
-    for x in bits(mask):
-        cone &= p.up[x]
+    return _cone(p.full, p.up, mask)
+
+
+def _cone(cone, table, mask):
+    # AND of table[x] over the members x of mask, starting from cone
+    while mask:
+        low = mask & -mask
+        cone &= table[low.bit_length() - 1]
+        mask ^= low
     return cone
+
+
+class ConeMemo(dict):
+    """cone(p, mask) for each mask looked up (cone is lower_cone or
+    upper_cone), computed once per distinct mask."""
+
+    def __init__(self, cone, p):
+        super().__init__()
+        self.cone = cone
+        self.p = p
+
+    def __missing__(self, mask):
+        value = self[mask] = self.cone(self.p, mask)
+        return value
 
 
 def set_leq(p, amask, bmask):
@@ -231,7 +268,8 @@ class DistributivityVerdict:
 
 def is_distributive(p):
     """Cone distributivity: L(U(x,y), z) = LU(L(x,z) u L(y,z)) for every
-    triple, with the first failing triple (row-major) as witness.
+    triple.  Triples are scanned row-major in (x, y, z), and the witness
+    is the first failing one.
 
     The dual identity is equivalent; that equivalence is a theorem checked
     by the distributivity-identities-agree sweep in search, not here.
@@ -241,28 +279,33 @@ def is_distributive(p):
 
 
 def _lu_identity_failure(p, dual):
+    """The first triple (x, y, z), row-major, at which
+    L(U(x,y) u {z}) = L(U(L(x,z) u L(y,z))) fails, or None; with dual the
+    same identity in the order-dual poset.
+
+    Since U(A u B) = U(A) & U(B), the right side is L(UL[x][z] & UL[y][z])
+    with UL[x][z] = U(L(x,z)) computed once per pair, and the left side is
+    L(U(x,y)) & down[z]; both sides are compared for all z at once.  Both
+    sides are symmetric in x and y, so a failure at (x, y, z) with y < x
+    is preceded by one at (y, x, z): scanning y >= x finds the same first
+    triple.
+    """
+    if dual:
+        p = Poset(p.names, p.down, p.up)
     n = p.n
     up, down = p.up, p.down
-    if dual:
-        up, down = down, up
-    # pair cones under the chosen orientation
-    lo2 = [[down[x] & down[y] for y in range(n)] for x in range(n)]
+    upper = ConeMemo(upper_cone, p)
+    ul = [list(map(upper.__getitem__, map(dx.__and__, down))) for dx in down]
+    lower = ConeMemo(lower_cone, p)
     for x in range(n):
-        for y in range(n):
-            outer = p.full
-            for u in bits(up[x] & up[y]):
-                outer &= down[u]
-            for z in range(n):
-                lhs = outer & down[z]
-                inner = lo2[x][z] | lo2[y][z]
-                mid = p.full
-                for u in bits(inner):
-                    mid &= up[u]
-                rhs = p.full
-                for u in bits(mid):
-                    rhs &= down[u]
-                if lhs != rhs:
-                    return (x, y, z)
+        ulx = ul[x]
+        for y in range(x, n):
+            outer = lower[up[x] & up[y]]
+            lhs = list(map(outer.__and__, down))
+            rhs = list(map(lower.__getitem__, map(int.__and__, ulx, ul[y])))
+            if lhs != rhs:
+                z = next(z for z in range(n) if lhs[z] != rhs[z])
+                return (x, y, z)
     return None
 
 
@@ -296,18 +339,24 @@ def is_pseudo_kleene(p, mapping):
     if not base.ok:
         return InvolutionVerdict(False, "not an antitone involution: " + base.reason,
                                  base.witness)
+    # every element of lo[x] below every element of hi[y] means
+    # lo[x] is inside L(hi[y])
     lo = [p.down[x] & p.down[mapping[x]] for x in range(p.n)]
-    hi = [p.up[y] & p.up[mapping[y]] for y in range(p.n)]
+    below_hi = [lower_cone(p, p.up[y] & p.up[mapping[y]]) for y in range(p.n)]
     for x in range(p.n):
         for y in range(p.n):
-            if not set_leq(p, lo[x], hi[y]):
+            if lo[x] & ~below_hi[y]:
                 return InvolutionVerdict(False, "normality fails", (x, y))
     return InvolutionVerdict(True)
 
 
-def is_kleene(p, mapping):
-    """Distributive pseudo-Kleene poset."""
-    pk = is_pseudo_kleene(p, mapping)
+def is_kleene(p, mapping, pseudo_kleene=None):
+    """Distributive pseudo-Kleene poset.  A caller that already holds the
+    is_pseudo_kleene(p, mapping) verdict passes it as pseudo_kleene, so
+    that test is not run twice."""
+    pk = pseudo_kleene
+    if pk is None:
+        pk = is_pseudo_kleene(p, mapping)
     if not pk.ok:
         return pk
     dist = is_distributive(p)

@@ -392,7 +392,7 @@ def _run_restricted_pseudo_kleene(n):
                 yield "poset a=%s :: swap not pseudo-kleene (%s)" % (
                     p.names[a], pk.reason)
                 continue
-            kl = is_kleene(rt.poset, rt.swap)
+            kl = is_kleene(rt.poset, rt.swap, pk)
             if kl.ok and not base_dist:
                 yield ("a=%s :: restricted twist kleene but base not"
                        " distributive" % p.names[a])

@@ -13,7 +13,8 @@ import importlib.resources
 import os
 from dataclasses import dataclass
 
-from .order import poset_from_covers, poset_from_relation
+from .order import (SECTION_WORDS, OrderError, check_names,
+                    poset_from_covers, poset_from_relation)
 from .residuation import ResStructure, structure
 from .twist import OperatorStructure, PairMap
 
@@ -29,20 +30,12 @@ class StructureFile:
     pairmaps: dict | None = None
 
 
-_SECTION_WORDS = {"elements", "covers", "order", "table", "const",
-                  "designated", "pairmap", "optable"}
-
-
 def _check_names(names, where=""):
-    """The format's one rule for element names: none may be empty, hold
-    whitespace or '#', or be a section word, since each of those reads
-    back as something else."""
-    for name in names:
-        if (not name or name in _SECTION_WORDS
-                or any(c == "#" or c.isspace() for c in name)):
-            raise ParseError(
-                "%selement name %r is empty, a section word, or contains"
-                " whitespace or '#'" % (where, name))
+    """order.check_names, failing as a ParseError prefixed with where."""
+    try:
+        check_names(names)
+    except OrderError as e:
+        raise ParseError(where + str(e)) from None
 
 
 def _lines(text):
@@ -105,7 +98,7 @@ def parse(text):
             while i < len(entries):
                 lno, body = entries[i]
                 bparts = body.split()
-                if bparts[0] in _SECTION_WORDS:
+                if bparts[0] in SECTION_WORDS:
                     break
                 if len(bparts) != 3 or bparts[1] not in ("<", "<="):
                     _fail(lno, "expected '<x> < <y>'")
@@ -177,7 +170,7 @@ def parse(text):
             while i < len(entries):
                 lno, body = entries[i]
                 bparts = body.split()
-                if bparts[0] in _SECTION_WORDS:
+                if bparts[0] in SECTION_WORDS:
                     break
                 ok = (len(bparts) == 3 and bparts[1] == "->"
                       and bparts[0].startswith("(") and bparts[0].endswith(")"))

@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .order import Poset, bits, bounds, mask_of
+from .order import (ConeMemo, Poset, bits, bounds, lower_cone, mask_of,
+                    upper_cone)
 from .report import CheckItem
 from .residuation import StructureError, classify, condition_holds, structure
 
@@ -277,12 +278,21 @@ def build_operator_twist(s):
 def check_operator_residuated(os):
     """The five-point audit of a set-valued residuated structure:
     bounded constants, well-formed images, commutative product,
-    operator associativity, and the adjunction between the operators."""
+    operator associativity, and the adjunction between the operators.
+
+    Each scan reports its first failure in row-major order: (x, y) for
+    well-formedness and commutativity, (x, y, z) for associativity and
+    adjunction.  The last two read the images as bitmasks.  Associativity
+    needs every product image member to be a carrier index; an
+    implication image member past the carrier is above no element, as
+    p.leq reads it.
+    """
     p = os.poset
+    n = p.n
     items = []
 
     if os.zero is None or os.one is None:
-        items.append(CheckItem("op-bounded", p.n == 0))
+        items.append(CheckItem("op-bounded", n == 0))
     else:
         bot, top = bounds(p)
         ok = bot == os.zero and top == os.one
@@ -295,12 +305,12 @@ def check_operator_residuated(os):
     for op_name, table in (("odot", os.odot), ("oimp", os.oimp)):
         if wf:
             break
-        for x in range(p.n):
+        for x in range(n):
             if wf:
                 break
-            for y in range(p.n):
+            for y in range(n):
                 img = table[x][y]
-                if not img or any(not 0 <= u < p.n for u in img):
+                if not img or any(not 0 <= u < n for u in img):
                     wf = (op_name, x, y)
                     break
     items.append(CheckItem(
@@ -309,10 +319,10 @@ def check_operator_residuated(os):
         (("op", wf[0]), ("x", p.names[wf[1]]), ("y", p.names[wf[2]]))))
 
     comm = None
-    for x in range(p.n):
+    for x in range(n):
         if comm:
             break
-        for y in range(x + 1, p.n):
+        for y in range(x + 1, n):
             if os.odot[x][y] != os.odot[y][x]:
                 comm = (x, y)
                 break
@@ -321,44 +331,17 @@ def check_operator_residuated(os):
         () if comm is None else
         (("x", p.names[comm[0]]), ("y", p.names[comm[1]]))))
 
-    assoc = None
-    for x in range(p.n):
-        if assoc:
-            break
-        for y in range(p.n):
-            if assoc:
-                break
-            for z in range(p.n):
-                lhs = set()
-                for u in os.odot[x][y]:
-                    lhs.update(os.odot[u][z])
-                rhs = set()
-                for u in os.odot[y][z]:
-                    rhs.update(os.odot[x][u])
-                if lhs != rhs:
-                    assoc = (x, y, z, lhs, rhs)
-                    break
+    dot = [[mask_of(img) for img in row] for row in os.odot]
+    assoc = _associativity_failure(dot)
     items.append(CheckItem(
         "op-associative", assoc is None,
         () if assoc is None else
         (("x", p.names[assoc[0]]), ("y", p.names[assoc[1]]),
          ("z", p.names[assoc[2]]),
-         ("lhs", p.render_set(mask_of(assoc[3]))),
-         ("rhs", p.render_set(mask_of(assoc[4]))))))
+         ("lhs", p.render_set(assoc[3])),
+         ("rhs", p.render_set(assoc[4])))))
 
-    adj = None
-    for x in range(p.n):
-        if adj:
-            break
-        for y in range(p.n):
-            if adj:
-                break
-            for z in range(p.n):
-                left = all(p.leq(u, z) for u in os.odot[x][y])
-                right = all(p.leq(x, u) for u in os.oimp[y][z])
-                if left != right:
-                    adj = (x, y, z)
-                    break
+    adj = _adjunction_failure(p, dot, os.oimp)
     items.append(CheckItem(
         "op-adjunction", adj is None,
         () if adj is None else
@@ -366,6 +349,78 @@ def check_operator_residuated(os):
          ("z", p.names[adj[2]]))))
 
     return items
+
+
+def _associativity_failure(dot):
+    """The first (x, y, z), row-major, where (x (.) y) (.) z differs from
+    x (.) (y (.) z), each side the union of the images of its members,
+    as (x, y, z, lhs mask, rhs mask); None when associative.
+
+    dot[x][y] is the image mask of x (.) y.  Over all z at once, the left
+    side is the elementwise OR of the rows dot[u] for u in x (.) y, and
+    the right side takes, at each z, the OR of dot[x][u] for u in y (.) z:
+    entry x of the elementwise OR of the columns dot[.][u].  Both are
+    computed once per distinct image mask.
+    """
+    n = len(dot)
+    ids = {}
+    for row in dot:
+        for m in row:
+            ids.setdefault(m, len(ids))
+    idrows = [list(map(ids.__getitem__, row)) for row in dot]
+    left = [_union_rows(dot, m, n) for m in ids]
+    cols = list(zip(*dot))
+    right = list(zip(*[_union_rows(cols, m, n) for m in ids]))
+    for x in range(n):
+        lookup = right[x].__getitem__
+        for y in range(n):
+            lhs = left[idrows[x][y]]
+            rhs = list(map(lookup, idrows[y]))
+            if lhs != rhs:
+                z = next(z for z in range(n) if lhs[z] != rhs[z])
+                return x, y, z, lhs[z], rhs[z]
+    return None
+
+
+def _union_rows(rows, members, n):
+    # elementwise OR of rows[u] over the members u of the mask
+    out = [0] * n
+    for u in bits(members):
+        out = list(map(int.__or__, out, rows[u]))
+    return out
+
+
+def _transposed(rows, width):
+    """The bit matrix with rows[i] >> j & 1 as entry (i, j), transposed:
+    one mask per column j < width, with bit i set when rows[i] has bit j."""
+    # character j of each reversed binary string is bit j
+    text = [format(r, "0%db" % width)[::-1] for r in rows]
+    return [int("".join(col)[::-1], 2) for col in zip(*text)]
+
+
+def _adjunction_failure(p, dot, imp):
+    """The first (x, y, z), row-major, where "every member of x (.) y is
+    below z" and "x is below every member of y (=>) z" disagree; None when
+    they always agree.
+
+    The first holds exactly when z is in U(x (.) y), a mask over z.  The
+    second holds exactly when x is in L(y (=>) z); transposing those cones
+    gives, for each (y, x), the mask of such z.  So each (x, y) costs one
+    XOR, and the lowest set bit of the difference is the first z.
+    """
+    n = p.n
+    lower = ConeMemo(lower_cone, p)
+    # an image with a member past the carrier has an empty lower cone
+    below = [_transposed([lower[m] if m <= p.full else 0
+                          for m in map(mask_of, row)], n)
+             for row in imp]
+    upper = ConeMemo(upper_cone, p)
+    for x in range(n):
+        for y in range(n):
+            diff = upper[dot[x][y]] ^ below[y][x]
+            if diff:
+                return x, y, (diff & -diff).bit_length() - 1
+    return None
 
 
 def check_embedding(base, twist_poset, a0):

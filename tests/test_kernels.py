@@ -1,0 +1,243 @@
+"""The bitmask kernels against loops written from the definitions.
+
+Cone distributivity (order._lu_identity_failure, both orientations), the
+normality test of order.is_pseudo_kleene and the five-point operator
+audit (twist.check_operator_residuated) must give the same verdicts and
+the same first witnesses, row-major in (x, y, z), as the plain loops
+below, which work on Python sets and p.leq only.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from resposet.order import _lu_identity_failure, antichain, chain, \
+    is_antitone_involution, is_pseudo_kleene, poset_from_covers
+from resposet.report import CheckItem
+from resposet.search import enumerate_posets, enumerate_structures
+from resposet.twist import OperatorStructure, build_operator_twist, \
+    check_operator_residuated, full_twist
+
+
+def _leq(p, dual):
+    return (lambda a, b: p.leq(b, a)) if dual else p.leq
+
+
+def _lower(leq, n, subset):
+    return frozenset(x for x in range(n) if all(leq(x, a) for a in subset))
+
+
+def _upper(leq, n, subset):
+    return frozenset(x for x in range(n) if all(leq(a, x) for a in subset))
+
+
+def reference_lu_failure(p, dual):
+    """L(U(x,y) u {z}) = L(U(L(x,z) u L(y,z))), first failing triple."""
+    leq, n = _leq(p, dual), p.n
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs = _lower(leq, n, _upper(leq, n, {x, y}) | {z})
+                inner = _lower(leq, n, {x, z}) | _lower(leq, n, {y, z})
+                rhs = _lower(leq, n, _upper(leq, n, inner))
+                if lhs != rhs:
+                    return (x, y, z)
+    return None
+
+
+def reference_normality_failure(p, mapping):
+    """First (x, y) with some member of L(x,x') not below some member of
+    U(y,y')."""
+    leq, n = p.leq, p.n
+    for x in range(n):
+        for y in range(n):
+            lo = _lower(leq, n, {x, mapping[x]})
+            hi = _upper(leq, n, {y, mapping[y]})
+            if not all(leq(a, b) for a in lo for b in hi):
+                return (x, y)
+    return None
+
+
+def reference_audit(os):
+    """The five-point audit, item for item, from its definitions."""
+    p = os.poset
+    n = p.n
+    names = p.names
+    items = []
+    bottom = [x for x in range(n) if all(p.leq(x, y) for y in range(n))]
+    top = [x for x in range(n) if all(p.leq(y, x) for y in range(n))]
+    ok = bottom == [os.zero] and top == [os.one]
+    items.append(CheckItem("op-bounded", ok, () if ok else
+                           (("zero", names[os.zero]),
+                            ("one", names[os.one]))))
+
+    def first(cells):
+        return next(iter(cells), None)
+
+    wf = first((op, x, y) for op, t in (("odot", os.odot), ("oimp", os.oimp))
+               for x in range(n) for y in range(n)
+               if not t[x][y] or any(not 0 <= u < n for u in t[x][y]))
+    items.append(CheckItem("op-wellformed", wf is None, () if wf is None else
+                           (("op", wf[0]), ("x", names[wf[1]]),
+                            ("y", names[wf[2]]))))
+    comm = first((x, y) for x in range(n) for y in range(x + 1, n)
+                 if os.odot[x][y] != os.odot[y][x])
+    items.append(CheckItem("op-commutative", comm is None,
+                           () if comm is None else
+                           (("x", names[comm[0]]), ("y", names[comm[1]]))))
+
+    def render(members):
+        return "{" + ",".join(names[u] for u in sorted(members)) + "}"
+
+    assoc = None
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs = {w for u in os.odot[x][y] for w in os.odot[u][z]}
+                rhs = {w for u in os.odot[y][z] for w in os.odot[x][u]}
+                if assoc is None and lhs != rhs:
+                    assoc = (("x", names[x]), ("y", names[y]),
+                             ("z", names[z]), ("lhs", render(lhs)),
+                             ("rhs", render(rhs)))
+    items.append(CheckItem("op-associative", assoc is None, assoc or ()))
+
+    adj = None
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                left = all(p.leq(u, z) for u in os.odot[x][y])
+                right = all(p.leq(x, u) for u in os.oimp[y][z])
+                if adj is None and left != right:
+                    adj = (("x", names[x]), ("y", names[y]), ("z", names[z]))
+    items.append(CheckItem("op-adjunction", adj is None, adj or ()))
+    return items
+
+
+def _lines(items):
+    return [item.line() for item in items]
+
+
+def test_distributivity_matches_reference_on_all_small_posets():
+    posets = [p for n in range(1, 5) for p in enumerate_posets(n)]
+    assert len(posets) == 1 + 3 + 19 + 219
+    for p in posets:
+        for dual in (False, True):
+            assert _lu_identity_failure(p, dual) == \
+                reference_lu_failure(p, dual), (p.names, p.up, dual)
+
+
+def test_normality_matches_reference_on_all_small_posets():
+    checked = failed = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            for perm in itertools.permutations(range(n)):
+                if not is_antitone_involution(p, perm).ok:
+                    continue
+                want = reference_normality_failure(p, perm)
+                v = is_pseudo_kleene(p, perm)
+                assert (v.ok, v.witness) == (want is None, want or ()), \
+                    (p.names, p.up, perm)
+                checked += 1
+                failed += want is not None
+    assert checked > 100 and failed > 10
+
+
+@pytest.mark.parametrize("base", [chain(2), chain(3), antichain(2)],
+                         ids=["chain2", "chain3", "antichain2"])
+def test_distributivity_matches_reference_on_full_twists(base):
+    p = full_twist(base).poset
+    for dual in (False, True):
+        assert _lu_identity_failure(p, dual) == reference_lu_failure(p, dual)
+
+
+def _bcrms():
+    return [s for n in (1, 2, 3)
+            for s in enumerate_structures(
+                n, "bounded-commutative-residuated-monoid")]
+
+
+def test_audit_matches_reference_on_bcrm_twists():
+    bases = _bcrms()
+    assert len(bases) == 15
+    for s in bases:
+        ops = build_operator_twist(s)
+        assert _lines(check_operator_residuated(ops)) == \
+            _lines(reference_audit(ops))
+
+
+def _image(rng, n):
+    return tuple(sorted(rng.sample(range(n), rng.randint(0, min(3, n)))))
+
+
+def _random_poset(rng, n):
+    # pairs only go up in index order, so no cycle can form
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)
+             if rng.random() < 0.3]
+    return poset_from_covers(tuple("e%d" % i for i in range(n)), pairs)
+
+
+def _random_operators(rng, n, commutative):
+    p = _random_poset(rng, n)
+    odot = [[()] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if commutative and y < x:
+                odot[x][y] = odot[y][x]
+            else:
+                odot[x][y] = _image(rng, n)
+    oimp = [[_image(rng, n) for _ in range(n)] for _ in range(n)]
+    return OperatorStructure(p, tuple(map(tuple, odot)),
+                             tuple(map(tuple, oimp)),
+                             rng.randrange(n), rng.randrange(n))
+
+
+def test_audit_matches_reference_on_random_tables():
+    rng = random.Random(20201)
+    sizes = set()
+    for trial in range(300):
+        ops = _random_operators(rng, rng.randint(1, 6), trial % 2 == 0)
+        sizes.update(len(img) for row in ops.odot + ops.oimp for img in row)
+        assert _lines(check_operator_residuated(ops)) == \
+            _lines(reference_audit(ops)), trial
+    assert sizes == {0, 1, 2, 3}
+
+
+def test_audit_matches_reference_with_implication_members_past_carrier():
+    # op-wellformed fails; the other items are still reported, reading
+    # x <= u as false for such a member u
+    rng = random.Random(11)
+    for trial in range(40):
+        ops = _random_operators(rng, rng.randint(1, 5), trial % 2 == 0)
+        n = ops.poset.n
+        oimp = list(map(list, ops.oimp))
+        x, y = rng.randrange(n), rng.randrange(n)
+        oimp[x][y] = tuple(sorted(set(oimp[x][y]) | {n + rng.randrange(2)}))
+        ops = OperatorStructure(ops.poset, ops.odot, tuple(map(tuple, oimp)),
+                                ops.zero, ops.one)
+        want = _lines(reference_audit(ops))
+        assert "CHECK (op-wellformed) FAIL" in want[1]
+        assert _lines(check_operator_residuated(ops)) == want, trial
+
+
+def test_audit_matches_reference_on_perturbed_twists():
+    # one changed cell in a passing audit moves the first failure deep
+    # into the scan
+    rng = random.Random(7)
+    twists = [build_operator_twist(s) for s in _bcrms() if s.poset.n >= 2]
+    failed = 0
+    for trial in range(60):
+        ops = rng.choice(twists)
+        n = ops.poset.n
+        tables = [list(map(list, ops.odot)), list(map(list, ops.oimp))]
+        table = tables[trial % 2]
+        x, y = rng.randrange(n), rng.randrange(n)
+        table[x][y] = _image(rng, n) or (x,)
+        mutated = OperatorStructure(ops.poset,
+                                    tuple(map(tuple, tables[0])),
+                                    tuple(map(tuple, tables[1])),
+                                    ops.zero, ops.one)
+        want = _lines(reference_audit(mutated))
+        assert _lines(check_operator_residuated(mutated)) == want, trial
+        failed += any("FAIL" in line for line in want[3:])
+    assert failed > 30

@@ -42,6 +42,16 @@ def test_cycle_in_covers_is_antisymmetry_error():
         poset_from_covers(("a", "b"), ((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("names", [
+    ("covers", "x"), ("optable", "x"), ("", "x"), ("a b", "x"), ("a#", "x"),
+])
+def test_unwritable_element_names_are_rejected_at_construction(names):
+    # the structure file format would read each of these back as
+    # something else, so no poset may carry them
+    with pytest.raises(OrderError, match="element name"):
+        poset_from_covers(names, ((0, 1),))
+
+
 def test_relation_closure():
     # a < b declared, reflexive closure added automatically
     p = poset_from_relation(("a", "b"), ((0, 1),))
