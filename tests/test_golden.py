@@ -6,7 +6,10 @@ The failing-audit case runs optwist on an optable file whose audit fails
 associativity and adjunction, pinning those witnesses' text.
 The condition digest covers the first witness of conditions (1)-(10) on
 every enumerated residuated pair with at most three elements, so any
-change to a scan's loop order shows up here.
+change to a scan's loop order shows up here.  The twist digest covers the
+exit code and stdout of `pa --tables` at every element, `optwist --tables`
+and `twist --tables` in both projection orders on every bounded
+commutative residuated monoid with at most three elements.
 """
 
 import contextlib
@@ -19,7 +22,7 @@ import pytest
 from resposet.cli import run
 from resposet.residuation import condition_holds
 from resposet.search import enumerate_structures
-from resposet.structfile import load
+from resposet.structfile import emit_structure, load
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -69,6 +72,24 @@ def condition_digest():
     return h.hexdigest()
 
 
+def twist_digest(directory):
+    h = hashlib.sha256()
+    for n in (1, 2, 3):
+        for k, s in enumerate(enumerate_structures(
+                n, "bounded-commutative-residuated-monoid")):
+            path = directory / ("bcrm%d_%d.struct" % (n, k))
+            path.write_text(emit_structure(s), encoding="utf-8")
+            cmds = [["optwist", str(path), "--tables"],
+                    ["twist", str(path), "--tables"],
+                    ["twist", str(path), "--f", "proj2", "--g", "proj1",
+                     "--tables"]]
+            cmds += [["pa", str(path), "--a", name, "--tables"]
+                     for name in s.poset.names]
+            for argv in cmds:
+                h.update(captured(argv).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=golden_name)
 def test_cli_output_is_pinned(argv):
     want = (GOLDEN / golden_name(argv)).read_text(encoding="utf-8")
@@ -84,3 +105,8 @@ def test_failing_audit_witnesses_are_pinned():
 def test_condition_witnesses_are_pinned():
     want = (GOLDEN / "conditions.sha256").read_text(encoding="utf-8").strip()
     assert condition_digest() == want
+
+
+def test_twist_outputs_are_pinned(tmp_path):
+    want = (GOLDEN / "twist_outputs.sha256").read_text(encoding="utf-8").strip()
+    assert twist_digest(tmp_path) == want

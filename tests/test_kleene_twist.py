@@ -160,3 +160,39 @@ def test_kleene_twist_requires_bcrm(diamond):
     s = dataclasses.replace(diamond, zero=None)
     with pytest.raises(StructureError):
         check_kleene_twist(s, 1)
+
+
+def _restricted_reference(p, a):
+    """The carrier, order masks and swap of the restricted twist, from the
+    definitions: (x,y) is kept when every common lower bound of x, y is
+    below a and a is below every common upper bound, and
+    (x,y) <= (z,v) iff x <= z and v <= y."""
+    n = p.n
+    members = [(x, y) for x in range(n) for y in range(n)
+               if all(p.leq(w, a) for w in range(n)
+                      if p.leq(w, x) and p.leq(w, y))
+               and all(p.leq(a, w) for w in range(n)
+                       if p.leq(x, w) and p.leq(y, w))]
+    up = tuple(sum(1 << j for j, (z, v) in enumerate(members)
+                   if p.leq(x, z) and p.leq(v, y))
+               for x, y in members)
+    down = tuple(sum(1 << i for i, (x, y) in enumerate(members)
+                     if p.leq(x, z) and p.leq(v, y))
+                 for z, v in members)
+    swap = tuple(members.index((y, x)) for x, y in members)
+    return tuple(members), up, down, swap
+
+
+def test_restricted_order_matches_definition():
+    from resposet.search import enumerate_posets
+    checked = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            for a in range(n):
+                rt = build_restricted_twist(p, a)
+                members, up, down, swap = _restricted_reference(p, a)
+                assert rt.members == members
+                assert (rt.poset.up, rt.poset.down) == (up, down)
+                assert rt.swap == swap
+                checked += 1
+    assert checked == 1 + 2 * 3 + 3 * 19 + 4 * 219
