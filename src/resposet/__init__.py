@@ -12,14 +12,12 @@ from .residuation import (CONDITION_IDS, Classification, ResStructure,
                           classify, condition_applicable, condition_holds,
                           is_associative, is_commutative, structure,
                           synthesize_residuum)
-from .twist import (OperatorStructure, PairMap, TwistProduct,
-                    build_operator_twist, check_embedding,
+from .twist import (OperatorStructure, build_operator_twist, check_embedding,
                     check_operator_residuated, check_twist_lifting,
                     full_twist, operator_implication, operator_product,
-                    pair_names, twist_operations)
+                    pair_names, projection, twist_operations)
 from .kleene_twist import (AssumptionError, RestrictedTwist,
                            build_restricted_operators, build_restricted_twist,
-                           check_condition_11, check_condition_12,
                            check_kleene_twist, check_restricted_closure,
                            check_restriction_assumptions, classify_escape,
                            pair_in_carrier)

@@ -12,13 +12,15 @@ import sys
 from .kleene_twist import AssumptionError, check_kleene_twist
 from .order import OrderError, is_distributive, is_lattice
 from .report import CheckItem, exit_code, render
-from .residuation import (StructureError, check_condition, check_derived_laws,
-                          classify, is_associative, is_commutative)
+from .residuation import (CONDITION_IDS, StructureError, check_condition,
+                          check_derived_laws, classify, condition_applicable,
+                          is_associative, is_commutative)
 from .search import (EnumerationError, check_universal, enumerate_posets,
                      enumerate_structures, suite_properties, STRUCTURE_KINDS)
 from .structfile import ParseError, emit_tables, load
-from .twist import (PairMap, build_operator_twist, check_embeddings,
-                    check_operator_residuated, check_twist_lifting, pair_name)
+from .twist import (build_operator_twist, check_embeddings,
+                    check_operator_residuated, check_twist_lifting, pair_name,
+                    projection)
 
 
 def _load_structure(path):
@@ -43,14 +45,8 @@ def _cmd_check(args):
     flags = classify(s)
     print("structure: %d elements" % s.poset.n)
     print("classification: " + flags.summary())
-    items = []
-    for k in range(1, 11):
-        items.append(_ungated(check_condition(s, k)))
-    if s.designated is not None:
-        if s.zero is not None:
-            items.append(_ungated(check_condition(s, 11)))
-        items.append(_ungated(check_condition(s, 12)))
-        items.append(_ungated(check_condition(s, 13)))
+    items = [_ungated(check_condition(s, k))
+             for k in CONDITION_IDS if condition_applicable(s, k)]
     items.append(CheckItem("left-residuated-groupoid", flags.left_residuated))
     items.append(CheckItem("bounded", flags.bounded, gating=False))
     comm, cw = is_commutative(s)
@@ -100,9 +96,9 @@ def _pairmap_arg(value, sf, label):
     if value is None:
         if sf.pairmaps and label in sf.pairmaps:
             return sf.pairmaps[label]
-        return PairMap.proj1() if label == "f" else PairMap.proj2()
+        value = "proj1" if label == "f" else "proj2"
     if value in ("proj1", "proj2"):
-        return PairMap(value)
+        return projection(sf.structure.poset.n, value)
     raise StructureError(
         "--%s must be proj1 or proj2 (or declare a pairmap %s section)"
         % (label, label))

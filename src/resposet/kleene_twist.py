@@ -1,12 +1,15 @@
 """The restricted twist: pairs whose cones straddle a designated element.
 
 For a designated element a, the carrier keeps the pairs (x, y) with
-L(x,y) <= a <= U(x,y) under the twist order, together with the swap
+L(x,y) <= a <= U(x,y), and the restricted twist is the full twist
+(twist.full_twist) restricted to that carrier, together with the swap
 involution (x,y) |-> (y,x).  Under the assumptions that a is idempotent
 and every carrier pair is comparable with (a,a), the set-valued operator
 pair restricts to this carrier exactly when conditions (11) and (12)
 hold; the checks here verify that equivalence and the accompanying
 claims (pseudo-Kleene involution, embedding, involution membership).
+One scan over the carrier pairs builds the restricted operator tables
+and stops at the first image member that leaves the carrier.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .order import Poset, is_kleene, is_pseudo_kleene, set_leq
+from .order import Poset, bits, is_kleene, is_pseudo_kleene, mask_of, set_leq
 from .report import CheckItem, all_pass
 from .residuation import StructureError, check_condition, classify
-from .twist import OperatorStructure, check_operator_residuated, \
-    operator_implication, operator_product, pair_name, pair_names
+from .twist import OperatorStructure, check_embedding, \
+    check_operator_residuated, full_twist, operator_implication, \
+    operator_product, pair_name, pair_names
 
 
 class AssumptionError(Exception):
@@ -34,17 +38,15 @@ class AssumptionError(Exception):
 
 @dataclass(frozen=True)
 class RestrictedTwist:
+    """The carrier pairs in row-major order, the restricted order and swap
+    on them, and index: the carrier index of each member's pair index
+    x*n + y."""
     base: Poset
     a: int
     members: tuple[tuple[int, int], ...]
     poset: Poset
     swap: tuple[int, ...]
-
-    def try_member(self, pair):
-        try:
-            return self.members.index(pair)
-        except ValueError:
-            return None
+    index: dict = dataclasses.field(compare=False)
 
 
 def pair_in_carrier(base, a, x, y):
@@ -54,25 +56,23 @@ def pair_in_carrier(base, a, x, y):
 
 
 def build_restricted_twist(base, a):
-    """Collect the carrier in row-major pair order and restrict the twist
-    order and swap involution to it."""
-    members = tuple((x, y)
-                    for x in range(base.n) for y in range(base.n)
+    """Collect the carrier in row-major pair order and restrict the full
+    twist's cones and the swap involution to it."""
+    n = base.n
+    members = tuple((x, y) for x in range(n) for y in range(n)
                     if pair_in_carrier(base, a, x, y))
-    index = {pair: i for i, pair in enumerate(members)}
-    m = len(members)
-    up = [0] * m
-    down = [0] * m
-    for i, (x, y) in enumerate(members):
-        for j, (z, v) in enumerate(members):
-            if base.leq(x, z) and base.leq(v, y):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    swap = tuple(index[(y, x)] for x, y in members)
-    return RestrictedTwist(base, a, members,
-                           Poset(pair_names(base, members), tuple(up),
-                                 tuple(down)),
-                           swap)
+    index = {x * n + y: i for i, (x, y) in enumerate(members)}
+    carrier = mask_of(index)
+    twist = full_twist(base)
+
+    def restrict(cones):
+        return tuple(mask_of(index[v] for v in bits(cones[u] & carrier))
+                     for u in index)
+
+    poset = Poset(pair_names(base, members), restrict(twist.up),
+                  restrict(twist.down))
+    swap = tuple(index[y * n + x] for x, y in members)
+    return RestrictedTwist(base, a, members, poset, swap, index)
 
 
 def check_restriction_assumptions(s, rt):
@@ -85,7 +85,7 @@ def check_restriction_assumptions(s, rt):
         "assumption-idempotence", aa == a,
         () if aa == a else
         (("a", s.names[a]), ("a*a", s.names[aa]))))
-    center = rt.try_member((a, a))
+    center = rt.index.get(a * rt.base.n + a)
     bad = None
     if center is None:
         bad = ("carrier", "(%s,%s) missing" % (s.names[a], s.names[a]))
@@ -98,18 +98,6 @@ def check_restriction_assumptions(s, rt):
     items.append(CheckItem("assumption-comparability", bad is None,
                            () if bad is None else (bad,)))
     return items
-
-
-def _with_designated(s, a):
-    return dataclasses.replace(s, designated=a)
-
-
-def check_condition_11(s, a):
-    return check_condition(_with_designated(s, a), 11)
-
-
-def check_condition_12(s, a):
-    return check_condition(_with_designated(s, a), 12)
 
 
 @dataclass(frozen=True)
@@ -161,10 +149,10 @@ def _escape_cases(s, a, b, c, d, e):
 
 
 def _pair_pattern(base, a, pair):
-    x, y = pair
-    low = base.leq(x, a) and base.leq(a, y)
-    high = base.leq(a, x) and base.leq(y, a)
-    return low, high
+    # whether the pair is below (a,a), and above it, in the twist order
+    twist = full_twist(base)
+    p, center = pair[0] * base.n + pair[1], a * base.n + a
+    return twist.leq(p, center), twist.leq(center, p)
 
 
 def classify_escape(s, a, op, ppair, qpair, member):
@@ -195,97 +183,56 @@ def classify_escape(s, a, op, ppair, qpair, member):
     raise AssertionError("operator escape matches no closure case")
 
 
-def _assumed(s, rt):
-    """The assumption items, raising AssumptionError if one fails."""
-    items = check_restriction_assumptions(s, rt)
-    if not all_pass(items):
-        raise AssumptionError(rt, items)
-    return items
+def build_restricted_operators(s, rt):
+    """The operator tables over the carrier, in carrier indices, from one
+    scan: operand pairs row-major, odot before oimp, image members
+    ascending.  At the first image member outside the carrier the scan
+    stops and returns that escape's ClosureDiagnostic instead."""
+    n = rt.base.n
+    index = rt.index
+    odot = []
+    oimp = []
+    for x, y in rt.members:
+        drow = []
+        irow = []
+        for z, v in rt.members:
+            for op, image, row in (
+                    ("odot", operator_product(s, x, y, z, v), drow),
+                    ("oimp", operator_implication(s, x, y, z, v), irow)):
+                cell = tuple(map(index.get, image))
+                if None in cell:
+                    member = divmod(image[cell.index(None)], n)
+                    return classify_escape(s, rt.a, op, (x, y), (z, v),
+                                           member)
+                row.append(cell)
+        odot.append(tuple(drow))
+        oimp.append(tuple(irow))
+    return OperatorStructure(rt.poset, tuple(odot), tuple(oimp),
+                             index[s.zero * n + s.one],
+                             index[s.one * n + s.zero])
 
 
 def check_restricted_closure(s, rt):
     """Check the standing assumptions (AssumptionError when they fail),
-    then scan for the first image member outside the carrier."""
-    _assumed(s, rt)
-    return _first_escape(s, rt)
-
-
-def _first_escape(s, rt):
-    """Scan all operand pairs (row-major, product before implication) for
-    the first image member outside the carrier; assumes the standing
-    assumptions hold."""
+    then build the restricted operators.  Returns the assumption items,
+    the closure item, and the restricted OperatorStructure or, when an
+    image member leaves the carrier, its ClosureDiagnostic."""
+    assumptions = check_restriction_assumptions(s, rt)
+    if not all_pass(assumptions):
+        raise AssumptionError(rt, assumptions)
+    found = build_restricted_operators(s, rt)
+    if isinstance(found, OperatorStructure):
+        return assumptions, CheckItem("closure", True), found
     base = rt.base
-    for ppair in rt.members:
-        for qpair in rt.members:
-            x, y = ppair
-            z, v = qpair
-            for op, image in (
-                    ("odot", operator_product(s, x, y, z, v)),
-                    ("oimp", operator_implication(s, x, y, z, v))):
-                for idx in image:
-                    member = divmod(idx, base.n)
-                    if rt.try_member(member) is None:
-                        diag = classify_escape(s, rt.a, op, ppair, qpair,
-                                               member)
-                        witness = (
-                            ("op", op),
-                            ("p", pair_name(base, ppair)),
-                            ("q", pair_name(base, qpair)),
-                            ("member", pair_name(base, member)),
-                            ("pattern", diag.pattern),
-                            ("compare", diag.compare),
-                            ("needs", diag.needs),
-                            ("breaks", str(diag.breaks)),
-                        )
-                        return CheckItem("closure", False, witness), diag
-    return CheckItem("closure", True), None
-
-
-def build_restricted_operators(s, rt):
-    """Operator tables over the carrier, in carrier indices.  Only valid
-    once closure has been established."""
-    base = rt.base
-    index = {pair: i for i, pair in enumerate(rt.members)}
-    odot = []
-    oimp = []
-    for (x, y) in rt.members:
-        drow = []
-        irow = []
-        for (z, v) in rt.members:
-            drow.append(tuple(sorted(
-                index[divmod(u, base.n)]
-                for u in operator_product(s, x, y, z, v))))
-            irow.append(tuple(sorted(
-                index[divmod(u, base.n)]
-                for u in operator_implication(s, x, y, z, v))))
-        odot.append(tuple(drow))
-        oimp.append(tuple(irow))
-    zero = index[(s.zero, s.one)]
-    one = index[(s.one, s.zero)]
-    return OperatorStructure(rt.poset, tuple(odot), tuple(oimp), zero, one)
-
-
-def check_restricted_embedding(s, rt):
-    """x maps to (x, a): every image pair must be in the carrier and the
-    map must preserve and reflect order."""
-    base = rt.base
-    a = rt.a
-    image = []
-    for x in range(base.n):
-        i = rt.try_member((x, a))
-        if i is None:
-            return CheckItem("embedding", False,
-                             (("x", base.names[x]),
-                              ("image", pair_name(base, (x, a))),
-                              ("missing", "true")))
-        image.append(i)
-    for x in range(base.n):
-        for y in range(base.n):
-            if base.leq(x, y) != rt.poset.leq(image[x], image[y]):
-                return CheckItem(
-                    "embedding", False,
-                    (("x", base.names[x]), ("y", base.names[y])))
-    return CheckItem("embedding", True)
+    witness = (("op", found.op),
+               ("p", pair_name(base, found.p)),
+               ("q", pair_name(base, found.q)),
+               ("member", pair_name(base, found.member)),
+               ("pattern", found.pattern),
+               ("compare", found.compare),
+               ("needs", found.needs),
+               ("breaks", str(found.breaks)))
+    return assumptions, CheckItem("closure", False, witness), found
 
 
 def check_involution_membership(s, rt):
@@ -333,16 +280,16 @@ def check_kleene_twist(s, a):
             "restricted twist needs a bounded commutative residuated monoid"
             " (structure is %s)" % flags.summary())
     rt = build_restricted_twist(s.poset, a)
-    assumptions = _assumed(s, rt)
-    closure_item, diag = _first_escape(s, rt)
-
-    items = [check_condition_11(s, a), check_condition_12(s, a), closure_item]
+    assumptions, closure_item, found = check_restricted_closure(s, rt)
+    designated = dataclasses.replace(s, designated=a)
+    items = [check_condition(designated, 11),
+             check_condition(designated, 12), closure_item]
     conds_hold = items[0].passed and items[1].passed
 
     ops = None
     audit = []
     if closure_item.passed:
-        ops = build_restricted_operators(s, rt)
+        ops = found
         audit = check_operator_residuated(ops)
         audit_ok = all_pass(audit)
         witness = ()
@@ -353,7 +300,7 @@ def check_kleene_twist(s, a):
     else:
         items.append(CheckItem(
             "operator-residuated", False,
-            (("axiom", "closure"), ("breaks", str(diag.breaks)))))
+            (("axiom", "closure"), ("breaks", str(found.breaks)))))
 
     residuated = items[-1].passed
     items.append(CheckItem(
@@ -370,6 +317,8 @@ def check_kleene_twist(s, a):
             for k, i in enumerate(pk.witness)))))
     kl = is_kleene(rt.poset, rt.swap, pk)
     items.append(CheckItem("kleene", kl.ok, gating=False))
-    items.append(check_restricted_embedding(s, rt))
+    n = s.poset.n
+    items.append(check_embedding(s.poset, rt.poset, a,
+                                 [rt.index[x * n + a] for x in range(n)]))
     items.append(check_involution_membership(s, rt))
     return KleeneTwistReport(rt, assumptions, items, audit, ops)

@@ -17,9 +17,9 @@ from .order import (Poset, _lu_identity_failure, bits, bounds,
                     is_distributive, is_kleene, is_pseudo_kleene, mask_of)
 from .residuation import (LAWS, evaluate_law, is_associative, is_commutative,
                           residuum_row, structure, synthesize_residuum)
-from .twist import (PairMap, build_operator_twist, check_embeddings,
+from .twist import (build_operator_twist, check_embeddings,
                     check_operator_residuated, check_twist_lifting,
-                    cone_product_failure, pair_names)
+                    cone_product_failure, pair_names, projection)
 from .kleene_twist import (AssumptionError, build_restricted_twist,
                            check_kleene_twist)
 
@@ -295,10 +295,8 @@ def _run_synthesis(n):
 def _lifting_runner(first_projection):
     def run(n):
         for s in enumerate_structures(n, "residuated-pair"):
-            if first_projection:
-                f, g = PairMap.proj1(), PairMap.proj2()
-            else:
-                f, g = PairMap.proj2(), PairMap.proj1()
+            f = projection(s.poset.n, "proj1" if first_projection else "proj2")
+            g = projection(s.poset.n, "proj2" if first_projection else "proj1")
             _, items = check_twist_lifting(s, f, g, (s.one, s.one))
             bad = [it for it in items if it.gating and not it.passed]
             if not bad:

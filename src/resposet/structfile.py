@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .order import (SECTION_WORDS, OrderError, check_names,
                     poset_from_covers, poset_from_relation)
 from .residuation import ResStructure, structure
-from .twist import OperatorStructure, PairMap
+from .twist import OperatorStructure, projection
 
 
 class ParseError(ValueError):
@@ -162,7 +162,7 @@ def parse(text):
                 _fail(lineno, "pairmap %s has no body" % label)
             lno, body = entries[i]
             if body in ("proj1", "proj2"):
-                pairmaps[label] = PairMap(body)
+                pairmaps[label] = projection(n, body)
                 i += 1
                 continue
             rows = [[None] * n for _ in range(n)]
@@ -188,7 +188,7 @@ def parse(text):
                 i += 1
             if count != n * n:
                 _fail(lno, "pairmap %s has %d of %d entries" % (label, count, n * n))
-            pairmaps[label] = PairMap.from_table(rows)
+            pairmaps[label] = tuple(map(tuple, rows))
             continue
 
         if word == "elements":

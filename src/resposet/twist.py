@@ -1,11 +1,14 @@
 """Twist products over a finite poset.
 
 The pair carrier Q x Q is ordered first coordinate up, second coordinate
-down.  On top of that order this module builds two different structures:
+down; full_twist builds it as a plain Poset in which the pair (x, y) has
+index x*n + y.  Pair maps Q x Q -> Q are n x n tables (projection gives
+the two projections).  On top of that order this module builds two
+different structures:
 
 * a single-valued product/implication pair lifted through a pair of
-  surjective maps f, g (with the biconditional check that the lift is
-  left-residuated exactly when the base is), and
+  surjective pair maps f, g (with the biconditional check that the lift
+  is left-residuated exactly when the base is), and
 * the set-valued operator pair used for bounded commutative bases, with
   the five-point residuation audit for such operator structures.
 """
@@ -41,15 +44,6 @@ def pair_names(base, pairs=None):
     return tuple(pair_name(base, pair, long=True) for pair in pairs)
 
 
-@dataclass(frozen=True)
-class TwistProduct:
-    base: Poset
-    poset: Poset
-
-    def pair_index(self, x, y):
-        return x * self.base.n + y
-
-
 def _product_mask(n, amask, bmask):
     # bitmask of {(a, b) : a in A, b in B} under index a*n + b
     out = 0
@@ -60,7 +54,8 @@ def _product_mask(n, amask, bmask):
 
 @functools.lru_cache(maxsize=None)
 def full_twist(base):
-    """Build the pair poset: (x,y) <= (z,v) when x <= z and v <= y.
+    """The pair poset: (x,y) <= (z,v) when x <= z and v <= y, with the
+    pair (x, y) at index x*n + y.
 
     Its cones factor as products of base cones; that law is checked by
     cone_product_failure in the cone-product-law sweep, not on each build.
@@ -72,7 +67,7 @@ def full_twist(base):
         for y in range(n):
             up.append(_product_mask(n, base.up[x], base.down[y]))
             down.append(_product_mask(n, base.down[x], base.up[y]))
-    return TwistProduct(base, Poset(pair_names(base), tuple(up), tuple(down)))
+    return Poset(pair_names(base), tuple(up), tuple(down))
 
 
 def cone_product_failure(base):
@@ -80,7 +75,7 @@ def cone_product_failure(base):
     L({p,q}) = L(x,z) x U(y,v) and U({p,q}) = U(x,z) x L(y,v).  Returns
     the first (p, q) in row-major order where it fails, or None."""
     n = base.n
-    twist = full_twist(base).poset
+    twist = full_twist(base)
     for x in range(n):
         for y in range(n):
             p = x * n + y
@@ -98,52 +93,30 @@ def cone_product_failure(base):
     return None
 
 
-@dataclass(frozen=True)
-class PairMap:
-    """A map from pairs of elements to elements: a projection or an
-    explicit table."""
-    kind: str
-    table: tuple[tuple[int, ...], ...] | None = None
-
-    @staticmethod
-    def proj1():
-        return PairMap("proj1")
-
-    @staticmethod
-    def proj2():
-        return PairMap("proj2")
-
-    @staticmethod
-    def from_table(rows):
-        return PairMap("table", tuple(tuple(r) for r in rows))
-
-    def __call__(self, x, y):
-        if self.kind == "proj1":
-            return x
-        if self.kind == "proj2":
-            return y
-        return self.table[x][y]
+def projection(n, kind):
+    """The pair map (x, y) |-> x ("proj1") or y ("proj2") on n elements,
+    as an n x n table."""
+    first = kind == "proj1"
+    return tuple(tuple(x if first else y for y in range(n)) for x in range(n))
 
 
-def _validate_pairmap(pm, label, base, const, one):
-    seen = set()
-    for x in range(base.n):
-        for y in range(base.n):
-            v = pm(x, y)
-            if not 0 <= v < base.n:
-                raise StructureError("%s maps outside the carrier" % label)
-            seen.add(v)
-    if len(seen) != base.n:
+def _validate_pairmap(table, label, base, const, one):
+    n = base.n
+    seen = {table[x][y] for x in range(n) for y in range(n)}
+    if any(not 0 <= v < n for v in seen):
+        raise StructureError("%s maps outside the carrier" % label)
+    if len(seen) != n:
         raise StructureError("%s is not surjective" % label)
     a, b = const
-    if pm(a, b) != one:
+    if table[a][b] != one:
         raise StructureError(
             "%s does not send the unit pair (%s,%s) to %s"
             % (label, base.names[a], base.names[b], base.names[one]))
 
 
 def twist_operations(s, f, g, const):
-    """Lift mul/imp to the pair carrier through f and g:
+    """Lift mul/imp to the pair carrier through the pair maps f and g
+    (n x n tables):
 
         (x,y) * (z,v)  = (x * f(z,v), g(z,v) -> y)
         (x,y) -> (z,v) = (f(x,y) -> z, v * g(x,y))
@@ -156,7 +129,6 @@ def twist_operations(s, f, g, const):
     base = s.poset
     _validate_pairmap(f, "f", base, const, s.one)
     _validate_pairmap(g, "g", base, const, s.one)
-    twist = full_twist(base)
     n = base.n
     mul, imp = s.mul, s.imp
     nn = n * n
@@ -165,14 +137,13 @@ def twist_operations(s, f, g, const):
     for x in range(n):
         for y in range(n):
             p = x * n + y
-            fp, gp = f(x, y), g(x, y)
+            fp, gp = f[x][y], g[x][y]
             for z in range(n):
                 for v in range(n):
                     q = z * n + v
-                    omul[p][q] = mul[x][f(z, v)] * n + imp[g(z, v)][y]
+                    omul[p][q] = mul[x][f[z][v]] * n + imp[g[z][v]][y]
                     oimp[p][q] = imp[fp][z] * n + mul[v][gp]
-    one = twist.pair_index(*const)
-    return structure(twist.poset, omul, oimp, one=one)
+    return structure(full_twist(base), omul, oimp, one=const[0] * n + const[1])
 
 
 def check_twist_lifting(s, f, g, const):
@@ -256,7 +227,6 @@ def build_operator_twist(s):
                 raise StructureError(
                     "operator twist needs a bounded commutative residuated "
                     "monoid: base is %s" % label)
-    twist = full_twist(s.poset)
     n = s.poset.n
     odot = []
     oimp = []
@@ -270,9 +240,8 @@ def build_operator_twist(s):
                     irow.append(operator_implication(s, x, y, z, v))
             odot.append(tuple(drow))
             oimp.append(tuple(irow))
-    return OperatorStructure(twist.poset, tuple(odot), tuple(oimp),
-                             zero=twist.pair_index(s.zero, s.one),
-                             one=twist.pair_index(s.one, s.zero))
+    return OperatorStructure(full_twist(s.poset), tuple(odot), tuple(oimp),
+                             zero=s.zero * n + s.one, one=s.one * n + s.zero)
 
 
 def check_operator_residuated(os):
@@ -423,14 +392,14 @@ def _adjunction_failure(p, dot, imp):
     return None
 
 
-def check_embedding(base, twist_poset, a0):
-    """x maps to (x, a0); the map must preserve and reflect order into
-    the given pair poset (indexed x*n + y)."""
+def check_embedding(base, poset, a0, image):
+    """x maps to (x, a0), the element image[x] of the given pair poset;
+    the map must preserve and reflect order."""
     n = base.n
     for x in range(n):
         for y in range(n):
             base_le = base.leq(x, y)
-            twist_le = twist_poset.leq(x * n + a0, y * n + a0)
+            twist_le = poset.leq(image[x], image[y])
             if base_le != twist_le:
                 return CheckItem(
                     "embedding", False,
@@ -444,9 +413,10 @@ def check_embedding(base, twist_poset, a0):
 def check_embeddings(base):
     """check_embedding into the full twist for each a0 in turn: the first
     failure, or a pass."""
-    twist = full_twist(base).poset
-    for a0 in range(base.n):
-        item = check_embedding(base, twist, a0)
+    n = base.n
+    twist = full_twist(base)
+    for a0 in range(n):
+        item = check_embedding(base, twist, a0, [x * n + a0 for x in range(n)])
         if not item.passed:
             return item
     return CheckItem("embedding", True)

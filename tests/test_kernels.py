@@ -146,7 +146,7 @@ def test_normality_matches_reference_on_all_small_posets():
 @pytest.mark.parametrize("base", [chain(2), chain(3), antichain(2)],
                          ids=["chain2", "chain3", "antichain2"])
 def test_distributivity_matches_reference_on_full_twists(base):
-    p = full_twist(base).poset
+    p = full_twist(base)
     for dual in (False, True):
         assert _lu_identity_failure(p, dual) == reference_lu_failure(p, dual)
 

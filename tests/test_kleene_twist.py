@@ -1,12 +1,13 @@
+import dataclasses
+
 import pytest
 
 from resposet.kleene_twist import (AssumptionError, build_restricted_operators,
-                                   build_restricted_twist, check_condition_11,
-                                   check_condition_12, check_kleene_twist,
+                                   build_restricted_twist, check_kleene_twist,
                                    check_restricted_closure,
                                    check_restriction_assumptions,
                                    pair_in_carrier)
-from resposet.residuation import StructureError
+from resposet.residuation import StructureError, check_condition
 from resposet.structfile import emit_tables
 
 CHAIN3_CARRIER = ("0a", "01", "a0", "aa", "a1", "10", "1a")
@@ -77,15 +78,19 @@ def test_chain3_golden_tables(chain3):
     assert emit_tables(ops) == CHAIN3_TABLES
 
 
+def _designated(s, a):
+    return dataclasses.replace(s, designated=a)
+
+
 def test_example1_a0_diagnostics(example1):
     p = example1.poset
-    assert check_condition_11(example1, 0).passed
-    item12 = check_condition_12(example1, 0)
+    assert check_condition(_designated(example1, 0), 11).passed
+    item12 = check_condition(_designated(example1, 0), 12)
     assert not item12.passed
     assert item12.witness == (("x", "a"),)
     rt = build_restricted_twist(p, 0)
     assert rt.poset.n == 19
-    closure, diag = check_restricted_closure(example1, rt)
+    _, closure, diag = check_restricted_closure(example1, rt)
     assert not closure.passed
     assert diag.op == "oimp"
     assert (p.names[diag.p[0]], p.names[diag.p[1]]) == ("a", "0")
@@ -99,13 +104,13 @@ def test_example1_a0_diagnostics(example1):
 
 def test_example1_a1_diagnostics(example1):
     p = example1.poset
-    item11 = check_condition_11(example1, p.index("1"))
+    item11 = check_condition(_designated(example1, p.index("1")), 11)
     assert not item11.passed
     assert item11.witness == (("x", "a"),)
-    assert check_condition_12(example1, p.index("1")).passed
+    assert check_condition(_designated(example1, p.index("1")), 12).passed
     rt = build_restricted_twist(p, p.index("1"))
     assert rt.poset.n == 19
-    closure, diag = check_restricted_closure(example1, rt)
+    _, closure, diag = check_restricted_closure(example1, rt)
     assert not closure.passed
     assert diag.pattern == "low-low"
     assert diag.breaks == 11

@@ -3,22 +3,23 @@ import pytest
 from resposet.order import antichain, chain, poset_from_covers
 from resposet.residuation import StructureError, condition_holds, structure
 from resposet.search import enumerate_structures
-from resposet.twist import (PairMap, build_operator_twist, check_embedding,
+from resposet.twist import (build_operator_twist, check_embedding,
                             check_operator_residuated, check_twist_lifting,
                             full_twist, operator_implication,
-                            operator_product, pair_names, twist_operations)
+                            operator_product, pair_names, projection,
+                            twist_operations)
 
 
 def test_full_twist_order(example1):
     tw = full_twist(example1.poset)
     p = example1.poset
     n = p.n
-    assert tw.poset.n == 100
+    assert tw.n == 100
     # (x,y) <= (z,v) iff x <= z and v <= y
-    i1 = tw.pair_index(p.index("a"), p.index("h"))
-    i2 = tw.pair_index(p.index("b"), p.index("e"))
-    assert tw.poset.leq(i1, i2)
-    assert not tw.poset.leq(i2, i1)
+    i1 = p.index("a") * n + p.index("h")
+    i2 = p.index("b") * n + p.index("e")
+    assert tw.leq(i1, i2)
+    assert not tw.leq(i2, i1)
 
 
 def test_pair_names_compressed(chain3):
@@ -36,7 +37,8 @@ def test_pair_names_fallback_on_ambiguity():
 def test_first_projection_lift_spot_values(example1):
     p = example1.poset
     n = p.n
-    ts = twist_operations(example1, PairMap.proj1(), PairMap.proj2(),
+    ts = twist_operations(example1, projection(n, "proj1"),
+                          projection(n, "proj2"),
                           (example1.one, example1.one))
     names = pair_names(p)
     pi = p.index("b") * n + p.index("c")
@@ -51,7 +53,8 @@ def test_first_projection_lift_spot_values(example1):
 def test_second_projection_lift_spot_value(example1):
     p = example1.poset
     n = p.n
-    ts = twist_operations(example1, PairMap.proj2(), PairMap.proj1(),
+    ts = twist_operations(example1, projection(n, "proj2"),
+                          projection(n, "proj1"),
                           (example1.one, example1.one))
     pi = p.index("b") * n + p.index("c")
     qi = p.index("d") * n + p.index("e")
@@ -62,8 +65,9 @@ def test_second_projection_lift_spot_value(example1):
 
 
 def test_lifting_checks_pass_on_example1(example1):
-    for f, g in ((PairMap.proj1(), PairMap.proj2()),
-                 (PairMap.proj2(), PairMap.proj1())):
+    n = example1.poset.n
+    for f, g in ((projection(n, "proj1"), projection(n, "proj2")),
+                 (projection(n, "proj2"), projection(n, "proj1"))):
         ts, items = check_twist_lifting(example1, f, g,
                                         (example1.one, example1.one))
         assert all(it.passed for it in items), [it.line() for it in items]
@@ -78,8 +82,8 @@ def test_unit_transfer_uses_9_not_7():
         if condition_holds(s, 7)[0]:
             continue
         found = True
-        ts, items = check_twist_lifting(s, PairMap.proj1(), PairMap.proj2(),
-                                        (s.one, s.one))
+        ts, items = check_twist_lifting(s, projection(2, "proj1"),
+                                        projection(2, "proj2"), (s.one, s.one))
         by_id = {it.check_id: it for it in items}
         assert by_id["unit-transfer"].passed
         assert by_id["lifting-biconditional"].passed
@@ -90,16 +94,15 @@ def test_unit_transfer_uses_9_not_7():
 def test_pairmap_from_table_and_validation(chain3):
     n = chain3.poset.n
     table = tuple(tuple(max(x, y) for y in range(n)) for x in range(n))
-    f = PairMap.from_table(table)
-    assert f(0, 2) == 2
+    assert table[0][2] == 2
     # constant map is not surjective
-    bad = PairMap.from_table(tuple(tuple(0 for _ in range(n))
-                                   for _ in range(n)))
+    bad = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     with pytest.raises(StructureError, match="surjective"):
-        twist_operations(chain3, bad, PairMap.proj2(), (2, 2))
+        twist_operations(chain3, bad, projection(n, "proj2"), (2, 2))
     # const pair must be sent to the unit
     with pytest.raises(StructureError, match="unit"):
-        twist_operations(chain3, PairMap.proj1(), PairMap.proj2(), (0, 0))
+        twist_operations(chain3, projection(n, "proj1"),
+                         projection(n, "proj2"), (0, 0))
 
 
 def test_operator_tables_match_printed_example(bool2):
@@ -158,12 +161,14 @@ def test_singleton_collapse(chain3):
 
 def test_embedding(example1):
     tw = full_twist(example1.poset)
-    for a0 in range(example1.poset.n):
-        assert check_embedding(example1.poset, tw.poset, a0).passed
+    n = example1.poset.n
+    for a0 in range(n):
+        assert check_embedding(example1.poset, tw, a0,
+                               [x * n + a0 for x in range(n)]).passed
 
 
 def test_embedding_detects_corruption():
     base = chain(2)
     wrong = antichain(4)  # same size as the twist carrier, wrong order
-    item = check_embedding(base, wrong, 0)
+    item = check_embedding(base, wrong, 0, [0, 2])
     assert not item.passed
