@@ -21,7 +21,8 @@ import pytest
 
 from resposet.cli import run
 from resposet.residuation import condition_holds
-from resposet.search import enumerate_structures
+from resposet.search import (STRUCTURE_KINDS, describe_structure,
+                             enumerate_posets, enumerate_structures)
 from resposet.structfile import emit_structure, load
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -72,6 +73,18 @@ def condition_digest():
     return h.hexdigest()
 
 
+def enumeration_digest():
+    h = hashlib.sha256()
+    for kind in STRUCTURE_KINDS:
+        for n in (1, 2, 3):
+            for s in enumerate_structures(n, kind):
+                h.update(describe_structure(s).encode() + b"\n")
+    for n in (1, 2, 3, 4, 5):
+        for p in enumerate_posets(n):
+            h.update(repr((p.names, p.up, p.down)).encode() + b"\n")
+    return h.hexdigest()
+
+
 def twist_digest(directory):
     h = hashlib.sha256()
     for n in (1, 2, 3):
@@ -110,3 +123,8 @@ def test_condition_witnesses_are_pinned():
 def test_twist_outputs_are_pinned(tmp_path):
     want = (GOLDEN / "twist_outputs.sha256").read_text(encoding="utf-8").strip()
     assert twist_digest(tmp_path) == want
+
+
+def test_enumeration_order_is_pinned():
+    want = (GOLDEN / "enumeration.sha256").read_text(encoding="utf-8").strip()
+    assert enumeration_digest() == want

@@ -197,6 +197,7 @@ def test_restricted_order_matches_definition():
                 rt = build_restricted_twist(p, a)
                 members, up, down, swap = _restricted_reference(p, a)
                 assert rt.members == members
+                assert (a, a) in rt.members
                 assert (rt.poset.up, rt.poset.down) == (up, down)
                 assert rt.swap == swap
                 checked += 1
