@@ -22,9 +22,9 @@ from .kleene_twist import (AssumptionError, RestrictedTwist,
                            check_restriction_assumptions, classify_escape,
                            pair_in_carrier)
 from .search import (EnumerationError, PROPERTIES, STRUCTURE_KINDS,
-                     check_universal, describe_structure, enumerate_posets,
-                     enumerate_structures, residuable_columns,
-                     suite_properties)
+                     check_universal, describe_poset, describe_structure,
+                     enumerate_posets, enumerate_structures,
+                     residuable_columns, suite_properties)
 from .structfile import (ParseError, StructureFile, data_path, emit_structure,
                          emit_tables, load, parse)
 

@@ -14,7 +14,7 @@ from .order import OrderError, is_distributive, is_lattice
 from .report import CheckItem, exit_code, render
 from .residuation import (CONDITION_IDS, StructureError, check_condition,
                           check_derived_laws, classify, condition_applicable,
-                          is_associative, is_commutative)
+                          is_associative, is_commutative, named_witness)
 from .search import (EnumerationError, check_universal, enumerate_posets,
                      enumerate_structures, suite_properties, STRUCTURE_KINDS)
 from .structfile import ParseError, emit_tables, load
@@ -51,10 +51,12 @@ def _cmd_check(args):
     items.append(CheckItem("bounded", flags.bounded, gating=False))
     comm, cw = is_commutative(s)
     items.append(CheckItem("commutative", comm,
-                           _names(s, ("x", "y"), cw), gating=False))
+                           named_witness(s.names, ("x", "y"), cw),
+                           gating=False))
     assoc, aw = is_associative(s)
     items.append(CheckItem("associative", assoc,
-                           _names(s, ("x", "y", "z"), aw), gating=False))
+                           named_witness(s.names, ("x", "y", "z"), aw),
+                           gating=False))
     laws = check_derived_laws(s)
     refuted = [lv for lv in laws if lv.status == "REFUTED"]
     for lv in laws:
@@ -71,7 +73,7 @@ def _cmd_check(args):
     dist = is_distributive(s.poset)
     items.append(CheckItem(
         "distributive", dist.is_distributive,
-        _names(s, ("x", "y", "z"), dist.witness), gating=False))
+        named_witness(s.names, ("x", "y", "z"), dist.witness), gating=False))
     print(render(items))
     confirmed = sum(1 for lv in laws if lv.status == "CONFIRMED")
     vacuous = sum(1 for lv in laws if lv.status == "VACUOUS")
@@ -84,12 +86,6 @@ def _cmd_check(args):
 
 def _ungated(item):
     return CheckItem(item.check_id, item.passed, item.witness, gating=False)
-
-
-def _names(s, varnames, witness):
-    if witness is None:
-        return ()
-    return tuple((v, s.poset.names[i]) for v, i in zip(varnames, witness))
 
 
 def _pairmap_arg(value, sf, label):
@@ -191,7 +187,7 @@ def _cmd_verify(args):
     for prop in suite_properties(args.suite):
         sizes = None
         if args.max_size is not None:
-            sizes = tuple(x for x in prop.spec.sizes if x <= args.max_size)
+            sizes = tuple(x for x in prop.sizes if x <= args.max_size)
         result = check_universal(prop.name, sizes)
         total += result.cases
         names.append(prop.name)

@@ -85,16 +85,15 @@ def check_restriction_assumptions(s, rt):
         "assumption-idempotence", aa == a,
         () if aa == a else
         (("a", s.names[a]), ("a*a", s.names[aa]))))
-    center = rt.index.get(a * rt.base.n + a)
+    # (a, a) is always in the carrier: L(a,a) = down(a) lies below a and
+    # U(a,a) = up(a) above it
+    center = rt.index[a * rt.base.n + a]
+    p = rt.poset
     bad = None
-    if center is None:
-        bad = ("carrier", "(%s,%s) missing" % (s.names[a], s.names[a]))
-    else:
-        p = rt.poset
-        for i in range(p.n):
-            if not (p.leq(i, center) or p.leq(center, i)):
-                bad = ("p", p.names[i])
-                break
+    for i in range(p.n):
+        if not (p.leq(i, center) or p.leq(center, i)):
+            bad = ("p", p.names[i])
+            break
     items.append(CheckItem("assumption-comparability", bad is None,
                            () if bad is None else (bad,)))
     return items

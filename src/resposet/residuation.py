@@ -213,16 +213,16 @@ def condition_holds(s, k):
     return w is None, w
 
 
-def _named(s, k, w):
-    """Witness indices of condition k as (variable, element name) pairs."""
+def named_witness(names, varnames, w):
+    """Witness indices as (variable, element name) pairs; () for none."""
     if w is None:
         return ()
-    return tuple((v, s.poset.names[i]) for v, i in zip(_CONDITIONS[k][1], w))
+    return tuple((v, names[i]) for v, i in zip(varnames, w))
 
 
 def check_condition(s, k):
     ok, w = condition_holds(s, k)
-    return CheckItem(str(k), ok, _named(s, k, w))
+    return CheckItem(str(k), ok, named_witness(s.names, _CONDITIONS[k][1], w))
 
 
 def _has(s, needs):
@@ -237,14 +237,20 @@ def condition_applicable(s, k):
     return _has(s, _CONDITIONS[k][2])
 
 
+def commutativity_failure(t):
+    """The first (x, y) with x < y, row-major, where t[x][y] != t[y][x];
+    None when the table is symmetric."""
+    for x in range(len(t)):
+        for y in range(x + 1, len(t)):
+            if t[x][y] != t[y][x]:
+                return x, y
+    return None
+
+
 def is_commutative(s):
     _need(s, mul=True)
-    m = s.mul
-    for x in range(s.poset.n):
-        for y in range(x + 1, s.poset.n):
-            if m[x][y] != m[y][x]:
-                return False, (x, y)
-    return True, None
+    w = commutativity_failure(s.mul)
+    return w is None, w
 
 
 def is_associative(s):
@@ -414,5 +420,6 @@ def check_derived_laws(s):
         law_id, _, conclusion, needs = law
         if _has(s, needs):
             status, w = evaluate_law(s, law)
-            out.append(LawVerdict(law_id, status, _named(s, conclusion, w)))
+            out.append(LawVerdict(law_id, status, named_witness(
+                s.names, _CONDITIONS[conclusion][1], w)))
     return out

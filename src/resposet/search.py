@@ -4,6 +4,13 @@ universal property sweeps built on top of them.
 Everything here is deterministic: posets come out of a fixed extension
 recursion, operation tables are assembled from columns in lexicographic
 order, so re-running any sweep reproduces the identical sequence.
+
+Residuated pairs, left-residuated groupoids (the unit column fixed to the
+identity), unital groupoids and unital implications are generated from
+the posets.  Commutative residuated monoids are filtered from the cached
+left-residuated groupoids, and bounded ones from the cached commutative
+monoids.  check_universal alone enumerates a sweep's items and prefixes
+its witness with the item's description.
 """
 
 from __future__ import annotations
@@ -35,13 +42,13 @@ STRUCTURE_CAP = 3
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_posets(n, cap=POSET_CAP):
+def enumerate_posets(n):
     """All labeled posets on n elements, grown by relating each new
     element to a down-set below it and an up-set above it."""
     if n < 1:
         raise EnumerationError("poset size must be positive")
-    if n > cap:
-        raise EnumerationError("poset size %d above cap %d" % (n, cap))
+    if n > POSET_CAP:
+        raise EnumerationError("poset size %d above cap %d" % (n, POSET_CAP))
     mats = [((True,),)]
     for k in range(1, n):
         mats = [grown for rows in mats for grown in _extensions(rows, k)]
@@ -118,13 +125,13 @@ def _lrgs(n):
 
 
 def _crms(n):
-    for s in _lrgs(n):
+    for s in enumerate_structures(n, "left-residuated-groupoid"):
         if is_commutative(s)[0] and is_associative(s)[0]:
             yield s
 
 
 def _bcrms(n):
-    for s in _crms(n):
+    for s in enumerate_structures(n, "commutative-residuated-monoid"):
         bot, top = bounds(s.poset)
         if bot is not None and top == s.one:
             yield dataclasses.replace(s, zero=bot)
@@ -175,24 +182,28 @@ STRUCTURE_KINDS = tuple(_KINDS)
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_structures(n, kind="left-residuated-groupoid",
-                         cap=STRUCTURE_CAP):
+def enumerate_structures(n, kind="left-residuated-groupoid"):
     if kind not in _KINDS:
         raise EnumerationError("unknown structure kind %r" % (kind,))
     if n < 1:
         raise EnumerationError("structure size must be positive")
-    if n > cap:
-        raise EnumerationError("structure size %d above cap %d" % (n, cap))
+    if n > STRUCTURE_CAP:
+        raise EnumerationError("structure size %d above cap %d"
+                               % (n, STRUCTURE_CAP))
     return tuple(_KINDS[kind](n))
+
+
+def describe_poset(p):
+    """Compact description of a poset: its elements and covers."""
+    covers = ",".join("%s<%s" % (p.names[x], p.names[y])
+                      for x, y in p.cover_pairs())
+    return "elements=%s;covers=%s" % ("".join(p.names), covers or "none")
 
 
 def describe_structure(s):
     """Compact one-token description used in sweep witnesses."""
     p = s.poset
-    covers = ",".join("%s<%s" % (p.names[x], p.names[y])
-                      for x, y in p.cover_pairs())
-    parts = ["elements=" + "".join(p.names), "covers=" + (covers or "none"),
-             "one=" + p.names[s.one]]
+    parts = [describe_poset(p), "one=" + p.names[s.one]]
     if s.zero is not None:
         parts.append("zero=" + p.names[s.zero])
     for label, table in (("mul", s.mul), ("imp", s.imp)):
@@ -207,21 +218,15 @@ def _witness_names(s, w):
 
 
 @dataclass(frozen=True)
-class EnumerationSpec:
-    """What a universal sweep ranges over."""
-    sizes: tuple[int, ...]
-    kind: str | None = None    # None for poset-level sweeps
-
-
-@dataclass(frozen=True)
 class Property:
+    """A universal sweep: check(item) yields one failure reason, or None,
+    per case of each item of kind (a structure kind, or "poset") over
+    sizes."""
     name: str
     suite: str
-    spec: EnumerationSpec
-    runner: object
-
-    def cases(self, n):
-        return self.runner(n)
+    sizes: tuple[int, ...]
+    kind: str
+    check: object
 
 
 @dataclass(frozen=True)
@@ -235,181 +240,158 @@ class UniversalResult:
         return self.witness is None
 
 
-PROPERTIES: dict[str, Property] = {}
-
-
-def _register(name, suite, spec, runner):
-    PROPERTIES[name] = Property(name, suite, spec, runner)
-
-
 def check_universal(name, sizes=None):
-    """Run one registered property across its enumeration scope, stopping
-    at the first falsifying witness."""
+    """Run one registered property over every item of its kind at each
+    size, stopping at the first failing case; its witness is the item's
+    description followed by the failure reason."""
     if name not in PROPERTIES:
         raise EnumerationError("unknown property %r" % (name,))
     prop = PROPERTIES[name]
     cases = 0
-    for n in (sizes if sizes is not None else prop.spec.sizes):
-        for failure in prop.cases(n):
-            cases += 1
-            if failure is not None:
-                return UniversalResult(name, cases, failure)
+    for n in (prop.sizes if sizes is None else sizes):
+        if prop.kind == "poset":
+            items, describe = enumerate_posets(n), describe_poset
+        else:
+            items = enumerate_structures(n, prop.kind)
+            describe = describe_structure
+        for item in items:
+            for failure in prop.check(item):
+                cases += 1
+                if failure is not None:
+                    return UniversalResult(
+                        name, cases, describe(item) + " :: " + failure)
     return UniversalResult(name, cases, None)
 
 
-def _designations(s, needs):
-    """The structure, or for a law about a designated element, the
-    structure with each element designated in turn, with a witness label."""
-    if not needs.get("designated"):
-        return (("", s),)
-    return tuple((";a=" + s.poset.names[a],
-                  dataclasses.replace(s, designated=a))
-                 for a in range(s.poset.n))
+def _at(p, a, reason):
+    """A failure reason about the designated element a."""
+    return "a=%s :: %s" % (p.names[a], reason)
 
 
-def _law_runner(kind, law):
+def _law_check(law):
     conclusion, needs = law[2], law[3]
 
-    def run(n):
-        for s in enumerate_structures(n, kind):
-            for label, t in _designations(s, needs):
-                status, w = evaluate_law(t, law)
-                if status != "REFUTED":
-                    yield None
-                else:
-                    yield "%s%s :: condition %s fails at %s" % (
-                        describe_structure(s), label, conclusion,
-                        _witness_names(s, w))
-    return run
-
-
-def _run_synthesis(n):
-    for s in enumerate_structures(n, "residuated-pair"):
-        r = synthesize_residuum(s.poset, s.mul)
-        if r.ok and r.imp == s.imp:
-            yield None
-        else:
-            yield describe_structure(s) + " :: synthesized residuum mismatch"
-
-
-def _lifting_runner(first_projection):
-    def run(n):
-        for s in enumerate_structures(n, "residuated-pair"):
-            f = projection(s.poset.n, "proj1" if first_projection else "proj2")
-            g = projection(s.poset.n, "proj2" if first_projection else "proj1")
-            _, items = check_twist_lifting(s, f, g, (s.one, s.one))
-            bad = [it for it in items if it.gating and not it.passed]
-            if not bad:
+    def check(s):
+        # a law about a designated element is checked at each element
+        for a in range(s.poset.n) if needs.get("designated") else (None,):
+            t = s if a is None else dataclasses.replace(s, designated=a)
+            status, w = evaluate_law(t, law)
+            if status != "REFUTED":
                 yield None
-            else:
-                yield describe_structure(s) + " :: " + bad[0].line()
-    return run
+                continue
+            reason = "condition %s fails at %s" % (conclusion,
+                                                  _witness_names(s, w))
+            yield reason if a is None else _at(s.poset, a, reason)
+    return check
 
 
-def _run_operator_audit(n):
-    for s in enumerate_structures(n, "bounded-commutative-residuated-monoid"):
-        ops = build_operator_twist(s)
-        bad = [it for it in check_operator_residuated(ops) if not it.passed]
-        if bad:
-            yield describe_structure(s) + " :: " + bad[0].line()
-            continue
-        failure = None
-        nn = s.poset.n
-        for x in range(nn):
-            for y in range(nn):
-                for z in range(nn):
-                    for v in range(nn):
-                        img = ops.odot[x * nn + y][z * nn + v]
-                        collapse = s.imp[x][v] == s.imp[z][y]
-                        if (len(img) == 1) != collapse:
-                            failure = "product image cardinality law fails"
-                        img = ops.oimp[x * nn + y][z * nn + v]
-                        collapse = s.imp[x][z] == s.imp[v][y]
-                        if (len(img) == 1) != collapse:
-                            failure = "implication image cardinality law fails"
-        if failure is None:
-            emb = check_embeddings(s.poset)
-            if not emb.passed:
-                failure = "embedding fails at a0=" + dict(emb.witness)["a0"]
-        yield None if failure is None else \
-            describe_structure(s) + " :: " + failure
+def _synthesis(s):
+    r = synthesize_residuum(s.poset, s.mul)
+    yield None if r.ok and r.imp == s.imp else "synthesized residuum mismatch"
+
+
+def _lifting_check(first_projection):
+    def check(s):
+        f = projection(s.poset.n, "proj1" if first_projection else "proj2")
+        g = projection(s.poset.n, "proj2" if first_projection else "proj1")
+        _, items = check_twist_lifting(s, f, g, (s.one, s.one))
+        bad = [it for it in items if it.gating and not it.passed]
+        yield bad[0].line() if bad else None
+    return check
+
+
+def _operator_audit(s):
+    ops = build_operator_twist(s)
+    bad = [it for it in check_operator_residuated(ops) if not it.passed]
+    if bad:
+        yield bad[0].line()
+        return
+    failure = None
+    nn = s.poset.n
+    for x in range(nn):
+        for y in range(nn):
+            for z in range(nn):
+                for v in range(nn):
+                    img = ops.odot[x * nn + y][z * nn + v]
+                    collapse = s.imp[x][v] == s.imp[z][y]
+                    if (len(img) == 1) != collapse:
+                        failure = "product image cardinality law fails"
+                    img = ops.oimp[x * nn + y][z * nn + v]
+                    collapse = s.imp[x][z] == s.imp[v][y]
+                    if (len(img) == 1) != collapse:
+                        failure = "implication image cardinality law fails"
+    if failure is None:
+        emb = check_embeddings(s.poset)
+        if not emb.passed:
+            failure = "embedding fails at a0=" + dict(emb.witness)["a0"]
+    yield failure
 
 
 _RESTRICTED_CLAIMS = ("biconditional", "pseudo-kleene", "embedding",
                       "involution-membership")
 
 
-def _run_restricted_biconditional(n):
+def _restricted_biconditional(s):
     """The restricted-twist theorem: under its standing assumptions,
     (11) and (12) hold exactly when the operators restrict to a residuated
     structure; also its pseudo-Kleene, embedding and membership claims.
     check_kleene_twist evaluates each case; cases whose assumptions fail
     count but claim nothing."""
-    for s in enumerate_structures(n, "bounded-commutative-residuated-monoid"):
-        for a in range(s.poset.n):
-            try:
-                items = check_kleene_twist(s, a).items
-            except AssumptionError:
-                yield None
-                continue
-            bad = [it for it in items
-                   if it.check_id in _RESTRICTED_CLAIMS and not it.passed]
-            if not bad:
-                yield None
-            else:
-                yield "%s;a=%s :: %s" % (describe_structure(s),
-                                         s.poset.names[a], bad[0].line())
+    for a in range(s.poset.n):
+        try:
+            items = check_kleene_twist(s, a).items
+        except AssumptionError:
+            yield None
+            continue
+        bad = [it for it in items
+               if it.check_id in _RESTRICTED_CLAIMS and not it.passed]
+        yield _at(s.poset, a, bad[0].line()) if bad else None
 
 
-def _run_cone_product(n):
+def _cone_product(p):
     """The cone product law of the twist order (twist.cone_product_failure);
     full_twist builds the pair poset without re-checking it."""
-    for p in enumerate_posets(n):
-        w = cone_product_failure(p)
-        if w is None:
-            yield None
-        else:
-            names = pair_names(p)
-            yield "poset %s :: cone product law broken at %s, %s" % (
-                "".join(p.names), names[w[0]], names[w[1]])
+    w = cone_product_failure(p)
+    if w is None:
+        yield None
+    else:
+        names = pair_names(p)
+        yield "cone product law broken at %s, %s" % (names[w[0]], names[w[1]])
 
 
-def _run_restricted_pseudo_kleene(n):
+def _restricted_pseudo_kleene(p):
     # swap is always a pseudo-Kleene involution on the restricted twist;
     # Kleene implies the base is distributive, and over BOUNDED bases the
     # two are equivalent.  Without bounds the backward direction genuinely
     # fails (2-antichain: base distributive, restricted twist is not).
-    for p in enumerate_posets(n):
-        base_dist = is_distributive(p).is_distributive
-        bot, top = bounds(p)
-        bounded = bot is not None and top is not None
-        for a in range(p.n):
-            rt = build_restricted_twist(p, a)
-            pk = is_pseudo_kleene(rt.poset, rt.swap)
-            if not pk.ok:
-                yield "poset a=%s :: swap not pseudo-kleene (%s)" % (
-                    p.names[a], pk.reason)
-                continue
-            kl = is_kleene(rt.poset, rt.swap, pk)
-            if kl.ok and not base_dist:
-                yield ("a=%s :: restricted twist kleene but base not"
-                       " distributive" % p.names[a])
-            elif bounded and base_dist and not kl.ok:
-                yield ("a=%s :: bounded distributive base but restricted"
-                       " twist not kleene" % p.names[a])
-            else:
-                yield None
+    base_dist = is_distributive(p).is_distributive
+    bot, top = bounds(p)
+    bounded = bot is not None and top is not None
+    for a in range(p.n):
+        rt = build_restricted_twist(p, a)
+        pk = is_pseudo_kleene(rt.poset, rt.swap)
+        if not pk.ok:
+            yield _at(p, a, "swap not pseudo-kleene (%s)" % pk.reason)
+            continue
+        kl = is_kleene(rt.poset, rt.swap, pk)
+        if kl.ok and not base_dist:
+            yield _at(p, a, "restricted twist kleene but base not"
+                      " distributive")
+        elif bounded and base_dist and not kl.ok:
+            yield _at(p, a, "bounded distributive base but restricted"
+                      " twist not kleene")
+        else:
+            yield None
 
 
-def _run_distributivity_agreement(n):
+def _distributivity_agreement(p):
     """The two cone-distributivity identities agree on every poset;
     is_distributive evaluates only the first and relies on this."""
-    for p in enumerate_posets(n):
-        if (_lu_identity_failure(p, dual=False) is None) == \
-                (_lu_identity_failure(p, dual=True) is None):
-            yield None
-        else:
-            yield "poset :: cone distributivity identities disagree"
+    if (_lu_identity_failure(p, dual=False) is None) == \
+            (_lu_identity_failure(p, dual=True) is None):
+        yield None
+    else:
+        yield "cone distributivity identities disagree"
 
 
 # Which structures each law of residuation.LAWS is swept over.
@@ -424,36 +406,28 @@ _LAW_KINDS = {
     "13-from-idempotent": "commutative-residuated-monoid",
 }
 
-for _law in LAWS:
-    _kind = _LAW_KINDS[_law[0]]
-    _register("law-" + _law[0], "lemmas", EnumerationSpec((1, 2, 3), _kind),
-              _law_runner(_kind, _law))
+_BCRM = "bounded-commutative-residuated-monoid"
 
-_register("synthesis-adjunction", "lemmas",
-          EnumerationSpec((1, 2, 3), "residuated-pair"),
-          _run_synthesis)
-
-_register("twist-lifting-first-projections", "theorems",
-          EnumerationSpec((1, 2, 3), "residuated-pair"),
-          _lifting_runner(True))
-_register("twist-lifting-second-projections", "theorems",
-          EnumerationSpec((1, 2, 3), "residuated-pair"),
-          _lifting_runner(False))
-_register("operator-twist-audit", "theorems",
-          EnumerationSpec((1, 2, 3), "bounded-commutative-residuated-monoid"),
-          _run_operator_audit)
-_register("restricted-twist-biconditional", "theorems",
-          EnumerationSpec((1, 2, 3), "bounded-commutative-residuated-monoid"),
-          _run_restricted_biconditional)
-_register("cone-product-law", "theorems",
-          EnumerationSpec((1, 2, 3, 4), None),
-          _run_cone_product)
-_register("restricted-pseudo-kleene", "theorems",
-          EnumerationSpec((1, 2, 3, 4), None),
-          _run_restricted_pseudo_kleene)
-_register("distributivity-identities-agree", "theorems",
-          EnumerationSpec((1, 2, 3, 4, 5), None),
-          _run_distributivity_agreement)
+PROPERTIES: dict[str, Property] = {prop.name: prop for prop in (
+    *(Property("law-" + law[0], "lemmas", (1, 2, 3), _LAW_KINDS[law[0]],
+               _law_check(law)) for law in LAWS),
+    Property("synthesis-adjunction", "lemmas", (1, 2, 3), "residuated-pair",
+             _synthesis),
+    Property("twist-lifting-first-projections", "theorems", (1, 2, 3),
+             "residuated-pair", _lifting_check(True)),
+    Property("twist-lifting-second-projections", "theorems", (1, 2, 3),
+             "residuated-pair", _lifting_check(False)),
+    Property("operator-twist-audit", "theorems", (1, 2, 3), _BCRM,
+             _operator_audit),
+    Property("restricted-twist-biconditional", "theorems", (1, 2, 3), _BCRM,
+             _restricted_biconditional),
+    Property("cone-product-law", "theorems", (1, 2, 3, 4), "poset",
+             _cone_product),
+    Property("restricted-pseudo-kleene", "theorems", (1, 2, 3, 4), "poset",
+             _restricted_pseudo_kleene),
+    Property("distributivity-identities-agree", "theorems", (1, 2, 3, 4, 5),
+             "poset", _distributivity_agreement),
+)}
 
 
 def suite_properties(suite):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from .order import (ConeMemo, Poset, bits, bounds, lower_cone, mask_of,
                     upper_cone)
 from .report import CheckItem
-from .residuation import StructureError, classify, condition_holds, structure
+from .residuation import (StructureError, classify, commutativity_failure,
+                          condition_holds, named_witness, structure)
 
 
 def pair_name(base, pair, long=False):
@@ -287,18 +288,9 @@ def check_operator_residuated(os):
         () if wf is None else
         (("op", wf[0]), ("x", p.names[wf[1]]), ("y", p.names[wf[2]]))))
 
-    comm = None
-    for x in range(n):
-        if comm:
-            break
-        for y in range(x + 1, n):
-            if os.odot[x][y] != os.odot[y][x]:
-                comm = (x, y)
-                break
-    items.append(CheckItem(
-        "op-commutative", comm is None,
-        () if comm is None else
-        (("x", p.names[comm[0]]), ("y", p.names[comm[1]]))))
+    comm = commutativity_failure(os.odot)
+    items.append(CheckItem("op-commutative", comm is None,
+                           named_witness(p.names, ("x", "y"), comm)))
 
     dot = [[mask_of(img) for img in row] for row in os.odot]
     assoc = _associativity_failure(dot)
@@ -311,11 +303,8 @@ def check_operator_residuated(os):
          ("rhs", p.render_set(assoc[4])))))
 
     adj = _adjunction_failure(p, dot, os.oimp)
-    items.append(CheckItem(
-        "op-adjunction", adj is None,
-        () if adj is None else
-        (("x", p.names[adj[0]]), ("y", p.names[adj[1]]),
-         ("z", p.names[adj[2]]))))
+    items.append(CheckItem("op-adjunction", adj is None,
+                           named_witness(p.names, ("x", "y", "z"), adj)))
 
     return items
 

@@ -1,8 +1,14 @@
+import dataclasses
+
 import pytest
 
+from resposet import search
+from resposet.kleene_twist import build_restricted_twist
+from resposet.order import InvolutionVerdict
 from resposet.residuation import classify, condition_holds
-from resposet.search import (EnumerationError, PROPERTIES, STRUCTURE_KINDS,
-                             check_universal, describe_structure,
+from resposet.search import (POSET_CAP, STRUCTURE_CAP, EnumerationError,
+                             PROPERTIES, STRUCTURE_KINDS, check_universal,
+                             describe_poset, describe_structure,
                              enumerate_posets, enumerate_structures,
                              residuable_columns, suite_properties)
 
@@ -85,6 +91,10 @@ def test_suite_partition():
     assert len(lem) == 9
     assert len(thm) == 7
     assert {p.name for p in lem} | {p.name for p in thm} == set(PROPERTIES)
+    for prop in PROPERTIES.values():
+        assert prop.kind == "poset" or prop.kind in STRUCTURE_KINDS, prop.name
+        cap = POSET_CAP if prop.kind == "poset" else STRUCTURE_CAP
+        assert all(1 <= n <= cap for n in prop.sizes), prop.name
 
 
 EXPECTED_CASES = {
@@ -118,3 +128,55 @@ def test_check_universal_size_override():
     result = check_universal("law-5-from-1-3", sizes=(1, 2))
     assert result.ok
     assert result.cases == 25
+
+
+CHAIN3 = enumerate_posets(3)[18]        # 0 < 1 < 2
+CHAIN3_TWIST_AT_1 = build_restricted_twist(CHAIN3, 1).poset
+
+
+def _fail_cone_product(real):
+    return lambda p: (0, 1) if p == CHAIN3 else real(p)
+
+
+def _fail_first_identity(real):
+    return lambda p, dual: ((0, 0, 0) if p == CHAIN3 and not dual
+                            else real(p, dual=dual))
+
+
+def _fail_pseudo_kleene(real):
+    return lambda q, m: (InvolutionVerdict(False, "forced")
+                         if q == CHAIN3_TWIST_AT_1 else real(q, m))
+
+
+@pytest.mark.parametrize("name, predicate, fake, reason", [
+    ("cone-product-law", "cone_product_failure", _fail_cone_product,
+     "cone product law broken at 00, 01"),
+    ("distributivity-identities-agree", "_lu_identity_failure",
+     _fail_first_identity, "cone distributivity identities disagree"),
+    ("restricted-pseudo-kleene", "is_pseudo_kleene", _fail_pseudo_kleene,
+     "a=1 :: swap not pseudo-kleene (forced)"),
+])
+def test_poset_sweep_witness_names_its_poset(monkeypatch, name, predicate,
+                                             fake, reason):
+    monkeypatch.setattr(search, predicate, fake(getattr(search, predicate)))
+    result = check_universal(name)
+    assert not result.ok
+    assert describe_poset(CHAIN3) == "elements=012;covers=0<1,1<2"
+    assert result.witness == describe_poset(CHAIN3) + " :: " + reason
+
+
+def test_structure_sweep_witness_starts_with_its_structure(monkeypatch):
+    target = enumerate_structures(2, "commutative-residuated-monoid")[1]
+    real = search.evaluate_law
+
+    def fake(t, law):
+        if t == dataclasses.replace(target, designated=1):
+            return "REFUTED", (0, 1)
+        return real(t, law)
+
+    monkeypatch.setattr(search, "evaluate_law", fake)
+    result = check_universal("law-13-from-idempotent")
+    assert not result.ok
+    assert result.witness.startswith(describe_structure(target) + " :: ")
+    assert result.witness == "%s :: a=%s :: condition 13 fails at %s,%s" % (
+        describe_structure(target), *(target.names[i] for i in (1, 0, 1)))
