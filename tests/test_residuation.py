@@ -7,6 +7,7 @@ from resposet.residuation import (CONDITION_IDS, StructureError,
                                   condition_holds, is_associative,
                                   is_commutative, structure,
                                   synthesize_residuum)
+from resposet.search import enumerate_structures
 
 
 def test_example1_satisfies_1_through_10(example1):
@@ -148,3 +149,31 @@ def test_law_13_with_designated(chain3):
     s = dataclasses.replace(chain3, designated=1)
     by_id = {v.law_id: v for v in check_derived_laws(s)}
     assert by_id["13-from-idempotent"].status == "CONFIRMED"
+
+
+def _first_commutativity_failure(m):
+    for x in range(len(m)):
+        for y in range(len(m)):
+            if m[x][y] != m[y][x]:
+                return x, y
+    return None
+
+
+def _first_associativity_failure(m):
+    for x in range(len(m)):
+        for y in range(len(m)):
+            for z in range(len(m)):
+                if m[m[x][y]][z] != m[x][m[y][z]]:
+                    return x, y, z
+    return None
+
+
+@pytest.mark.parametrize("kind", ["residuated-pair", "unital-groupoid"])
+def test_commutative_and_associative_match_definitions(kind):
+    # the first row-major witness of each law, on every small product table
+    for n in (1, 2, 3):
+        for s in enumerate_structures(n, kind):
+            w = _first_commutativity_failure(s.mul)
+            assert is_commutative(s) == (w is None, w)
+            w = _first_associativity_failure(s.mul)
+            assert is_associative(s) == (w is None, w)

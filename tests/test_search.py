@@ -5,7 +5,7 @@ import pytest
 from resposet import search
 from resposet.kleene_twist import build_restricted_twist
 from resposet.order import InvolutionVerdict
-from resposet.residuation import classify, condition_holds
+from resposet.residuation import LAWS, classify, condition_holds, evaluate_law
 from resposet.search import (POSET_CAP, STRUCTURE_CAP, EnumerationError,
                              PROPERTIES, STRUCTURE_KINDS, check_universal,
                              describe_poset, describe_structure,
@@ -122,6 +122,32 @@ def test_universal_property(name):
     result = check_universal(name)
     assert result.ok, result.witness
     assert result.cases == EXPECTED_CASES[name]
+
+
+# CONFIRMED (premises held) cases of each law sweep: a premise wired to
+# the wrong condition changes these without changing a case count
+NON_VACUOUS = {
+    "5-from-1-3": 1821,
+    "7-from-comm-1-6-top": 15,
+    "8-from-assoc-2-3": 535,
+    "2-from-3-6": 1003,
+    "4-from-3-6": 1003,
+    "9-from-3-6": 1003,
+    "10-from-5-9-top": 161,
+    "13-from-idempotent": 70,
+}
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law[0])
+def test_law_sweep_non_vacuous_count(law):
+    prop = PROPERTIES["law-" + law[0]]
+    confirmed = 0
+    for n in prop.sizes:
+        for s in enumerate_structures(n, prop.kind):
+            for a in range(n) if law[3].get("designated") else (None,):
+                t = s if a is None else dataclasses.replace(s, designated=a)
+                confirmed += evaluate_law(t, law)[0] == "CONFIRMED"
+    assert confirmed == NON_VACUOUS[law[0]]
 
 
 def test_check_universal_size_override():
