@@ -16,9 +16,9 @@ from .twist import (OperatorStructure, build_operator_twist, check_embedding,
                     check_operator_residuated, check_twist_lifting,
                     full_twist, operator_implication, operator_product,
                     pair_names, projection, twist_operations)
-from .kleene_twist import (AssumptionError, RestrictedTwist,
-                           build_restricted_operators, build_restricted_twist,
-                           check_kleene_twist, check_restricted_closure,
+from .kleene_twist import (RestrictedTwist, build_restricted_operators,
+                           build_restricted_twist, check_kleene_twist,
+                           check_restricted_closure,
                            check_restriction_assumptions, classify_escape,
                            pair_in_carrier)
 from .search import (EnumerationError, PROPERTIES, STRUCTURE_KINDS,

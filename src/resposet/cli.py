@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .kleene_twist import AssumptionError, check_kleene_twist
+from .kleene_twist import check_kleene_twist
 from .order import OrderError, is_distributive, is_lattice
-from .report import CheckItem, exit_code, render
+from .report import CheckItem, all_pass, exit_code, render
 from .residuation import (CONDITION_IDS, StructureError, check_condition,
                           check_derived_laws, classify, condition_applicable,
-                          is_associative, is_commutative, named_witness)
+                          named_witness)
 from .search import (EnumerationError, check_universal, enumerate_posets,
                      enumerate_structures, suite_properties, STRUCTURE_KINDS)
 from .structfile import ParseError, emit_tables, load
@@ -49,14 +49,8 @@ def _cmd_check(args):
              for k in CONDITION_IDS if condition_applicable(s, k)]
     items.append(CheckItem("left-residuated-groupoid", flags.left_residuated))
     items.append(CheckItem("bounded", flags.bounded, gating=False))
-    comm, cw = is_commutative(s)
-    items.append(CheckItem("commutative", comm,
-                           named_witness(s.names, ("x", "y"), cw),
-                           gating=False))
-    assoc, aw = is_associative(s)
-    items.append(CheckItem("associative", assoc,
-                           named_witness(s.names, ("x", "y", "z"), aw),
-                           gating=False))
+    items += [_ungated(check_condition(s, k))
+              for k in ("commutative", "associative")]
     laws = check_derived_laws(s)
     refuted = [lv for lv in laws if lv.status == "REFUTED"]
     for lv in laws:
@@ -146,16 +140,13 @@ def _cmd_pa(args):
         a = s.designated
     else:
         raise StructureError("no designated element: pass --a")
-    try:
-        report = check_kleene_twist(s, a)
-        rt, assumptions = report.rt, report.assumptions
-    except AssumptionError as e:
-        report, rt, assumptions = None, e.rt, e.items
+    report = check_kleene_twist(s, a)
+    rt, assumptions = report.rt, report.assumptions
     print("carrier: " + " ".join(rt.poset.names))
     for x, y in rt.poset.cover_pairs():
         print("cover %s < %s" % (rt.poset.names[x], rt.poset.names[y]))
     print(render(assumptions))
-    if report is None:
+    if not all_pass(assumptions):
         print("ASSUMPTION-FAIL: restricted twist verdict withheld")
         return 1
     for item in report.items:
@@ -182,6 +173,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
+    if args.max_size is not None and args.max_size < 1:
+        raise EnumerationError("--max-size must be positive")
     total = 0
     names = []
     for prop in suite_properties(args.suite):

@@ -9,7 +9,10 @@ pair restricts to this carrier exactly when conditions (11) and (12)
 hold; the checks here verify that equivalence and the accompanying
 claims (pseudo-Kleene involution, embedding, involution membership).
 One scan over the carrier pairs builds the restricted operator tables
-and stops at the first image member that leaves the carrier.
+and stops at the first image member that leaves the carrier; that escape
+becomes the failing closure item, with its case analysis as witness.
+Every outcome is part of the report: when an assumption fails, the
+report holds the assumption items and nothing else.
 """
 
 from __future__ import annotations
@@ -23,17 +26,6 @@ from .residuation import StructureError, check_condition, classify
 from .twist import OperatorStructure, check_embedding, \
     check_operator_residuated, full_twist, operator_implication, \
     operator_product, pair_name, pair_names
-
-
-class AssumptionError(Exception):
-    """The restricted twist's standing assumptions fail; carries the
-    restricted twist and the assumption check items so callers can render
-    them."""
-
-    def __init__(self, rt, items):
-        super().__init__("restricted twist assumptions fail")
-        self.rt = rt
-        self.items = items
 
 
 @dataclass(frozen=True)
@@ -99,25 +91,6 @@ def check_restriction_assumptions(s, rt):
     return items
 
 
-@dataclass(frozen=True)
-class ClosureDiagnostic:
-    """First operator image member that leaves the carrier.
-
-    The case fields describe the escape in terms of the operand pairs
-    p = (b,c) and q = (d,e): how p and q sit against (a,a), which strict
-    product comparison drives the escape, and which comparability
-    inequality fails, implying which of conditions (11)/(12) is broken.
-    """
-    op: str                    # "odot" or "oimp"
-    p: tuple[int, int]
-    q: tuple[int, int]
-    member: tuple[int, int]
-    pattern: str               # e.g. "low-high" for p <= (a,a) <= q
-    compare: str
-    needs: str
-    breaks: int                # 11 or 12
-
-
 # Escape case table.  Operands p=(b,c), q=(d,e); "low" means the pair is
 # below (a,a) in the twist order, "high" above.  Each row: operator,
 # member formula, p/q patterns, strict product comparison, comparability
@@ -151,34 +124,30 @@ def _pair_pattern(base, a, pair):
     # whether the pair is below (a,a), and above it, in the twist order
     twist = full_twist(base)
     p, center = pair[0] * base.n + pair[1], a * base.n + a
-    return twist.leq(p, center), twist.leq(center, p)
+    return {"low": twist.leq(p, center), "high": twist.leq(center, p)}
 
 
 def classify_escape(s, a, op, ppair, qpair, member):
-    """Match the escaping member against the case table; exactly one row
-    should fire when the standing assumptions hold."""
-    b, c = ppair
-    d, e = qpair
-    p_low, p_high = _pair_pattern(s.poset, a, ppair)
-    q_low, q_high = _pair_pattern(s.poset, a, qpair)
-    for case_op, case_member, pp, qp, cmp_, needs, breaks in \
-            _escape_cases(s, a, b, c, d, e):
-        if case_op != op or case_member != member:
-            continue
-        if pp == "low" and not p_low:
-            continue
-        if pp == "high" and not p_high:
-            continue
-        if qp == "low" and not q_low:
-            continue
-        if qp == "high" and not q_high:
-            continue
-        cmp_label, cmp_holds = cmp_
-        needs_label, needs_holds = needs
-        if cmp_holds and not needs_holds:
-            pattern = "%s-%s" % (pp, qp)
-            return ClosureDiagnostic(op, ppair, qpair, member, pattern,
-                                     cmp_label, needs_label, breaks)
+    """The failing closure item for the first image member that leaves the
+    carrier.  Its witness names the operator, the operand pairs p = (b,c)
+    and q = (d,e) and the member; how p and q sit against (a,a) (pattern,
+    e.g. "low-high" for p <= (a,a) <= q); which strict product comparison
+    drives the escape; and which comparability inequality fails, implying
+    which of conditions (11)/(12) it breaks.  Exactly one row of the case
+    table should fire when the standing assumptions hold."""
+    base = s.poset
+    p_pattern = _pair_pattern(base, a, ppair)
+    q_pattern = _pair_pattern(base, a, qpair)
+    for case in _escape_cases(s, a, *ppair, *qpair):
+        case_op, case_member, pp, qp, cmp_, needs, breaks = case
+        if (case_op == op and case_member == member and p_pattern[pp]
+                and q_pattern[qp] and cmp_[1] and not needs[1]):
+            return CheckItem("closure", False, (
+                ("op", op), ("p", pair_name(base, ppair)),
+                ("q", pair_name(base, qpair)),
+                ("member", pair_name(base, member)),
+                ("pattern", "%s-%s" % (pp, qp)), ("compare", cmp_[0]),
+                ("needs", needs[0]), ("breaks", str(breaks))))
     raise AssertionError("operator escape matches no closure case")
 
 
@@ -186,7 +155,7 @@ def build_restricted_operators(s, rt):
     """The operator tables over the carrier, in carrier indices, from one
     scan: operand pairs row-major, odot before oimp, image members
     ascending.  At the first image member outside the carrier the scan
-    stops and returns that escape's ClosureDiagnostic instead."""
+    stops and returns that escape's failing closure item instead."""
     n = rt.base.n
     index = rt.index
     odot = []
@@ -212,26 +181,17 @@ def build_restricted_operators(s, rt):
 
 
 def check_restricted_closure(s, rt):
-    """Check the standing assumptions (AssumptionError when they fail),
-    then build the restricted operators.  Returns the assumption items,
-    the closure item, and the restricted OperatorStructure or, when an
-    image member leaves the carrier, its ClosureDiagnostic."""
+    """Check the standing assumptions, then build the restricted operators.
+    Returns the assumption items, the closure item and the restricted
+    OperatorStructure; the operators are None when an image member leaves
+    the carrier, and both are None when an assumption fails."""
     assumptions = check_restriction_assumptions(s, rt)
     if not all_pass(assumptions):
-        raise AssumptionError(rt, assumptions)
+        return assumptions, None, None
     found = build_restricted_operators(s, rt)
-    if isinstance(found, OperatorStructure):
-        return assumptions, CheckItem("closure", True), found
-    base = rt.base
-    witness = (("op", found.op),
-               ("p", pair_name(base, found.p)),
-               ("q", pair_name(base, found.q)),
-               ("member", pair_name(base, found.member)),
-               ("pattern", found.pattern),
-               ("compare", found.compare),
-               ("needs", found.needs),
-               ("breaks", str(found.breaks)))
-    return assumptions, CheckItem("closure", False, witness), found
+    if isinstance(found, CheckItem):
+        return assumptions, found, None
+    return assumptions, CheckItem("closure", True), found
 
 
 def check_involution_membership(s, rt):
@@ -248,9 +208,10 @@ def check_involution_membership(s, rt):
 @dataclass(frozen=True)
 class KleeneTwistReport:
     """What check_kleene_twist established: the restricted twist, the
-    (passing) assumption items, the report items, the operator audit and
-    the restricted operator tables (the last two only when closure
-    holds: an empty audit and None otherwise)."""
+    assumption items, the report items, the operator audit and the
+    restricted operator tables.  When an assumption fails there are no
+    items; the audit and operators exist only when closure holds (an
+    empty audit and None otherwise)."""
     rt: RestrictedTwist
     assumptions: list
     items: list
@@ -260,8 +221,8 @@ class KleeneTwistReport:
 
 def check_kleene_twist(s, a):
     """Full restricted-twist report for a bounded commutative residuated
-    monoid and a designated element; AssumptionError when the standing
-    assumptions fail.
+    monoid and a designated element.  When a standing assumption fails
+    the report holds only the assumption items.
 
     Items, in order: conditions (11) and (12); closure of the operator
     images; the five-point operator-residuation audit on the restricted
@@ -279,16 +240,16 @@ def check_kleene_twist(s, a):
             "restricted twist needs a bounded commutative residuated monoid"
             " (structure is %s)" % flags.summary())
     rt = build_restricted_twist(s.poset, a)
-    assumptions, closure_item, found = check_restricted_closure(s, rt)
+    assumptions, closure_item, ops = check_restricted_closure(s, rt)
+    if closure_item is None:
+        return KleeneTwistReport(rt, assumptions, [], [], None)
     designated = dataclasses.replace(s, designated=a)
     items = [check_condition(designated, 11),
              check_condition(designated, 12), closure_item]
     conds_hold = items[0].passed and items[1].passed
 
-    ops = None
     audit = []
     if closure_item.passed:
-        ops = found
         audit = check_operator_residuated(ops)
         audit_ok = all_pass(audit)
         witness = ()
@@ -299,7 +260,8 @@ def check_kleene_twist(s, a):
     else:
         items.append(CheckItem(
             "operator-residuated", False,
-            (("axiom", "closure"), ("breaks", str(found.breaks)))))
+            (("axiom", "closure"),
+             ("breaks", dict(closure_item.witness)["breaks"]))))
 
     residuated = items[-1].passed
     items.append(CheckItem(

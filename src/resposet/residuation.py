@@ -1,10 +1,16 @@
-"""Binary-operation structures on finite posets and the numbered
-residuation conditions (1) through (13).
+"""Binary-operation structures on finite posets and the table of
+single-structure conditions.
 
 A structure couples a poset with a product table (mul), an implication
 table (imp), a unit, and optionally a zero and a designated element.
 Tables are row-major tuples of element indices: mul[x][y] is x*y and
 imp[y][z] is y->z.
+
+Every single-structure verdict is a row of one table: the numbered
+residuation conditions (1) through (13), and the named rows
+"commutative", "associative", "unit-top" (the unit is the greatest
+element) and "idempotent" (the designated a has a*a = a) that the
+derived laws take as premises.
 """
 
 from __future__ import annotations
@@ -67,15 +73,17 @@ def structure(poset, mul=None, imp=None, one=None, zero=None, designated=None):
     return ResStructure(poset, mul, imp, one, zero, designated)
 
 
-def _need(s, mul=False, imp=False, zero=False, designated=False):
-    if mul and s.mul is None:
-        raise StructureError("condition needs a product table")
-    if imp and s.imp is None:
-        raise StructureError("condition needs an implication table")
-    if zero and s.zero is None:
-        raise StructureError("condition needs a zero")
-    if designated and s.designated is None:
-        raise StructureError("condition needs a designated element")
+_INGREDIENTS = {"mul": "a product table", "imp": "an implication table",
+                "zero": "a zero", "designated": "a designated element"}
+
+
+def _missing(s, needs):
+    """The first ingredient of needs (keys of _INGREDIENTS, listed in its
+    order) that s lacks, or None."""
+    for k in needs:
+        if getattr(s, k) is None:
+            return k
+    return None
 
 
 # Each condition function returns None on success or the witness tuple of
@@ -182,6 +190,37 @@ def _cond13(s):
     return None
 
 
+def commutativity_failure(t):
+    """The first (x, y) with x < y, row-major, where t[x][y] != t[y][x];
+    None when the table is symmetric."""
+    for x in range(len(t)):
+        for y in range(x + 1, len(t)):
+            if t[x][y] != t[y][x]:
+                return x, y
+    return None
+
+
+def _associativity_failure(s):
+    m = s.mul
+    for x in range(s.poset.n):
+        for y in range(s.poset.n):
+            for z in range(s.poset.n):
+                if m[m[x][y]][z] != m[x][m[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+def _unit_top_failure(s):
+    # the first element not below the unit: the lowest set bit
+    above = s.poset.full & ~s.poset.down[s.one]
+    return ((above & -above).bit_length() - 1,) if above else None
+
+
+def _idempotence_failure(s):
+    a = s.designated
+    return None if s.mul[a][a] == a else (a,)
+
+
 _CONDITIONS = {
     1: (lambda s: _monotone_failure(s.poset, s.mul),
         ("x", "y", "z"), dict(mul=True)),
@@ -200,15 +239,24 @@ _CONDITIONS = {
     11: (_cond11, ("x",), dict(mul=True, zero=True, designated=True)),
     12: (_cond12, ("x",), dict(imp=True, designated=True)),
     13: (_cond13, ("x", "y"), dict(mul=True, designated=True)),
+    "commutative": (lambda s: commutativity_failure(s.mul), ("x", "y"),
+                    dict(mul=True)),
+    "associative": (_associativity_failure, ("x", "y", "z"), dict(mul=True)),
+    "unit-top": (_unit_top_failure, ("x",), dict()),
+    "idempotent": (_idempotence_failure, ("a",),
+                   dict(mul=True, designated=True)),
 }
 
-CONDITION_IDS = tuple(sorted(_CONDITIONS))
+CONDITION_IDS = tuple(range(1, 14))
 
 
 def condition_holds(s, k):
-    """Truth of condition k with its first counterexample, as (ok, witness)."""
+    """Truth of row k of the condition table with its first counterexample,
+    as (ok, witness); StructureError when s lacks an ingredient of k."""
     fn, _, needs = _CONDITIONS[k]
-    _need(s, **needs)
+    missing = _missing(s, needs)
+    if missing is not None:
+        raise StructureError("condition needs " + _INGREDIENTS[missing])
     w = fn(s)
     return w is None, w
 
@@ -225,43 +273,16 @@ def check_condition(s, k):
     return CheckItem(str(k), ok, named_witness(s.names, _CONDITIONS[k][1], w))
 
 
-def _has(s, needs):
-    try:
-        _need(s, **needs)
-    except StructureError:
-        return False
-    return True
-
-
 def condition_applicable(s, k):
-    return _has(s, _CONDITIONS[k][2])
-
-
-def commutativity_failure(t):
-    """The first (x, y) with x < y, row-major, where t[x][y] != t[y][x];
-    None when the table is symmetric."""
-    for x in range(len(t)):
-        for y in range(x + 1, len(t)):
-            if t[x][y] != t[y][x]:
-                return x, y
-    return None
+    return _missing(s, _CONDITIONS[k][2]) is None
 
 
 def is_commutative(s):
-    _need(s, mul=True)
-    w = commutativity_failure(s.mul)
-    return w is None, w
+    return condition_holds(s, "commutative")
 
 
 def is_associative(s):
-    _need(s, mul=True)
-    m = s.mul
-    for x in range(s.poset.n):
-        for y in range(s.poset.n):
-            for z in range(s.poset.n):
-                if m[m[x][y]][z] != m[x][m[y][z]]:
-                    return False, (x, y, z)
-    return True, None
+    return condition_holds(s, "associative")
 
 
 @dataclass(frozen=True)
@@ -292,8 +313,7 @@ class Classification:
 @functools.lru_cache(maxsize=None)
 def classify(s):
     """Structure flags; left-residuated means (3) and (6) both hold."""
-    _need(s, mul=True, imp=True)
-    lrg = _cond3(s) is None and _cond6(s) is None
+    lrg = condition_holds(s, 3)[0] and condition_holds(s, 6)[0]
     return Classification(
         left_residuated=lrg,
         bounded=s.zero is not None,
@@ -359,38 +379,22 @@ class LawVerdict:
     witness: tuple[tuple[str, str], ...] = ()
 
 
-def _flag_comm(s):
-    return is_commutative(s)[0]
-
-
-def _flag_assoc(s):
-    return is_associative(s)[0]
-
-
-def _flag_idempotent_designated(s):
-    return s.mul[s.designated][s.designated] == s.designated
-
-
-def _flag_unit_top(s):
-    # the unit must be the greatest element: the derivation of (7) rests
-    # on y <= 1 for every y, not just on the unit law itself
-    return s.poset.down[s.one] == s.poset.full
-
-
 # The derived laws (Lemma-style implications between the conditions):
-# law id, premise tests, conclusion condition, ingredients.  A premise is a
-# condition number or a structure flag.  Laws needing a designated element
-# are evaluated with each element designated in turn by the sweeps.
+# law id, premises, conclusion, ingredients.  Premises and conclusion are
+# rows of the condition table.  "unit-top" asks more than the unit law:
+# the derivation of (7) rests on y <= 1 for every y.  Laws needing a
+# designated element are evaluated with each element designated in turn
+# by the sweeps.
 LAWS = (
     ("5-from-1-3", (1, 3), 5, dict(mul=True, imp=True)),
-    ("7-from-comm-1-6-top", (_flag_unit_top, _flag_comm, 1, 6), 7,
+    ("7-from-comm-1-6-top", ("unit-top", "commutative", 1, 6), 7,
      dict(mul=True)),
-    ("8-from-assoc-2-3", (_flag_assoc, 2, 3), 8, dict(mul=True, imp=True)),
+    ("8-from-assoc-2-3", ("associative", 2, 3), 8, dict(mul=True, imp=True)),
     ("2-from-3-6", (3, 6), 2, dict(mul=True, imp=True)),
     ("4-from-3-6", (3, 6), 4, dict(mul=True, imp=True)),
     ("9-from-3-6", (3, 6), 9, dict(mul=True, imp=True)),
-    ("10-from-5-9-top", (_flag_unit_top, 5, 9), 10, dict(imp=True)),
-    ("13-from-idempotent", (_flag_idempotent_designated, 1, 2), 13,
+    ("10-from-5-9-top", ("unit-top", 5, 9), 10, dict(imp=True)),
+    ("13-from-idempotent", ("idempotent", 1, 2), 13,
      dict(mul=True, designated=True)),
 )
 
@@ -401,7 +405,7 @@ def evaluate_law(s, law):
     ("REFUTED", first witness of the conclusion)."""
     _, premises, conclusion, _ = law
     for prem in premises:
-        if not (prem(s) if callable(prem) else condition_holds(s, prem)[0]):
+        if not condition_holds(s, prem)[0]:
             return "VACUOUS", None
     ok, w = condition_holds(s, conclusion)
     return ("CONFIRMED", None) if ok else ("REFUTED", w)
@@ -418,7 +422,7 @@ def check_derived_laws(s):
     out = []
     for law in LAWS:
         law_id, _, conclusion, needs = law
-        if _has(s, needs):
+        if _missing(s, needs) is None:
             status, w = evaluate_law(s, law)
             out.append(LawVerdict(law_id, status, named_witness(
                 s.names, _CONDITIONS[conclusion][1], w)))

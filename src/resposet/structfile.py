@@ -149,6 +149,8 @@ def parse(text):
         if word == "designated":
             if len(parts) != 3 or parts[1] != "=":
                 _fail(lineno, "expected 'designated = <name>'")
+            if designated is not None:
+                _fail(lineno, "duplicate designated")
             designated = lookup(lineno, index, parts[2])
             i += 1
             continue
@@ -157,6 +159,8 @@ def parse(text):
             if len(parts) != 2 or parts[1] not in ("f", "g"):
                 _fail(lineno, "expected 'pairmap f' or 'pairmap g'")
             label = parts[1]
+            if label in pairmaps:
+                _fail(lineno, "duplicate pairmap %s" % label)
             i += 1
             if i >= len(entries):
                 _fail(lineno, "pairmap %s has no body" % label)

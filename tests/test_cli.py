@@ -138,6 +138,15 @@ def test_verify_small(capsys):
     assert "all passed" in out
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_verify_rejects_empty_size_range(capsys, size):
+    # a sweep over no sizes would pass vacuously
+    assert run(["verify", "--suite", "theorems", "--max-size", size]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-size must be positive\n"
+
+
 def test_missing_file(capsys):
     assert run(["check", "no-such-file"]) == 2
     assert "no such structure file" in capsys.readouterr().err

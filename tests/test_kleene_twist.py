@@ -2,11 +2,12 @@ import dataclasses
 
 import pytest
 
-from resposet.kleene_twist import (AssumptionError, build_restricted_operators,
+from resposet.kleene_twist import (build_restricted_operators,
                                    build_restricted_twist, check_kleene_twist,
                                    check_restricted_closure,
                                    check_restriction_assumptions,
                                    pair_in_carrier)
+from resposet.report import all_pass
 from resposet.residuation import StructureError, check_condition
 from resposet.structfile import emit_tables
 
@@ -90,16 +91,18 @@ def test_example1_a0_diagnostics(example1):
     assert item12.witness == (("x", "a"),)
     rt = build_restricted_twist(p, 0)
     assert rt.poset.n == 19
-    _, closure, diag = check_restricted_closure(example1, rt)
+    _, closure, ops = check_restricted_closure(example1, rt)
     assert not closure.passed
-    assert diag.op == "oimp"
-    assert (p.names[diag.p[0]], p.names[diag.p[1]]) == ("a", "0")
-    assert (p.names[diag.q[0]], p.names[diag.q[1]]) == ("0", "1")
-    assert (p.names[diag.member[0]], p.names[diag.member[1]]) == ("h", "a")
-    assert diag.pattern == "high-low"
-    assert diag.compare == "a<b*e"
-    assert diag.needs == "b->d<=a"
-    assert diag.breaks == 12
+    assert ops is None
+    diag = dict(closure.witness)
+    assert diag["op"] == "oimp"
+    assert diag["p"] == "a0"
+    assert diag["q"] == "01"
+    assert diag["member"] == "ha"
+    assert diag["pattern"] == "high-low"
+    assert diag["compare"] == "a<b*e"
+    assert diag["needs"] == "b->d<=a"
+    assert diag["breaks"] == "12"
 
 
 def test_example1_a1_diagnostics(example1):
@@ -110,12 +113,14 @@ def test_example1_a1_diagnostics(example1):
     assert check_condition(_designated(example1, p.index("1")), 12).passed
     rt = build_restricted_twist(p, p.index("1"))
     assert rt.poset.n == 19
-    _, closure, diag = check_restricted_closure(example1, rt)
+    _, closure, ops = check_restricted_closure(example1, rt)
     assert not closure.passed
-    assert diag.pattern == "low-low"
-    assert diag.breaks == 11
-    assert diag.compare == "b*e<a"
-    assert diag.needs == "a<=b->d"
+    assert ops is None
+    diag = dict(closure.witness)
+    assert diag["pattern"] == "low-low"
+    assert diag["breaks"] == "11"
+    assert diag["compare"] == "b*e<a"
+    assert diag["needs"] == "a<=b->d"
 
 
 def test_example1_report_shape(example1):
@@ -143,10 +148,13 @@ def test_assumption_failure_on_diamond(diamond):
     comp = by_id["assumption-comparability"]
     assert not comp.passed
     assert comp.witness == (("p", "xy"),)
-    with pytest.raises(AssumptionError):
-        check_restricted_closure(diamond, rt)
-    with pytest.raises(AssumptionError):
-        check_kleene_twist(diamond, 1)
+    assert check_restricted_closure(diamond, rt) == (items, None, None)
+    report = check_kleene_twist(diamond, 1)
+    assert report.assumptions == items
+    assert not all_pass(report.assumptions)
+    assert report.items == []
+    assert report.audit == []
+    assert report.operators is None
 
 
 def test_idempotence_assumption(example1):

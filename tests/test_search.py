@@ -206,3 +206,33 @@ def test_structure_sweep_witness_starts_with_its_structure(monkeypatch):
     assert result.witness.startswith(describe_structure(target) + " :: ")
     assert result.witness == "%s :: a=%s :: condition 13 fails at %s,%s" % (
         describe_structure(target), *(target.names[i] for i in (1, 0, 1)))
+
+
+def _tamper(table, cells):
+    rows = [list(row) for row in table]
+    for (p, q), image in cells.items():
+        rows[p][q] = image
+    return tuple(map(tuple, rows))
+
+
+def test_operator_audit_reports_first_cardinality_failure(monkeypatch):
+    # two singleton images made two-element: the implication cell at
+    # (00, 00) comes before the product cell at (01, 01) in row-major order
+    kind = "bounded-commutative-residuated-monoid"
+    target = enumerate_structures(2, kind)[0]
+    real = search.build_operator_twist
+
+    def fake(s):
+        ops = real(s)
+        if s != target:
+            return ops
+        assert len(ops.odot[1][1]) == len(ops.oimp[0][0]) == 1
+        return dataclasses.replace(
+            ops, odot=_tamper(ops.odot, {(1, 1): (0, 1)}),
+            oimp=_tamper(ops.oimp, {(0, 0): (0, 1)}))
+
+    monkeypatch.setattr(search, "build_operator_twist", fake)
+    result = check_universal("operator-twist-audit")
+    assert not result.ok
+    assert result.witness == describe_structure(target) + (
+        " :: implication image cardinality law fails at 00, 00")

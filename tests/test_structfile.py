@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from resposet.cli import run
 from resposet.search import enumerate_structures
 from resposet.structfile import (ParseError, data_path, emit_structure,
                                  emit_tables, load, parse)
@@ -136,6 +137,24 @@ pairmap g
     sf = parse(text)
     assert sf.pairmaps["f"] == projection(2, "proj2")
     assert sf.pairmaps["g"][1][0] == 0
+
+
+_TWO_CHAIN = ("elements 0 1\ncovers\n0 < 1\n"
+              "table mul\n0 0\n0 1\ntable imp\n1 1\n0 1\nconst one = 1\n")
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("designated = 0\ndesignated = 1\n", "line 12: duplicate designated"),
+    ("pairmap f\nproj1\npairmap g\nproj2\npairmap f\nproj2\n",
+     "line 15: duplicate pairmap f"),
+])
+def test_parse_rejects_duplicate_sections(tmp_path, capsys, tail, message):
+    with pytest.raises(ParseError, match="^%s$" % message):
+        parse(_TWO_CHAIN + tail)
+    f = tmp_path / "dup.struct"
+    f.write_text(_TWO_CHAIN + tail)
+    assert run(["check", str(f)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_all_small_groupoids_round_trip():
