@@ -1,13 +1,17 @@
+import collections
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from resposet.order import (OrderError, antichain, bits, bounds, chain,
-                            is_antitone_involution, is_distributive,
-                            is_kleene, is_lattice, is_pseudo_kleene,
-                            lower_cone, mask_of, maximal_elements,
-                            minimal_elements, poset_from_covers,
-                            poset_from_leq, poset_from_relation, set_leq,
-                            upper_cone)
+from resposet.order import (OrderError, Poset, antichain, bits, bounds,
+                            chain, check_names, is_antitone_involution,
+                            is_distributive, is_kleene, is_lattice,
+                            is_pseudo_kleene, lower_cone, mask_of,
+                            maximal_elements, minimal_elements,
+                            poset_from_covers, poset_from_leq,
+                            poset_from_relation, set_leq, upper_cone)
 from resposet.search import enumerate_posets
 
 
@@ -189,3 +193,102 @@ def test_cone_antitone_property(i, a, b):
     small, big = a & b, b
     assert lower_cone(p, big) & ~lower_cone(p, small) == 0
     assert upper_cone(p, big) & ~upper_cone(p, small) == 0
+
+
+# The constructors against the order laws written on boolean matrices:
+# the same (names, up, down), or the same OrderError text, whose witness
+# is the first failure row-major.
+
+def _reference_from_leq(names, leq):
+    names = tuple(names)
+    n = len(names)
+    check_names(names)
+    if len(set(names)) != n:
+        raise OrderError("duplicate element names")
+    for x in range(n):
+        if not leq[x][x]:
+            raise OrderError("reflexivity fails at %s" % names[x])
+    for x, y in itertools.product(range(n), repeat=2):
+        if x != y and leq[x][y] and leq[y][x]:
+            raise OrderError(
+                "antisymmetry fails at pair (%s, %s)" % (names[x], names[y]))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if leq[x][y] and leq[y][z] and not leq[x][z]:
+            raise OrderError("transitivity fails at (%s, %s, %s)"
+                             % (names[x], names[y], names[z]))
+    up = tuple(sum(1 << y for y in range(n) if leq[x][y]) for x in range(n))
+    down = tuple(sum(1 << y for y in range(n) if leq[y][x])
+                 for x in range(n))
+    return Poset(names, up, down)
+
+
+def _reflexive(n, pairs):
+    leq = [[x == y for y in range(n)] for x in range(n)]
+    for x, y in pairs:
+        leq[x][y] = True
+    return leq
+
+
+def _closed(leq):
+    n = len(leq)
+    changed = True
+    while changed:
+        changed = False
+        for x, y, z in itertools.product(range(n), repeat=3):
+            if leq[x][y] and leq[y][z] and not leq[x][z]:
+                leq[x][z] = True
+                changed = True
+    return leq
+
+
+def _outcome(build, names, arg):
+    try:
+        p = build(names, arg)
+    except OrderError as e:
+        return str(e)
+    return p.names, p.up, p.down
+
+
+def _random_relation(rng):
+    n = rng.randint(0, 6)
+    names = [str(i) for i in range(n)]
+    if n and rng.random() < 0.03:
+        names[rng.randrange(n)] = rng.choice(("covers", "a b", "", "x#"))
+    if n > 1 and rng.random() < 0.03:
+        x, y = rng.sample(range(n), 2)
+        names[x] = names[y]
+    up_rate, down_rate = rng.random() * 0.6, rng.random() * 0.15
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y
+             and rng.random() < (up_rate if x < y else down_rate)]
+    rng.shuffle(pairs)
+    return names, pairs
+
+
+def test_constructors_match_boolean_definitions():
+    rng = random.Random(4242)
+    seen = collections.Counter()
+    for _ in range(2000):
+        names, pairs = _random_relation(rng)
+        n = len(names)
+        leq = _reflexive(n, pairs)
+        if rng.random() < 0.5:
+            leq = _closed(leq)
+        if n and rng.random() < 0.1:
+            x = rng.randrange(n)
+            leq[x][x] = False
+        want = {
+            poset_from_leq: _outcome(_reference_from_leq, names, leq),
+            poset_from_relation: _outcome(
+                _reference_from_leq, names, _reflexive(n, pairs)),
+            poset_from_covers: _outcome(
+                _reference_from_leq, names, _closed(_reflexive(n, pairs))),
+        }
+        for build, arg in ((poset_from_leq, leq),
+                           (poset_from_relation, pairs),
+                           (poset_from_covers, pairs)):
+            got = _outcome(build, names, arg)
+            assert got == want[build], (build.__name__, names, pairs)
+            seen[got.split(" ")[0] if isinstance(got, str) else "poset"] += 1
+    assert set(seen) == {"poset", "element", "duplicate", "reflexivity",
+                         "antisymmetry", "transitivity"}
+    assert min(seen.values()) >= 20, seen

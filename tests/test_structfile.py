@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from resposet.cli import run
+from resposet.order import OrderError, check_names, poset_from_covers
+from resposet.residuation import structure
 from resposet.search import enumerate_structures
 from resposet.structfile import (ParseError, data_path, emit_structure,
                                  emit_tables, load, parse)
@@ -209,3 +211,38 @@ def test_unwritable_element_names_are_rejected(names, parse_error):
             "table mul\n{0} {0}\n{0} {1}\nconst one = {1}\n").format(*names)
     with pytest.raises(ParseError, match=parse_error):
         parse(text)
+
+
+def _writable(name):
+    try:
+        check_names((name,))
+    except OrderError:
+        return False
+    return True
+
+
+writable_names = st.lists(
+    st.text(alphabet="ab01#() ,{}<=-", min_size=1, max_size=4).filter(
+        _writable),
+    min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def small_structures(draw):
+    names = draw(writable_names)
+    n = len(names)
+    covers = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1))
+                           .filter(lambda c: c[0] < c[1])))
+    p = poset_from_covers(names, covers)
+    cell = st.integers(0, n - 1)
+    table = st.lists(st.lists(cell, min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    return structure(p, draw(st.none() | table), draw(st.none() | table),
+                     one=draw(cell), designated=draw(st.none() | cell))
+
+
+@given(small_structures())
+def test_emit_parse_round_trips_any_order(s):
+    # any writable names over any order given by upward cover pairs
+    assert parse(emit_structure(s)).structure == s
