@@ -20,7 +20,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .order import Poset, bits, is_kleene, is_pseudo_kleene, mask_of, set_leq
+from .order import (Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of,
+                    set_leq)
 from .report import CheckItem, all_pass
 from .residuation import StructureError, check_condition, classify
 from .twist import OperatorStructure, check_embedding, \
@@ -81,13 +82,9 @@ def check_restriction_assumptions(s, rt):
     # U(a,a) = up(a) above it
     center = rt.index[a * rt.base.n + a]
     p = rt.poset
-    bad = None
-    for i in range(p.n):
-        if not (p.leq(i, center) or p.leq(center, i)):
-            bad = ("p", p.names[i])
-            break
-    items.append(CheckItem("assumption-comparability", bad is None,
-                           () if bad is None else (bad,)))
+    bad = p.full & ~(p.up[center] | p.down[center])
+    items.append(CheckItem("assumption-comparability", not bad,
+                           (("p", p.names[lowest(bad)]),) if bad else ()))
     return items
 
 
@@ -152,12 +149,13 @@ def classify_escape(s, a, op, ppair, qpair, member):
 
 
 def build_restricted_operators(s, rt):
-    """The operator tables over the carrier, in carrier indices, from one
-    scan: operand pairs row-major, odot before oimp, image members
-    ascending.  At the first image member outside the carrier the scan
+    """The operator tables over the carrier, each image the mask of its
+    members' carrier indices, from one scan: operand pairs row-major, odot
+    before oimp, image members ascending.  At the first image member outside the carrier the scan
     stops and returns that escape's failing closure item instead."""
     n = rt.base.n
     index = rt.index
+    outside = ~mask_of(index)
     odot = []
     oimp = []
     for x, y in rt.members:
@@ -167,12 +165,11 @@ def build_restricted_operators(s, rt):
             for op, image, row in (
                     ("odot", operator_product(s, x, y, z, v), drow),
                     ("oimp", operator_implication(s, x, y, z, v), irow)):
-                cell = tuple(map(index.get, image))
-                if None in cell:
-                    member = divmod(image[cell.index(None)], n)
+                escape = image & outside
+                if escape:
                     return classify_escape(s, rt.a, op, (x, y), (z, v),
-                                           member)
-                row.append(cell)
+                                           divmod(lowest(escape), n))
+                row.append(mask_of(map(index.__getitem__, bits(image))))
         odot.append(tuple(drow))
         oimp.append(tuple(irow))
     return OperatorStructure(rt.poset, tuple(odot), tuple(oimp),
@@ -198,8 +195,7 @@ def check_involution_membership(s, rt):
     """(y,x) must be one of the image members of (x,y) => (0,1)."""
     for (x, y) in rt.members:
         image = operator_implication(s, x, y, s.zero, s.one)
-        target = y * s.poset.n + x
-        if target not in image:
+        if not image >> (y * s.poset.n + x) & 1:
             return CheckItem("involution-membership", False,
                              (("p", pair_name(s.poset, (x, y))),))
     return CheckItem("involution-membership", True)

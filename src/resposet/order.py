@@ -1,10 +1,12 @@
 """Finite posets with bitmask cone arithmetic.
 
-Elements are integer indices into a tuple of display names.  Subsets are
-plain Python ints used as bitmasks of any width, so a cone is a handful of
-AND/OR operations and a row of cones is compared in one list comparison;
-the pair carriers of twist products (n^2 elements for an n-element base)
-are the largest posets the package builds.
+Elements are integer indices into a tuple of display names.  Subsets and
+relations are plain Python ints used as bitmasks of any width, and no
+other representation is kept: a cone is a handful of AND/OR operations, a
+row of cones is compared in one list comparison, and the constructors
+close and validate the order on the up-cone masks.  The pair carriers of
+twist products (n^2 elements for an n-element base) are the largest
+posets the package builds.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ def mask_of(indices):
     for i in indices:
         m |= 1 << i
     return m
+
+
+def lowest(mask):
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def popcount(mask):
@@ -73,13 +80,9 @@ class Poset:
 
     def cover_pairs(self):
         """Hasse covers (x, y) with x < y and nothing strictly between."""
-        out = []
-        for x in range(self.n):
-            for y in bits(self.up[x] & ~(1 << x)):
-                between = self.up[x] & self.down[y] & ~(1 << x) & ~(1 << y)
-                if not between:
-                    out.append((x, y))
-        return out
+        return [(x, y) for x in range(self.n)
+                for y in bits(self.up[x] & ~(1 << x))
+                if self.up[x] & self.down[y] == 1 << x | 1 << y]
 
 
 # Words that open a section of the structure file format; an element
@@ -100,40 +103,56 @@ def check_names(names):
                 " whitespace or '#'" % (name,))
 
 
-def _validate_leq(names, leq):
-    n = len(names)
-    for x in range(n):
-        if not leq[x][x]:
-            raise OrderError("reflexivity fails at %s" % names[x])
-    for x in range(n):
-        for y in range(n):
-            if x != y and leq[x][y] and leq[y][x]:
-                raise OrderError(
-                    "antisymmetry fails at pair (%s, %s)" % (names[x], names[y]))
-    for x in range(n):
-        for y in range(n):
-            if not leq[x][y]:
-                continue
-            for z in range(n):
-                if leq[y][z] and not leq[x][z]:
-                    raise OrderError(
-                        "transitivity fails at (%s, %s, %s)"
-                        % (names[x], names[y], names[z]))
+def transposed(rows, width):
+    """The bit matrix with rows[i] >> j & 1 as entry (i, j), transposed:
+    one mask per column j < width, with bit i set when rows[i] has bit j."""
+    # character j of each reversed binary string is bit j
+    text = [format(r, "0%db" % width)[::-1] for r in rows]
+    return [int("".join(col)[::-1], 2) for col in zip(*text)]
 
 
-def poset_from_leq(names, leq):
-    """Build a poset from a full boolean relation matrix, validating the
-    element names (check_names) and the reflexivity, antisymmetry and
-    transitivity laws (error names the law and a witness)."""
+def _poset(names, up):
+    """The poset whose up-cones are up, after validating the element names
+    (check_names) and the reflexivity, antisymmetry and transitivity laws;
+    the error names the law and its first witness, row-major."""
     names = tuple(names)
     n = len(names)
     check_names(names)
     if len(set(names)) != n:
         raise OrderError("duplicate element names")
-    _validate_leq(names, leq)
-    up = tuple(mask_of(y for y in range(n) if leq[x][y]) for x in range(n))
-    down = tuple(mask_of(y for y in range(n) if leq[y][x]) for x in range(n))
+    up = tuple(up)
+    down = tuple(transposed(up, n))
+    for x in range(n):
+        if not up[x] >> x & 1:
+            raise OrderError("reflexivity fails at %s" % names[x])
+    for x in range(n):
+        both = up[x] & down[x] & ~(1 << x)
+        if both:
+            raise OrderError("antisymmetry fails at pair (%s, %s)"
+                             % (names[x], names[lowest(both)]))
+    for x in range(n):
+        for y in bits(up[x]):
+            missing = up[y] & ~up[x]
+            if missing:
+                raise OrderError("transitivity fails at (%s, %s, %s)"
+                                 % (names[x], names[y], names[lowest(missing)]))
     return Poset(names, up, down)
+
+
+def poset_from_leq(names, leq):
+    """Build a poset from a full boolean relation matrix, validated as in
+    _poset."""
+    n = len(names)
+    return _poset(names, (mask_of(y for y in range(n) if leq[x][y])
+                          for x in range(n)))
+
+
+def _reflexive(n, pairs):
+    # the up-cones of the relation pairs plus reflexivity
+    up = [1 << x for x in range(n)]
+    for x, y in pairs:
+        up[x] |= 1 << y
+    return up
 
 
 def poset_from_relation(names, pairs):
@@ -142,35 +161,21 @@ def poset_from_relation(names, pairs):
     The relation is taken as claimed (plus reflexivity); a missing
     transitive consequence is a validation error, not something we patch.
     """
-    names = tuple(names)
-    n = len(names)
-    leq = [[x == y for y in range(n)] for x in range(n)]
-    for x, y in pairs:
-        leq[x][y] = True
-    return poset_from_leq(names, leq)
+    return _poset(names, _reflexive(len(names), pairs))
 
 
 def poset_from_covers(names, pairs):
     """Build a poset from cover (or any generating) pairs by taking the
     reflexive-transitive closure.  Cycles surface as antisymmetry errors.
     """
-    names = tuple(names)
-    n = len(names)
-    leq = [[x == y for y in range(n)] for x in range(n)]
-    for x, y in pairs:
-        leq[x][y] = True
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            for y in range(n):
-                if not leq[x][y]:
-                    continue
-                for z in range(n):
-                    if leq[y][z] and not leq[x][z]:
-                        leq[x][z] = True
-                        changed = True
-    return poset_from_leq(names, leq)
+    up = _reflexive(len(names), pairs)
+    # Warshall: after step k, up[x] holds every y reachable through
+    # intermediates below k
+    for k in range(len(up)):
+        for x in range(len(up)):
+            if up[x] >> k & 1:
+                up[x] |= up[k]
+    return _poset(names, up)
 
 
 def lower_cone(p, mask):

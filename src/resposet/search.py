@@ -2,8 +2,9 @@
 universal property sweeps built on top of them.
 
 Everything here is deterministic: posets come out of a fixed extension
-recursion, operation tables are assembled from columns in lexicographic
-order, so re-running any sweep reproduces the identical sequence.
+recursion that grows their cone masks, operation tables are assembled
+from columns, or from free cells, in lexicographic order, so re-running
+any sweep reproduces the identical sequence.
 
 Residuated pairs, unital groupoids and unital implications are generated
 from the posets.  Left-residuated groupoids are the cached residuated
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .order import (Poset, _lu_identity_failure, bits, bounds,
-                    is_distributive, is_kleene, is_pseudo_kleene, mask_of)
+                    is_distributive, is_kleene, is_pseudo_kleene)
 from .residuation import (LAWS, condition_holds, evaluate_law, residuum_row,
                           structure, synthesize_residuum)
 from .twist import (build_operator_twist, check_embeddings,
@@ -48,39 +49,33 @@ def enumerate_posets(n):
         raise EnumerationError("poset size must be positive")
     if n > POSET_CAP:
         raise EnumerationError("poset size %d above cap %d" % (n, POSET_CAP))
-    mats = [((True,),)]
+    cones = [((1,), (1,))]
     for k in range(1, n):
-        mats = [grown for rows in mats for grown in _extensions(rows, k)]
-    out = []
+        cones = [grown for up, down in cones
+                 for grown in _extensions(up, down, k)]
     names = tuple(_NAMES[i] for i in range(n))
-    for rows in mats:
-        up = tuple(mask_of(y for y in range(n) if rows[x][y])
-                   for x in range(n))
-        down = tuple(mask_of(y for y in range(n) if rows[y][x])
-                     for x in range(n))
-        out.append(Poset(names, up, down))
-    return tuple(out)
+    return tuple(Poset(names, up, down) for up, down in cones)
 
 
-def _extensions(rows, k):
-    """Extend the leq matrix over {0..k-1} by element k: choose the
-    down-set A of elements below k and the up-set B above it, with
-    every member of A below every member of B."""
-    down_of = [mask_of(b for b in range(k) if rows[b][a]) for a in range(k)]
-    up_of = [mask_of(b for b in range(k) if rows[a][b]) for a in range(k)]
+def _extensions(up, down, k):
+    """Extend the cones over {0..k-1} by element k: choose the down-set A
+    of elements below k and the up-set B above it, with every member of A
+    below every member of B."""
     downsets = [m for m in range(1 << k)
-                if all(down_of[a] & ~m == 0 for a in bits(m))]
+                if all(down[a] & ~m == 0 for a in bits(m))]
     upsets = [m for m in range(1 << k)
-              if all(up_of[a] & ~m == 0 for a in bits(m))]
+              if all(up[a] & ~m == 0 for a in bits(m))]
+    new = 1 << k
     for amask in downsets:
         for bmask in upsets:
             if amask & bmask:
                 continue
-            if any(bmask & ~up_of[a] for a in bits(amask)):
+            if any(bmask & ~up[a] for a in bits(amask)):
                 continue
-            grown = tuple(rows[x] + (bool(amask >> x & 1),) for x in range(k))
-            last = tuple(bool(bmask >> y & 1) for y in range(k)) + (True,)
-            yield grown + (last,)
+            yield (tuple(u | new if amask >> x & 1 else u
+                         for x, u in enumerate(up)) + (bmask | new,),
+                   tuple(d | new if bmask >> x & 1 else d
+                         for x, d in enumerate(down)) + (amask | new,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,35 +126,33 @@ def _bcrms(n):
             yield dataclasses.replace(s, zero=bot)
 
 
+def _tables(n, fixed):
+    """Every n x n table that agrees with fixed, a dict from cells (x, y)
+    to values, with the free cells running lexicographically in row-major
+    order."""
+    cells = [fixed.get((x, y)) for x in range(n) for y in range(n)]
+    free = [i for i, v in enumerate(cells) if v is None]
+    for values in itertools.product(range(n), repeat=len(free)):
+        for i, v in zip(free, values):
+            cells[i] = v
+        yield tuple(tuple(cells[x * n:x * n + n]) for x in range(n))
+
+
 def _unital_groupoids(n):
     """All (poset, unit, mul) with the unit column forced to the
     identity; no implication table."""
     for p in enumerate_posets(n):
         for one in range(n):
-            others = [y for y in range(n) if y != one]
-            for combo in itertools.product(range(n), repeat=n * (n - 1)):
-                mul = []
-                for x in range(n):
-                    row = [0] * n
-                    row[one] = x
-                    for j, y in enumerate(others):
-                        row[y] = combo[x * (n - 1) + j]
-                    mul.append(tuple(row))
-                yield structure(p, tuple(mul), None, one=one)
+            for mul in _tables(n, {(x, one): x for x in range(n)}):
+                yield structure(p, mul, None, one=one)
 
 
 def _unital_implications(n):
     """All (poset, unit, imp) with the unit row forced to the identity;
     no product table."""
-    ident = tuple(range(n))
     for p in enumerate_posets(n):
         for one in range(n):
-            others = [y for y in range(n) if y != one]
-            for combo in itertools.product(
-                    itertools.product(range(n), repeat=n), repeat=n - 1):
-                rows = dict(zip(others, combo))
-                rows[one] = ident
-                imp = tuple(rows[y] for y in range(n))
+            for imp in _tables(n, {(one, x): x for x in range(n)}):
                 yield structure(p, None, imp, one=one)
 
 
@@ -309,7 +302,7 @@ def _operator_audit(s):
         for label, table, collapse in (
                 ("product", ops.odot, i[x][v] == i[z][y]),
                 ("implication", ops.oimp, i[x][z] == i[v][y])):
-            if (len(table[p][q]) == 1) != collapse:
+            if (table[p][q].bit_count() == 1) != collapse:
                 yield "%s image cardinality law fails at %s, %s" % (
                     label, names[p], names[q])
                 return

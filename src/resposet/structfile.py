@@ -3,7 +3,9 @@
 A file declares its elements, the order (either generating covers or the
 full relation), optional operation tables, constants, a designated
 element, optional pair maps for the lifting construction, and optionally
-a pair of set-valued operator tables instead of the single-valued ones.
+a pair of set-valued operator tables instead of the single-valued ones
+(an operator cell lists its members, and is read as the mask of them, so
+a repeated member counts once; such a file has no designated element).
 '#' starts a comment; blank lines are ignored.
 """
 
@@ -13,7 +15,7 @@ import importlib.resources
 import os
 from dataclasses import dataclass
 
-from .order import (SECTION_WORDS, OrderError, check_names,
+from .order import (SECTION_WORDS, OrderError, bits, check_names, mask_of,
                     poset_from_covers, poset_from_relation)
 from .residuation import ResStructure, structure
 from .twist import OperatorStructure, projection
@@ -130,8 +132,8 @@ def parse(text):
                     rows.append(tuple(lookup(lno, index, c) for c in cells))
                 else:
                     rows.append(tuple(
-                        tuple(sorted(lookup(lno, index, m)
-                                     for m in _split_cell(lno, c)))
+                        mask_of(lookup(lno, index, m)
+                                for m in _split_cell(lno, c))
                         for c in cells))
                 i += 1
             found[label] = tuple(rows)
@@ -213,6 +215,8 @@ def parse(text):
     if optables:
         if tables:
             raise ParseError("optables cannot be combined with tables")
+        if designated is not None:
+            raise ParseError("optables cannot be combined with designated")
         if "odot" not in optables or "oimp" not in optables:
             raise ParseError("optables need both odot and oimp")
         if "one" not in consts or "zero" not in consts:
@@ -306,24 +310,25 @@ def emit_structure(s):
     return "\n".join(out) + "\n"
 
 
-def _cell_text(names, value, style):
-    if isinstance(value, tuple):
-        body = ",".join(names[u] for u in value)
-        return "{" + body + "}" if style == "long" else body
-    return names[value]
+def _cell_text(names, value, style, is_set):
+    if not is_set:
+        return names[value]
+    body = ",".join(names[u] for u in bits(value))
+    return "{" + body + "}" if style == "long" else body
 
 
 def emit_tables(obj, style="compressed", names=None):
     """Aligned text tables for either a single-valued structure (mul and
-    imp) or an operator structure (odot and oimp).  The long style wraps
-    set cells in braces; compressed joins members with commas."""
-    if isinstance(obj, OperatorStructure):
+    imp) or an operator structure (odot and oimp, whose cells are masks
+    rendered as their members, ascending).  The long style wraps set cells
+    in braces; compressed joins members with commas."""
+    poset = obj.poset
+    is_set = isinstance(obj, OperatorStructure)
+    if is_set:
         labeled = (("odot", obj.odot), ("oimp", obj.oimp))
-        poset = obj.poset
     else:
         labeled = tuple((lab, t) for lab, t in
                         (("mul", obj.mul), ("imp", obj.imp)) if t is not None)
-        poset = obj.poset
     if names is None:
         names = poset.names
     blocks = []
@@ -331,7 +336,7 @@ def emit_tables(obj, style="compressed", names=None):
         rows = [[label] + list(names)]
         for x in range(poset.n):
             rows.append([names[x]] +
-                        [_cell_text(names, table[x][y], style)
+                        [_cell_text(names, table[x][y], style, is_set)
                          for y in range(poset.n)])
         widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
         lines = []

@@ -9,8 +9,9 @@ different structures:
 * a single-valued product/implication pair lifted through a pair of
   surjective pair maps f, g (with the biconditional check that the lift
   is left-residuated exactly when the base is), and
-* the set-valued operator pair used for bounded commutative bases, with
-  the five-point residuation audit for such operator structures.
+* the set-valued operator pair used for bounded commutative bases, whose
+  images are masks of pair indices, with the five-point residuation audit
+  for such operator structures.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .order import (ConeMemo, Poset, bits, bounds, lower_cone, mask_of,
-                    upper_cone)
+from .order import (ConeMemo, Poset, bits, bounds, lower_cone, lowest,
+                    transposed, upper_cone)
 from .report import CheckItem
 from .residuation import (StructureError, classify, commutativity_failure,
                           condition_holds, named_witness, structure)
@@ -183,29 +184,27 @@ def check_twist_lifting(s, f, g, const):
 
 
 def operator_product(s, x, y, z, v):
-    """Set value of (x,y) (.) (z,v) as a sorted tuple of pair indices."""
+    """Set value of (x,y) (.) (z,v) as a mask of pair indices."""
     n = s.poset.n
-    first = s.mul[x][z]
-    members = {first * n + s.imp[x][v], first * n + s.imp[z][y]}
-    return tuple(sorted(members))
+    first = s.mul[x][z] * n
+    return 1 << (first + s.imp[x][v]) | 1 << (first + s.imp[z][y])
 
 
 def operator_implication(s, x, y, z, v):
-    """Set value of (x,y) (=>) (z,v) as a sorted tuple of pair indices."""
+    """Set value of (x,y) (=>) (z,v) as a mask of pair indices."""
     n = s.poset.n
     second = s.mul[x][v]
-    members = {s.imp[x][z] * n + second, s.imp[v][y] * n + second}
-    return tuple(sorted(members))
+    return 1 << (s.imp[x][z] * n + second) | 1 << (s.imp[v][y] * n + second)
 
 
 @dataclass(frozen=True)
 class OperatorStructure:
     """A poset with two set-valued operations and two constants.  Images
-    are sorted tuples of element indices; zero and one may be absent only
-    for the degenerate empty carrier."""
+    are masks of element indices; zero and one may be absent only for the
+    degenerate empty carrier."""
     poset: Poset
-    odot: tuple[tuple[tuple[int, ...], ...], ...]
-    oimp: tuple[tuple[tuple[int, ...], ...], ...]
+    odot: tuple[tuple[int, ...], ...]
+    oimp: tuple[tuple[int, ...], ...]
     zero: int | None
     one: int | None
 
@@ -251,10 +250,10 @@ def check_operator_residuated(os):
     operator associativity, and the adjunction between the operators.
 
     Each scan reports its first failure in row-major order: (x, y) for
-    well-formedness and commutativity, (x, y, z) for associativity and
-    adjunction.  The last two read the images as bitmasks.  Associativity
-    needs every product image member to be a carrier index; an
-    implication image member past the carrier is above no element, as
+    well-formedness (an image is empty or has a member past the carrier)
+    and commutativity, (x, y, z) for associativity and adjunction.
+    Associativity needs every product image member to be a carrier index;
+    an implication image member past the carrier is above no element, as
     p.leq reads it.
     """
     p = os.poset
@@ -271,18 +270,10 @@ def check_operator_residuated(os):
             witness = (("zero", p.names[os.zero]), ("one", p.names[os.one]))
         items.append(CheckItem("op-bounded", ok, witness))
 
-    wf = None
-    for op_name, table in (("odot", os.odot), ("oimp", os.oimp)):
-        if wf:
-            break
-        for x in range(n):
-            if wf:
-                break
-            for y in range(n):
-                img = table[x][y]
-                if not img or any(not 0 <= u < n for u in img):
-                    wf = (op_name, x, y)
-                    break
+    wf = next(((op_name, x, y)
+               for op_name, table in (("odot", os.odot), ("oimp", os.oimp))
+               for x in range(n) for y in range(n)
+               if not table[x][y] or table[x][y] >> n), None)
     items.append(CheckItem(
         "op-wellformed", wf is None,
         () if wf is None else
@@ -292,8 +283,7 @@ def check_operator_residuated(os):
     items.append(CheckItem("op-commutative", comm is None,
                            named_witness(p.names, ("x", "y"), comm)))
 
-    dot = [[mask_of(img) for img in row] for row in os.odot]
-    assoc = _associativity_failure(dot)
+    assoc = _associativity_failure(os.odot)
     items.append(CheckItem(
         "op-associative", assoc is None,
         () if assoc is None else
@@ -302,7 +292,7 @@ def check_operator_residuated(os):
          ("lhs", p.render_set(assoc[3])),
          ("rhs", p.render_set(assoc[4])))))
 
-    adj = _adjunction_failure(p, dot, os.oimp)
+    adj = _adjunction_failure(p, os.odot, os.oimp)
     items.append(CheckItem("op-adjunction", adj is None,
                            named_witness(p.names, ("x", "y", "z"), adj)))
 
@@ -348,14 +338,6 @@ def _union_rows(rows, members, n):
     return out
 
 
-def _transposed(rows, width):
-    """The bit matrix with rows[i] >> j & 1 as entry (i, j), transposed:
-    one mask per column j < width, with bit i set when rows[i] has bit j."""
-    # character j of each reversed binary string is bit j
-    text = [format(r, "0%db" % width)[::-1] for r in rows]
-    return [int("".join(col)[::-1], 2) for col in zip(*text)]
-
-
 def _adjunction_failure(p, dot, imp):
     """The first (x, y, z), row-major, where "every member of x (.) y is
     below z" and "x is below every member of y (=>) z" disagree; None when
@@ -369,15 +351,14 @@ def _adjunction_failure(p, dot, imp):
     n = p.n
     lower = ConeMemo(lower_cone, p)
     # an image with a member past the carrier has an empty lower cone
-    below = [_transposed([lower[m] if m <= p.full else 0
-                          for m in map(mask_of, row)], n)
+    below = [transposed([lower[m] if m <= p.full else 0 for m in row], n)
              for row in imp]
     upper = ConeMemo(upper_cone, p)
     for x in range(n):
         for y in range(n):
             diff = upper[dot[x][y]] ^ below[y][x]
             if diff:
-                return x, y, (diff & -diff).bit_length() - 1
+                return x, y, lowest(diff)
     return None
 
 

@@ -4,6 +4,7 @@ criterion reports a single PASS/FAIL line."""
 import time
 
 from resposet.cli import run
+from resposet.order import bits
 from resposet.search import enumerate_posets, enumerate_structures
 from resposet.structfile import emit_structure, load, parse
 from resposet.residuation import synthesize_residuum
@@ -48,7 +49,7 @@ def test_criterion_3_operator_tables(bool2, capsys):
     elapsed = time.perf_counter() - start
 
     def norm(table):
-        return [[frozenset(divmod(m, 2) for m in cell)
+        return [[frozenset(divmod(m, 2) for m in bits(cell))
                  for cell in row] for row in table]
 
     printed_odot = [

@@ -4,7 +4,8 @@ Cone distributivity (order._lu_identity_failure, both orientations), the
 normality test of order.is_pseudo_kleene and the five-point operator
 audit (twist.check_operator_residuated) must give the same verdicts and
 the same first witnesses, row-major in (x, y, z), as the plain loops
-below, which work on Python sets and p.leq only.
+below, which work on Python sets and p.leq only (operator images are
+read as the sets of their members).
 """
 
 import itertools
@@ -12,8 +13,8 @@ import random
 
 import pytest
 
-from resposet.order import _lu_identity_failure, antichain, chain, \
-    is_antitone_involution, is_pseudo_kleene, poset_from_covers
+from resposet.order import _lu_identity_failure, antichain, bits, chain, \
+    is_antitone_involution, is_pseudo_kleene, mask_of, poset_from_covers
 from resposet.report import CheckItem
 from resposet.search import enumerate_posets, enumerate_structures
 from resposet.twist import OperatorStructure, build_operator_twist, \
@@ -64,6 +65,8 @@ def reference_audit(os):
     p = os.poset
     n = p.n
     names = p.names
+    odot, oimp = ([[set(bits(m)) for m in row] for row in t]
+                  for t in (os.odot, os.oimp))
     items = []
     bottom = [x for x in range(n) if all(p.leq(x, y) for y in range(n))]
     top = [x for x in range(n) if all(p.leq(y, x) for y in range(n))]
@@ -75,14 +78,14 @@ def reference_audit(os):
     def first(cells):
         return next(iter(cells), None)
 
-    wf = first((op, x, y) for op, t in (("odot", os.odot), ("oimp", os.oimp))
+    wf = first((op, x, y) for op, t in (("odot", odot), ("oimp", oimp))
                for x in range(n) for y in range(n)
                if not t[x][y] or any(not 0 <= u < n for u in t[x][y]))
     items.append(CheckItem("op-wellformed", wf is None, () if wf is None else
                            (("op", wf[0]), ("x", names[wf[1]]),
                             ("y", names[wf[2]]))))
     comm = first((x, y) for x in range(n) for y in range(x + 1, n)
-                 if os.odot[x][y] != os.odot[y][x])
+                 if odot[x][y] != odot[y][x])
     items.append(CheckItem("op-commutative", comm is None,
                            () if comm is None else
                            (("x", names[comm[0]]), ("y", names[comm[1]]))))
@@ -94,8 +97,8 @@ def reference_audit(os):
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                lhs = {w for u in os.odot[x][y] for w in os.odot[u][z]}
-                rhs = {w for u in os.odot[y][z] for w in os.odot[x][u]}
+                lhs = {w for u in odot[x][y] for w in odot[u][z]}
+                rhs = {w for u in odot[y][z] for w in odot[x][u]}
                 if assoc is None and lhs != rhs:
                     assoc = (("x", names[x]), ("y", names[y]),
                              ("z", names[z]), ("lhs", render(lhs)),
@@ -106,8 +109,8 @@ def reference_audit(os):
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                left = all(p.leq(u, z) for u in os.odot[x][y])
-                right = all(p.leq(x, u) for u in os.oimp[y][z])
+                left = all(p.leq(u, z) for u in odot[x][y])
+                right = all(p.leq(x, u) for u in oimp[y][z])
                 if adj is None and left != right:
                     adj = (("x", names[x]), ("y", names[y]), ("z", names[z]))
     items.append(CheckItem("op-adjunction", adj is None, adj or ()))
@@ -167,7 +170,7 @@ def test_audit_matches_reference_on_bcrm_twists():
 
 
 def _image(rng, n):
-    return tuple(sorted(rng.sample(range(n), rng.randint(0, min(3, n)))))
+    return mask_of(rng.sample(range(n), rng.randint(0, min(3, n))))
 
 
 def _random_poset(rng, n):
@@ -179,7 +182,7 @@ def _random_poset(rng, n):
 
 def _random_operators(rng, n, commutative):
     p = _random_poset(rng, n)
-    odot = [[()] * n for _ in range(n)]
+    odot = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
             if commutative and y < x:
@@ -197,7 +200,8 @@ def test_audit_matches_reference_on_random_tables():
     sizes = set()
     for trial in range(300):
         ops = _random_operators(rng, rng.randint(1, 6), trial % 2 == 0)
-        sizes.update(len(img) for row in ops.odot + ops.oimp for img in row)
+        sizes.update(img.bit_count()
+                     for row in ops.odot + ops.oimp for img in row)
         assert _lines(check_operator_residuated(ops)) == \
             _lines(reference_audit(ops)), trial
     assert sizes == {0, 1, 2, 3}
@@ -212,7 +216,7 @@ def test_audit_matches_reference_with_implication_members_past_carrier():
         n = ops.poset.n
         oimp = list(map(list, ops.oimp))
         x, y = rng.randrange(n), rng.randrange(n)
-        oimp[x][y] = tuple(sorted(set(oimp[x][y]) | {n + rng.randrange(2)}))
+        oimp[x][y] |= 1 << (n + rng.randrange(2))
         ops = OperatorStructure(ops.poset, ops.odot, tuple(map(tuple, oimp)),
                                 ops.zero, ops.one)
         want = _lines(reference_audit(ops))
@@ -232,7 +236,7 @@ def test_audit_matches_reference_on_perturbed_twists():
         tables = [list(map(list, ops.odot)), list(map(list, ops.oimp))]
         table = tables[trial % 2]
         x, y = rng.randrange(n), rng.randrange(n)
-        table[x][y] = _image(rng, n) or (x,)
+        table[x][y] = _image(rng, n) or 1 << x
         mutated = OperatorStructure(ops.poset,
                                     tuple(map(tuple, tables[0])),
                                     tuple(map(tuple, tables[1])),

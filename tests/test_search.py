@@ -226,10 +226,10 @@ def test_operator_audit_reports_first_cardinality_failure(monkeypatch):
         ops = real(s)
         if s != target:
             return ops
-        assert len(ops.odot[1][1]) == len(ops.oimp[0][0]) == 1
+        assert ops.odot[1][1].bit_count() == ops.oimp[0][0].bit_count() == 1
         return dataclasses.replace(
-            ops, odot=_tamper(ops.odot, {(1, 1): (0, 1)}),
-            oimp=_tamper(ops.oimp, {(0, 0): (0, 1)}))
+            ops, odot=_tamper(ops.odot, {(1, 1): 0b11}),
+            oimp=_tamper(ops.oimp, {(0, 0): 0b11}))
 
     monkeypatch.setattr(search, "build_operator_twist", fake)
     result = check_universal("operator-twist-audit")

@@ -101,8 +101,7 @@ optable oimp
     assert sf.structure is None
     ops = sf.operators
     assert ops is not None
-    assert ops.odot[1][1] == (0, 1)
-    assert ops.oimp[1][0] == (0, 1)
+    assert ops.odot[1][1] == ops.oimp[1][0] == 0b11
     items = check_operator_residuated(ops)
     assert [it.check_id for it in items] == [
         "op-bounded", "op-wellformed", "op-commutative",
@@ -114,6 +113,35 @@ def test_parse_empty_operator_cell_rejected():
             "optable odot\n{} 0\n0 1\noptable oimp\n1 1\n1 1\n")
     with pytest.raises(ParseError):
         parse(text)
+
+
+_OPTABLE_HEAD = "elements 0 1\ncovers\n0 < 1\nconst one = 1\nconst zero = 0\n"
+
+
+def test_repeated_member_in_operator_cell_is_one_set(tmp_path, capsys):
+    # "0,0" and "0" are both the set {0}, so odot is commutative
+    text = _OPTABLE_HEAD + ("optable odot\n0 0,0\n0 1\n"
+                            "optable oimp\n1 1\n0 1\n")
+    assert parse(text).operators.odot[0][1] == 0b1
+    f = tmp_path / "repeat.struct"
+    f.write_text(text)
+    run(["optwist", str(f), "--tables"])
+    out = capsys.readouterr().out
+    assert "CHECK (op-commutative) PASS\n" in out
+    assert "odot | 0 1\n0    | 0 0\n1    | 0 1\n" in out
+
+
+def test_designated_with_operator_tables_is_rejected(tmp_path, capsys):
+    # the operator structure has no designated element to carry it
+    text = _OPTABLE_HEAD + ("designated = 0\noptable odot\n0 0\n0 1\n"
+                            "optable oimp\n1 1\n0 1\n")
+    message = "optables cannot be combined with designated"
+    with pytest.raises(ParseError, match="^%s$" % message):
+        parse(text)
+    f = tmp_path / "designated.struct"
+    f.write_text(text)
+    assert run(["optwist", str(f)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_parse_pairmap():
