@@ -80,9 +80,13 @@ class Poset:
 
     def cover_pairs(self):
         """Hasse covers (x, y) with x < y and nothing strictly between."""
-        return [(x, y) for x in range(self.n)
-                for y in bits(self.up[x] & ~(1 << x))
-                if self.up[x] & self.down[y] == 1 << x | 1 << y]
+        out = []
+        for x in range(self.n):
+            for y in bits(self.up[x] & ~(1 << x)):
+                between = self.up[x] & self.down[y] & ~(1 << x) & ~(1 << y)
+                if not between:
+                    out.append((x, y))
+        return out
 
 
 # Words that open a section of the structure file format; an element
@@ -140,8 +144,7 @@ def _poset(names, up):
 
 
 def poset_from_leq(names, leq):
-    """Build a poset from a full boolean relation matrix, validated as in
-    _poset."""
+    """Build a poset from a full boolean relation matrix (see _poset)."""
     n = len(names)
     return _poset(names, (mask_of(y for y in range(n) if leq[x][y])
                           for x in range(n)))
@@ -372,12 +375,8 @@ def is_kleene(p, mapping, pseudo_kleene=None):
 
 def chain(n):
     """The n-element chain 0 < 1 < ... < n-1 with stringified names."""
-    names = tuple(str(i) for i in range(n))
-    leq = [[x <= y for y in range(n)] for x in range(n)]
-    return poset_from_leq(names, leq)
+    return _poset(map(str, range(n)), ((1 << n) - (1 << x) for x in range(n)))
 
 
 def antichain(n):
-    names = tuple(str(i) for i in range(n))
-    leq = [[x == y for y in range(n)] for x in range(n)]
-    return poset_from_leq(names, leq)
+    return _poset(map(str, range(n)), (1 << x for x in range(n)))
