@@ -151,8 +151,9 @@ def classify_escape(s, a, op, ppair, qpair, member):
 def build_restricted_operators(s, rt):
     """The operator tables over the carrier, each image the mask of its
     members' carrier indices, from one scan: operand pairs row-major, odot
-    before oimp, image members ascending.  At the first image member outside the carrier the scan
-    stops and returns that escape's failing closure item instead."""
+    before oimp, image members ascending.  At the first image member
+    outside the carrier the scan stops and returns that escape's failing
+    closure item instead."""
     n = rt.base.n
     index = rt.index
     outside = ~mask_of(index)

@@ -138,8 +138,8 @@ def _poset(names, up):
         for y in bits(up[x]):
             missing = up[y] & ~up[x]
             if missing:
-                raise OrderError("transitivity fails at (%s, %s, %s)"
-                                 % (names[x], names[y], names[lowest(missing)]))
+                raise OrderError("transitivity fails at (%s, %s, %s)" % (
+                    names[x], names[y], names[lowest(missing)]))
     return Poset(names, up, down)
 
 

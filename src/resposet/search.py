@@ -130,12 +130,12 @@ def _tables(n, fixed):
     """Every n x n table that agrees with fixed, a dict from cells (x, y)
     to values, with the free cells running lexicographically in row-major
     order."""
-    cells = [fixed.get((x, y)) for x in range(n) for y in range(n)]
-    free = [i for i, v in enumerate(cells) if v is None]
-    for values in itertools.product(range(n), repeat=len(free)):
-        for i, v in zip(free, values):
-            cells[i] = v
-        yield tuple(tuple(cells[x * n:x * n + n]) for x in range(n))
+    # product keeps each row's choices in one pool, so the tables share
+    # their row tuples (the cached sweeps hold tens of thousands of tables)
+    return itertools.product(*(
+        itertools.product(*((fixed[x, y],) if (x, y) in fixed else range(n)
+                            for y in range(n)))
+        for x in range(n)))
 
 
 def _unital_groupoids(n):

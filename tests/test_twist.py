@@ -155,9 +155,11 @@ def test_singleton_collapse(chain3):
             for z in range(n):
                 for v in range(n):
                     prod = operator_product(s, x, y, z, v)
-                    assert (prod.bit_count() == 1) == (s.imp[x][v] == s.imp[z][y])
+                    assert (prod.bit_count() == 1) == \
+                        (s.imp[x][v] == s.imp[z][y])
                     imp = operator_implication(s, x, y, z, v)
-                    assert (imp.bit_count() == 1) == (s.imp[x][z] == s.imp[v][y])
+                    assert (imp.bit_count() == 1) == \
+                        (s.imp[x][z] == s.imp[v][y])
 
 
 def test_embedding(example1):
