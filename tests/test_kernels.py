@@ -1,13 +1,15 @@
 """The bitmask kernels against loops written from the definitions.
 
 Cone distributivity (order._lu_identity_failure, both orientations), the
-normality test of order.is_pseudo_kleene and the five-point operator
-audit (twist.check_operator_residuated) must give the same verdicts and
-the same first witnesses, row-major in (x, y, z), as the plain loops
-below, which work on Python sets and p.leq only (operator images are
-read as the sets of their members).
+normality test of order.is_pseudo_kleene, the adjunction scan of
+condition (3) and the five-point operator audit
+(twist.check_operator_residuated) must give the same verdicts and the
+same first witnesses, row-major in (x, y, z), as the plain loops below,
+which work on Python sets and p.leq only (operator images are read as
+the sets of their members).
 """
 
+import functools
 import itertools
 import random
 
@@ -16,9 +18,12 @@ import pytest
 from resposet.order import _lu_identity_failure, antichain, bits, chain, \
     is_antitone_involution, is_pseudo_kleene, mask_of, poset_from_covers
 from resposet.report import CheckItem
-from resposet.search import enumerate_posets, enumerate_structures
+from resposet.residuation import condition_holds, structure
+from resposet.search import enumerate_posets, enumerate_structures, \
+    residuable_columns
+from resposet.structfile import load
 from resposet.twist import OperatorStructure, build_operator_twist, \
-    check_operator_residuated, full_twist
+    check_operator_residuated, full_twist, projection, twist_operations
 
 
 def _leq(p, dual):
@@ -245,3 +250,129 @@ def test_audit_matches_reference_on_perturbed_twists():
         assert _lines(check_operator_residuated(mutated)) == want, trial
         failed += any("FAIL" in line for line in want[3:])
     assert failed > 30
+
+
+@functools.lru_cache(maxsize=None)
+def _leq_matrix(p):
+    return [[p.leq(a, b) for b in range(p.n)] for a in range(p.n)]
+
+
+def reference_adjunction_failure(s):
+    """Condition (3): the first (x, y, z), row-major, where x*y <= z and
+    x <= y->z disagree."""
+    m, i, n = s.mul, s.imp, s.poset.n
+    leq = _leq_matrix(s.poset)
+    for x in range(n):
+        for y in range(n):
+            left = leq[m[x][y]]
+            right = [leq[x][w] for w in i[y]]
+            if left != right:
+                return x, y, next(z for z in range(n) if left[z] != right[z])
+    return None
+
+
+def _assert_adjunction_matches(s):
+    want = reference_adjunction_failure(s)
+    assert condition_holds(s, 3) == (want is None, want), \
+        (s.poset.names, s.poset.up, s.mul, s.imp)
+    return want
+
+
+def _lifts(s):
+    n = s.poset.n
+    one = (s.one, s.one)
+    first, second = projection(n, "proj1"), projection(n, "proj2")
+    return (twist_operations(s, first, second, one),
+            twist_operations(s, second, first, one))
+
+
+def _perturbed(rng, s, *tables):
+    # one cell of mul (0) or imp (1) moved to another value per entry of
+    # tables
+    n = s.poset.n
+    cells = [list(map(list, s.mul)), list(map(list, s.imp))]
+    for table in tables:
+        x, y = rng.randrange(n), rng.randrange(n)
+        cells[table][x][y] = (cells[table][x][y] + rng.randrange(1, n)) % n
+    return structure(s.poset, cells[0], cells[1], one=s.one)
+
+
+def test_adjunction_matches_reference_on_residuated_pairs_and_lifts():
+    rng = random.Random(303)
+    checked = failed = 0
+    for n in (1, 2, 3):
+        for s in enumerate_structures(n, "residuated-pair"):
+            assert _assert_adjunction_matches(s) is None
+            for k, lift in enumerate(_lifts(s)):
+                want = [_assert_adjunction_matches(lift)]
+                if n > 1 and rng.random() < 0.2:
+                    want.append(_assert_adjunction_matches(
+                        _perturbed(rng, lift, k)))
+                checked += len(want)
+                failed += sum(w is not None for w in want)
+    assert checked > 12000 and failed > 500
+
+
+def _chain_structure(n, mul, imp):
+    top = n - 1
+    return structure(chain(n), [[mul(x, y, top) for y in range(n)]
+                                for x in range(n)],
+                     [[imp(y, z, top) for z in range(n)] for y in range(n)],
+                     one=top, zero=0)
+
+
+def _godel(n):
+    return _chain_structure(n, lambda x, y, top: min(x, y),
+                            lambda y, z, top: top if y <= z else z)
+
+
+def _lukasiewicz(n):
+    return _chain_structure(n, lambda x, y, top: max(0, x + y - top),
+                            lambda y, z, top: min(top, top - y + z))
+
+
+@pytest.mark.parametrize("base", ["godel10", "lukasiewicz10", "example1"])
+def test_adjunction_matches_reference_on_large_lifts(base):
+    s = {"godel10": lambda: _godel(10),
+         "lukasiewicz10": lambda: _lukasiewicz(10),
+         "example1": lambda: load("example1").structure}[base]()
+    lift = _lifts(s)[0]
+    assert _assert_adjunction_matches(lift) is None
+    # two changed cells can break two columns, and the first witness
+    # is then not in the first failing column
+    rng = random.Random(base)
+    witnesses = {_assert_adjunction_matches(_perturbed(rng, lift, *tables))
+                 for tables in ((0,), (1,), (0, 0), (0, 1), (1, 1)) * 2}
+    assert None not in witnesses and len(witnesses) == 10
+
+
+def _random_table(rng, n):
+    return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+
+
+def _random_residuated(rng, p):
+    # a product of random residuable columns with its residuum
+    n = p.n
+    columns = residuable_columns(p)
+    chosen = [rng.choice(list(columns)) for _ in range(n)]
+    return structure(p, [[col[x] for col in chosen] for x in range(n)],
+                     [columns[col] for col in chosen], one=rng.randrange(n))
+
+
+def test_adjunction_matches_reference_on_random_tables():
+    # residuated pairs with one cell changed on the smaller posets (the
+    # column enumeration is n**n), random tables on all of them
+    rng = random.Random(3003)
+    witnesses = set()
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        p = _random_poset(rng, n)
+        if n <= 4 and trial % 2:
+            s = _random_residuated(rng, p)
+            if n > 1:
+                s = _perturbed(rng, s, rng.randrange(2))
+        else:
+            s = structure(p, _random_table(rng, n), _random_table(rng, n),
+                          one=rng.randrange(n))
+        witnesses.add(_assert_adjunction_matches(s))
+    assert None in witnesses and len(witnesses) > 30
