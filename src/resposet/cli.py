@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 when every gating check passes, 1 when a check fails
-(witnesses go to stdout), 2 for input or usage errors.
+(witnesses go to stdout), 2 for input or usage errors, 3 when a member
+leaving the restricted carrier matches no closure case (EscapeCaseError:
+the case analysis is incomplete; op, p, q and member go to stdout).
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .kleene_twist import check_kleene_twist
+from .kleene_twist import EscapeCaseError, check_kleene_twist
 from .order import OrderError, is_distributive, is_lattice
 from .report import CheckItem, all_pass, exit_code, render
 from .residuation import (CONDITION_IDS, StructureError, check_condition,
@@ -258,6 +260,9 @@ def run(argv=None):
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except EscapeCaseError as e:
+        print(e)
+        return 3
 
 
 def main():

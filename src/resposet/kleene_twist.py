@@ -124,6 +124,11 @@ def _pair_pattern(base, a, pair):
     return {"low": twist.leq(p, center), "high": twist.leq(center, p)}
 
 
+class EscapeCaseError(Exception):
+    """An image member left the carrier and matched no row of the escape
+    case table; the message names op, p, q and member."""
+
+
 def classify_escape(s, a, op, ppair, qpair, member):
     """The failing closure item for the first image member that leaves the
     carrier.  Its witness names the operator, the operand pairs p = (b,c)
@@ -131,21 +136,22 @@ def classify_escape(s, a, op, ppair, qpair, member):
     e.g. "low-high" for p <= (a,a) <= q); which strict product comparison
     drives the escape; and which comparability inequality fails, implying
     which of conditions (11)/(12) it breaks.  Exactly one row of the case
-    table should fire when the standing assumptions hold."""
+    table fires under the standing assumptions (else EscapeCaseError)."""
     base = s.poset
+    witness = (("op", op), ("p", pair_name(base, ppair)),
+               ("q", pair_name(base, qpair)),
+               ("member", pair_name(base, member)))
     p_pattern = _pair_pattern(base, a, ppair)
     q_pattern = _pair_pattern(base, a, qpair)
     for case in _escape_cases(s, a, *ppair, *qpair):
         case_op, case_member, pp, qp, cmp_, needs, breaks = case
         if (case_op == op and case_member == member and p_pattern[pp]
                 and q_pattern[qp] and cmp_[1] and not needs[1]):
-            return CheckItem("closure", False, (
-                ("op", op), ("p", pair_name(base, ppair)),
-                ("q", pair_name(base, qpair)),
-                ("member", pair_name(base, member)),
+            return CheckItem("closure", False, witness + (
                 ("pattern", "%s-%s" % (pp, qp)), ("compare", cmp_[0]),
                 ("needs", needs[0]), ("breaks", str(breaks))))
-    raise AssertionError("operator escape matches no closure case")
+    raise EscapeCaseError("operator escape matches no closure case: "
+                          + " ".join("%s=%s" % kv for kv in witness))
 
 
 def build_restricted_operators(s, rt):

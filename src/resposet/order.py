@@ -11,6 +11,7 @@ posets the package builds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -79,14 +80,18 @@ class Poset:
         return "{" + ",".join(self.names[i] for i in bits(mask)) + "}"
 
     def cover_pairs(self):
-        """Hasse covers (x, y) with x < y and nothing strictly between."""
-        out = []
-        for x in range(self.n):
-            for y in bits(self.up[x] & ~(1 << x)):
-                between = self.up[x] & self.down[y] & ~(1 << x) & ~(1 << y)
-                if not between:
-                    out.append((x, y))
-        return out
+        """Hasse covers (x, y), x ascending, then y (see upper_covers)."""
+        return [(x, y) for x, ys in enumerate(upper_covers(self))
+                for y in bits(ys)]
+
+
+@functools.lru_cache(maxsize=None)
+def upper_covers(p):
+    """The mask of each element's upper covers: the elements strictly above
+    it, less the strict up-cone of each of them."""
+    strict = [u ^ 1 << x for x, u in enumerate(p.up)]
+    outside = [~s for s in strict]
+    return tuple(_cone(s, outside, s) for s in strict)
 
 
 # Words that open a section of the structure file format; an element

@@ -1,5 +1,6 @@
 import pytest
 
+from resposet import kleene_twist
 from resposet.cli import run
 from resposet.structfile import emit_structure
 
@@ -99,6 +100,16 @@ def test_pa_example1_failures(capsys):
     assert "CHECK (11) FAIL witness x=a" in out
     assert "CHECK (12) PASS" in out
     assert "breaks=11" in out
+
+
+def test_pa_unclassified_escape_exits_3(monkeypatch, capsys):
+    # with an empty case table the first escape of example1 around 0
+    # matches no row
+    monkeypatch.setattr(kleene_twist, "_escape_cases", lambda *args: ())
+    assert run(["pa", "example1", "--a", "0"]) == 3
+    out = capsys.readouterr().out
+    assert out.endswith("operator escape matches no closure case:"
+                        " op=oimp p=a0 q=01 member=ha\n")
 
 
 def test_pa_assumption_failure(tmp_path, diamond, capsys):

@@ -173,6 +173,16 @@ def test_cover_pairs_chain():
     assert chain(3).cover_pairs() == [(0, 1), (1, 2)]
 
 
+def test_cover_pairs_have_nothing_between():
+    # x < y with no z strictly between, x ascending, then y
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            want = [(x, y) for x in range(n) for y in range(n)
+                    if p.lt(x, y) and not any(p.lt(x, z) and p.lt(z, y)
+                                              for z in range(n))]
+            assert p.cover_pairs() == want, (p.names, p.up)
+
+
 posets4 = enumerate_posets(4)
 
 
