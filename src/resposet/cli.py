@@ -1,9 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 when every gating check passes, 1 when a check fails
-(witnesses go to stdout), 2 for input or usage errors, 3 when a member
-leaving the restricted carrier matches no closure case (EscapeCaseError:
-the case analysis is incomplete; op, p, q and member go to stdout).
+(witnesses go to stdout), 2 for input or usage errors, 3 when an operator
+escape matches no closure case (EscapeCaseError; its witness goes to stdout).
 """
 
 from __future__ import annotations

@@ -125,8 +125,7 @@ def _pair_pattern(base, a, pair):
 
 
 class EscapeCaseError(Exception):
-    """An image member left the carrier and matched no row of the escape
-    case table; the message names op, p, q and member."""
+    """An escape that matches no row of the escape case table."""
 
 
 def classify_escape(s, a, op, ppair, qpair, member):

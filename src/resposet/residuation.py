@@ -105,19 +105,22 @@ def _monotone_failure(p, t, antitone=False):
     return None
 
 
+def _transpose(t):
+    return tuple(zip(*t))
+
+
 def _cond3(s):
-    """x*y <= z iff x <= y->z, on masks over z, one column y at a time: R[w]
-    starts as the mask of z with y->z = w; walking x after its upper covers
-    c, R[x] |= R[c] leaves the mask of z with x <= y->z, to equal up[x*y].
-    The witness is the first (x, y, z) row-major: the least (x, y) over the
-    failing columns, z the lowest bit of the difference."""
+    """x*y <= z iff x <= y->z, one column y at a time on masks over z: R[w]
+    starts as the z with y->z = w; R[x] |= R[c] for each upper cover c of x,
+    covers first, leaves the z with x <= y->z, which must equal up[x*y].
+    The witness is the first failing (x, y, z), row-major."""
     p, m, i = s.poset, s.mul, s.imp
     up, n = p.up, p.n
     covers = upper_covers(p)
     # a proper subset of a mask is a smaller int: covers come first
     walk = [(x, c) for x in sorted(range(n), key=up.__getitem__)
             for c in bits(covers[x])]
-    first = None
+    fails = []
     for y, col in enumerate(zip(*m)):
         r = [0] * n
         for z, w in enumerate(i[y]):
@@ -127,9 +130,8 @@ def _cond3(s):
         want = list(map(up.__getitem__, col))
         if r != want:
             x = next(x for x in range(n) if r[x] != want[x])
-            if first is None or x < first[0]:
-                first = x, y, lowest(r[x] ^ want[x])
-    return first
+            fails.append((x, y, lowest(r[x] ^ want[x])))
+    return min(fails, default=None)
 
 
 def _cond6(s):
@@ -234,12 +236,12 @@ def _idempotence_failure(s):
 _CONDITIONS = {
     1: (lambda s: _monotone_failure(s.poset, s.mul),
         ("x", "y", "z"), dict(mul=True)),
-    2: (lambda s: _monotone_failure(s.poset, tuple(zip(*s.mul))),
+    2: (lambda s: _monotone_failure(s.poset, _transpose(s.mul)),
         ("x", "y", "z"), dict(mul=True)),
     3: (_cond3, ("x", "y", "z"), dict(mul=True, imp=True)),
     4: (lambda s: _monotone_failure(s.poset, s.imp),
         ("x", "y", "z"), dict(imp=True)),
-    5: (lambda s: _monotone_failure(s.poset, tuple(zip(*s.imp)), True),
+    5: (lambda s: _monotone_failure(s.poset, _transpose(s.imp), True),
         ("x", "y", "z"), dict(imp=True)),
     6: (_cond6, ("x",), dict(mul=True)),
     7: (_cond7, ("x", "y"), dict(mul=True)),
