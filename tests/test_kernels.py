@@ -15,8 +15,10 @@ import random
 
 import pytest
 
+from resposet.kleene_twist import check_kleene_twist
 from resposet.order import _lu_identity_failure, antichain, bits, chain, \
-    is_antitone_involution, is_pseudo_kleene, mask_of, poset_from_covers
+    is_antitone_involution, is_pseudo_kleene, mask_of, poset_from_covers, \
+    transposed
 from resposet.report import CheckItem
 from resposet.residuation import condition_holds, structure
 from resposet.search import enumerate_posets, enumerate_structures, \
@@ -95,31 +97,42 @@ def reference_audit(os):
                            () if comm is None else
                            (("x", names[comm[0]]), ("y", names[comm[1]]))))
 
+    items.append(associativity_item(
+        names, next(associativity_failures(odot), None)))
+
+    adj = first((("x", names[x]), ("y", names[y]), ("z", names[z]))
+                for x, y, z in itertools.product(range(n), repeat=3)
+                if all(p.leq(u, z) for u in odot[x][y])
+                != all(p.leq(x, u) for u in oimp[y][z]))
+    items.append(CheckItem("op-adjunction", adj is None, adj or ()))
+    return items
+
+
+def associativity_failures(odot):
+    """Each (x, y, z), row-major, at which (x (.) y) (.) z and
+    x (.) (y (.) z) differ, with both sides: odot holds sets, and each
+    side is the union of the images of its members."""
+    n = len(odot)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        lhs = {w for u in odot[x][y] for w in odot[u][z]}
+        rhs = {w for u in odot[y][z] for w in odot[x][u]}
+        if lhs != rhs:
+            yield x, y, z, lhs, rhs
+
+
+def associativity_item(names, failure):
+    """The op-associative item for the failure (x, y, z, lhs, rhs), or a
+    pass for None."""
+    if failure is None:
+        return CheckItem("op-associative", True)
+
     def render(members):
         return "{" + ",".join(names[u] for u in sorted(members)) + "}"
 
-    assoc = None
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = {w for u in odot[x][y] for w in odot[u][z]}
-                rhs = {w for u in odot[y][z] for w in odot[x][u]}
-                if assoc is None and lhs != rhs:
-                    assoc = (("x", names[x]), ("y", names[y]),
-                             ("z", names[z]), ("lhs", render(lhs)),
-                             ("rhs", render(rhs)))
-    items.append(CheckItem("op-associative", assoc is None, assoc or ()))
-
-    adj = None
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                left = all(p.leq(u, z) for u in odot[x][y])
-                right = all(p.leq(x, u) for u in oimp[y][z])
-                if adj is None and left != right:
-                    adj = (("x", names[x]), ("y", names[y]), ("z", names[z]))
-    items.append(CheckItem("op-adjunction", adj is None, adj or ()))
-    return items
+    x, y, z, lhs, rhs = failure
+    return CheckItem("op-associative", False,
+                     (("x", names[x]), ("y", names[y]), ("z", names[z]),
+                      ("lhs", render(lhs)), ("rhs", render(rhs))))
 
 
 def _lines(items):
@@ -376,3 +389,103 @@ def test_adjunction_matches_reference_on_random_tables():
                           one=rng.randrange(n))
         witnesses.add(_assert_adjunction_matches(s))
     assert None in witnesses and len(witnesses) > 30
+
+
+
+def _member_sets(table):
+    return [[set(bits(m)) for m in row] for row in table]
+
+
+def _with_odot(ops, cells):
+    odot = list(map(list, ops.odot))
+    for x, y, image in cells:
+        odot[x][y] = image
+    return OperatorStructure(ops.poset, tuple(map(tuple, odot)), ops.oimp,
+                             ops.zero, ops.one)
+
+
+def _odot_perturbations(rng, ops, count):
+    # one or two cells of odot, each set to a one- or two-member image
+    n = ops.poset.n
+    for trial in range(count):
+        yield _with_odot(ops, [
+            (rng.randrange(n), rng.randrange(n),
+             mask_of(rng.sample(range(n), rng.randint(1, 2))))
+            for _ in range(1 + trial % 2)])
+
+
+def _associativity_line(ops):
+    return _lines(check_operator_residuated(ops))[3]
+
+
+@pytest.mark.parametrize("base", ["godel6", "lukasiewicz6"])
+def test_audit_matches_reference_on_perturbed_chain_twists(base):
+    # the scan runs to the end, so every failing (x, y) is known: a later y
+    # can fail at a smaller x than the least failing y does, and the first
+    # witness is then not in the least failing y
+    s = {"godel6": _godel, "lukasiewicz6": _lukasiewicz}[base](6)
+    ops = build_operator_twist(s)
+    assert _lines(check_operator_residuated(ops)) == \
+        _lines(reference_audit(ops))
+    names = ops.poset.names
+    rng = random.Random(base)
+    later_y_first = 0
+    for mutated in _odot_perturbations(rng, ops, 8):
+        failures = list(associativity_failures(_member_sets(mutated.odot)))
+        want = associativity_item(names, min(failures, default=None))
+        assert _associativity_line(mutated) == want.line()
+        ys = [f[1] for f in failures]
+        later_y_first += bool(failures) and min(failures)[1] != min(ys)
+    assert later_y_first >= 2
+
+
+def test_audit_matches_reference_on_perturbed_example1_twist():
+    # the reference stops at its first failure: the full scan of these
+    # 100 pairs takes seconds
+    ops = build_operator_twist(load("example1").structure)
+    assert _associativity_line(ops) == "CHECK (op-associative) PASS"
+    names = ops.poset.names
+    rng = random.Random(1)
+    failed = 0
+    for mutated in _odot_perturbations(rng, ops, 6):
+        first = next(associativity_failures(_member_sets(mutated.odot)),
+                     None)
+        assert _associativity_line(mutated) == \
+            associativity_item(names, first).line()
+        failed += first is not None
+    assert failed == 6
+
+
+def test_audit_matches_reference_on_restricted_carrier():
+    # in Goedel 8 the operator images stay in the restricted carrier only
+    # at ranks 0 and 1; rank 1 gives the larger carrier
+    ops = check_kleene_twist(_godel(8), 1).operators
+    assert ops.poset.n == 27
+    assert _lines(check_operator_residuated(ops)) == \
+        _lines(reference_audit(ops))
+    names = ops.poset.names
+    for mutated in _odot_perturbations(random.Random(8), ops, 4):
+        failures = list(associativity_failures(_member_sets(mutated.odot)))
+        assert _associativity_line(mutated) == \
+            associativity_item(names, min(failures, default=None)).line()
+
+
+def reference_transposed(rows, width):
+    """Column j < width of the bit matrix with entry (i, j) = bit j of
+    rows[i], as a mask over i."""
+    return [sum(1 << i for i, r in enumerate(rows) if r >> j & 1)
+            for j in range(width)]
+
+
+def test_transposed_matches_reference():
+    # sizes cross the 8/16/32/64 padding steps; one row in four has bits
+    # at or past width, which have no column
+    rng = random.Random(64)
+    sizes = [(k, w) for k in (1, 7, 8, 9, 16, 17, 33, 64, 65, 70)
+             for w in (1, 8, 9, 31, 64, 70)]
+    sizes += [(rng.randint(1, 70), rng.randint(1, 70)) for _ in range(40)]
+    for k, width in sizes:
+        rows = [rng.getrandbits(width + 9 * (i % 4 == 3))
+                for i in range(k)]
+        assert transposed(rows, width) == \
+            reference_transposed(rows, width), (k, width)
