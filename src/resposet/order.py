@@ -114,10 +114,43 @@ def check_names(names):
 
 def transposed(rows, width):
     """The bit matrix with rows[i] >> j & 1 as entry (i, j), transposed:
-    one mask per column j < width, with bit i set when rows[i] has bit j."""
-    # character j of each reversed binary string is bit j
-    text = [format(r, "0%db" % width)[::-1] for r in rows]
-    return [int("".join(col)[::-1], 2) for col in zip(*text)]
+    one mask per column j < width, with bit i set when rows[i] has bit j.
+    Bits at or past width are ignored.
+
+    The rows are packed into one int as a w x w matrix, w the least power
+    of two >= 8 that fits both the rows and the width, row i at bits
+    [i*w, (i+1)*w).  The s x s blocks of every 2s x 2s block swap across
+    the diagonal for s = w/2, ..., 1, which moves entry (i, j) to (j, i);
+    row j of the result is column j.
+    """
+    w = max(8, 1 << (max(len(rows), width) - 1).bit_length())
+    keep, size = (1 << width) - 1, w // 8
+    m = int.from_bytes(b"".join(
+        (r & keep).to_bytes(size, "little") for r in rows), "little")
+    for shift, sel in _block_swaps(w):
+        t = (m ^ m >> shift) & sel
+        m ^= t ^ t << shift
+    data = m.to_bytes(w * size, "little")
+    return [int.from_bytes(data[j * size:(j + 1) * size], "little")
+            for j in range(width)]
+
+
+@functools.lru_cache(maxsize=None)
+def _block_swaps(w):
+    # for each block size s: the shift s*(w-1) from entry (i, j) to
+    # (i+s, j-s), and the mask of the entries (i, j) with bit s clear in i
+    # and set in j
+    swaps = []
+    s = w // 2
+    while s:
+        row = sum(1 << j for j in range(w) if j & s).to_bytes(w // 8,
+                                                              "little")
+        zero = bytes(w // 8)
+        sel = int.from_bytes(b"".join(zero if i & s else row
+                                      for i in range(w)), "little")
+        swaps.append((s * (w - 1), sel))
+        s //= 2
+    return tuple(swaps)
 
 
 def _poset(names, up):
@@ -207,15 +240,19 @@ def _cone(cone, table, mask):
 
 class ConeMemo(dict):
     """cone(p, mask) for each mask looked up (cone is lower_cone or
-    upper_cone), computed once per distinct mask."""
+    upper_cone), computed once per distinct mask.  A mask with a member
+    past the carrier has the empty cone: that member is comparable to
+    nothing."""
 
     def __init__(self, cone, p):
         super().__init__()
         self.cone = cone
         self.p = p
+        self.full = p.full
 
     def __missing__(self, mask):
-        value = self[mask] = self.cone(self.p, mask)
+        value = self[mask] = \
+            self.cone(self.p, mask) if mask <= self.full else 0
         return value
 
 

@@ -17,6 +17,7 @@ different structures:
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 
 from .order import (ConeMemo, Poset, bits, bounds, lower_cone, lowest,
@@ -251,10 +252,13 @@ def check_operator_residuated(os):
 
     Each scan reports its first failure in row-major order: (x, y) for
     well-formedness (an image is empty or has a member past the carrier)
-    and commutativity, (x, y, z) for associativity and adjunction.
-    Associativity needs every product image member to be a carrier index;
-    an implication image member past the carrier is above no element, as
-    p.leq reads it.
+    and commutativity, (x, y, z) for associativity and adjunction.  The
+    later items still run on images that fail well-formedness, reading an
+    image member past the carrier as comparable to nothing: a product
+    member is below no element, and an implication member is above no
+    element, as p.leq reads it.  Associativity reads each product image
+    restricted to the carrier, so such a member has an empty image and is
+    in neither side.
     """
     p = os.poset
     n = p.n
@@ -283,7 +287,10 @@ def check_operator_residuated(os):
     items.append(CheckItem("op-commutative", comm is None,
                            named_witness(p.names, ("x", "y"), comm)))
 
-    assoc = _associativity_failure(os.odot)
+    dot = os.odot
+    if wf is not None:
+        dot = [[m & p.full for m in row] for row in dot]
+    assoc = _associativity_failure(dot)
     items.append(CheckItem(
         "op-associative", assoc is None,
         () if assoc is None else
@@ -304,37 +311,63 @@ def _associativity_failure(dot):
     x (.) (y (.) z), each side the union of the images of its members,
     as (x, y, z, lhs mask, rhs mask); None when associative.
 
-    dot[x][y] is the image mask of x (.) y.  Over all z at once, the left
-    side is the elementwise OR of the rows dot[u] for u in x (.) y, and
-    the right side takes, at each z, the OR of dot[x][u] for u in y (.) z:
-    entry x of the elementwise OR of the columns dot[.][u].  Both are
-    computed once per distinct image mask.
+    dot[x][y] is the image mask of x (.) y.  For each distinct image
+    mask m, left[m] is the elementwise OR of the rows dot[u] (u in m), a row
+    over z, and right[m] the OR of the columns dot[.][u], a column over x.
+    Each union is stored as an array of small codes, one per distinct
+    value, shared by both sides.  One y at a time, the left side in (x, z)
+    order is left[x (.) y] joined over x; the right side is right[y (.) z]
+    joined over z, read in (x, z) order by the stride-n slices from each
+    x.  One comparison decides y.  The row-major first failure is the
+    least (x, y) over the failing y, at the first z where its rows differ.
     """
     n = len(dot)
-    ids = {}
-    for row in dot:
-        for m in row:
-            ids.setdefault(m, len(ids))
-    idrows = [list(map(ids.__getitem__, row)) for row in dot]
-    left = [_union_rows(dot, m, n) for m in ids]
     cols = list(zip(*dot))
-    right = list(zip(*[_union_rows(cols, m, n) for m in ids]))
-    for x in range(n):
-        lookup = right[x].__getitem__
-        for y in range(n):
-            lhs = left[idrows[x][y]]
-            rhs = list(map(lookup, idrows[y]))
-            if lhs != rhs:
-                z = next(z for z in range(n) if lhs[z] != rhs[z])
-                return x, y, z, lhs[z], rhs[z]
-    return None
+    images = set()
+    for row in dot:
+        images.update(row)
+    left = {m: _union_rows(dot, m) for m in images}
+    right = {m: _union_rows(cols, m) for m in images}
+    values = set()
+    for union in (left, right):
+        for row in union.values():
+            values.update(row)
+    code = dict(zip(values, range(len(values)))).__getitem__
+    for union in (left, right):
+        for m, row in union.items():
+            union[m] = array("L", map(code, row))
+    fails = []
+    for y, col in enumerate(cols):
+        lhs = b"".join(map(left.__getitem__, col))
+        zx = array("L", b"".join(map(right.__getitem__, dot[y])))
+        if lhs != b"".join([zx[x::n] for x in range(n)]):
+            fails.append(next((x, y) for x in range(n)
+                              if left[col[x]] != zx[x::n]))
+    if not fails:
+        return None
+    x, y = min(fails)
+    row = left[dot[x][y]]
+    z = next(z for z in range(n) if row[z] != right[dot[y][z]][x])
+    return (x, y, z, _union(dot[u][z] for u in bits(dot[x][y])),
+            _union(dot[x][u] for u in bits(dot[y][z])))
 
 
-def _union_rows(rows, members, n):
-    # elementwise OR of rows[u] over the members u of the mask
-    out = [0] * n
-    for u in bits(members):
+def _union_rows(rows, members):
+    # elementwise OR of rows[u] over the members u of the mask; zeros for
+    # the empty mask
+    if not members:
+        return [0] * len(rows)
+    it = bits(members)
+    out = rows[next(it)]
+    for u in it:
         out = list(map(int.__or__, out, rows[u]))
+    return out
+
+
+def _union(masks):
+    out = 0
+    for m in masks:
+        out |= m
     return out
 
 
@@ -350,9 +383,7 @@ def _adjunction_failure(p, dot, imp):
     """
     n = p.n
     lower = ConeMemo(lower_cone, p)
-    # an image with a member past the carrier has an empty lower cone
-    below = [transposed([lower[m] if m <= p.full else 0 for m in row], n)
-             for row in imp]
+    below = [transposed(list(map(lower.__getitem__, row)), n) for row in imp]
     upper = ConeMemo(upper_cone, p)
     for x in range(n):
         for y in range(n):

@@ -68,7 +68,11 @@ def reference_normality_failure(p, mapping):
 
 
 def reference_audit(os):
-    """The five-point audit, item for item, from its definitions."""
+    """The five-point audit, item for item, from its definitions.  An
+    image member past the carrier is comparable to nothing: a product
+    member is below no element, an implication member is above no
+    element (p.leq reads it so), and associativity reads each product
+    image restricted to the carrier."""
     p = os.poset
     n = p.n
     names = p.names
@@ -97,12 +101,13 @@ def reference_audit(os):
                            () if comm is None else
                            (("x", names[comm[0]]), ("y", names[comm[1]]))))
 
+    inside = [[{u for u in cell if u < n} for cell in row] for row in odot]
     items.append(associativity_item(
-        names, next(associativity_failures(odot), None)))
+        names, next(associativity_failures(inside), None)))
 
     adj = first((("x", names[x]), ("y", names[y]), ("z", names[z]))
                 for x, y, z in itertools.product(range(n), repeat=3)
-                if all(p.leq(u, z) for u in odot[x][y])
+                if all(u < n and p.leq(u, z) for u in odot[x][y])
                 != all(p.leq(x, u) for u in oimp[y][z]))
     items.append(CheckItem("op-adjunction", adj is None, adj or ()))
     return items
@@ -237,6 +242,34 @@ def test_audit_matches_reference_with_implication_members_past_carrier():
         oimp[x][y] |= 1 << (n + rng.randrange(2))
         ops = OperatorStructure(ops.poset, ops.odot, tuple(map(tuple, oimp)),
                                 ops.zero, ops.one)
+        want = _lines(reference_audit(ops))
+        assert "CHECK (op-wellformed) FAIL" in want[1]
+        assert _lines(check_operator_residuated(ops)) == want, trial
+
+
+def _with_odot(ops, cells):
+    odot = list(map(list, ops.odot))
+    for x, y, image in cells:
+        odot[x][y] = image
+    return OperatorStructure(ops.poset, tuple(map(tuple, odot)), ops.oimp,
+                             ops.zero, ops.one)
+
+
+def test_audit_matches_reference_with_product_members_past_carrier(chain3):
+    # op-wellformed fails; the other items are still reported, reading a
+    # product member past the carrier as below no element and associativity
+    # on the images restricted to the carrier
+    ops = build_operator_twist(chain3)
+    n = ops.poset.n
+    structures = [_with_odot(ops, [(0, 0, 1 << n)])]
+    rng = random.Random(12)
+    for trial in range(40):
+        ops = _random_operators(rng, rng.randint(1, 5), trial % 2 == 0)
+        n = ops.poset.n
+        x, y = rng.randrange(n), rng.randrange(n)
+        structures.append(_with_odot(
+            ops, [(x, y, ops.odot[x][y] | 1 << (n + rng.randrange(2)))]))
+    for trial, ops in enumerate(structures):
         want = _lines(reference_audit(ops))
         assert "CHECK (op-wellformed) FAIL" in want[1]
         assert _lines(check_operator_residuated(ops)) == want, trial
@@ -394,14 +427,6 @@ def test_adjunction_matches_reference_on_random_tables():
 
 def _member_sets(table):
     return [[set(bits(m)) for m in row] for row in table]
-
-
-def _with_odot(ops, cells):
-    odot = list(map(list, ops.odot))
-    for x, y, image in cells:
-        odot[x][y] = image
-    return OperatorStructure(ops.poset, tuple(map(tuple, odot)), ops.oimp,
-                             ops.zero, ops.one)
 
 
 def _odot_perturbations(rng, ops, count):
