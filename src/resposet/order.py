@@ -94,6 +94,16 @@ def upper_covers(p):
     return tuple(_cone(s, outside, s) for s in strict)
 
 
+@functools.lru_cache(maxsize=None)
+def cover_walk(p):
+    """Each (x, c) with c an upper cover of x, x in ascending up-cone mask
+    order: a proper subset is a smaller int, so the pairs of c all come
+    before those of x."""
+    covers = upper_covers(p)
+    return tuple((x, c) for x in sorted(range(p.n), key=p.up.__getitem__)
+                 for c in bits(covers[x]))
+
+
 # Words that open a section of the structure file format; an element
 # with one of these names would read back as that section.
 SECTION_WORDS = frozenset(("elements", "covers", "order", "table", "const",

@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .order import (bits, bounds, lowest, mask_of, maximal_elements,
-                    popcount, upper_covers)
+from .order import (bits, bounds, cover_walk, lowest, mask_of,
+                    maximal_elements, popcount)
 from .report import CheckItem
 
 
@@ -116,10 +116,7 @@ def _cond3(s):
     The witness is the first failing (x, y, z), row-major."""
     p, m, i = s.poset, s.mul, s.imp
     up, n = p.up, p.n
-    covers = upper_covers(p)
-    # a proper subset of a mask is a smaller int: covers come first
-    walk = [(x, c) for x in sorted(range(n), key=up.__getitem__)
-            for c in bits(covers[x])]
+    walk = cover_walk(p)
     fails = []
     for y, col in enumerate(zip(*m)):
         r = [0] * n
