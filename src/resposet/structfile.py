@@ -333,18 +333,17 @@ def emit_tables(obj, style="compressed", names=None):
         names = poset.names
     blocks = []
     for label, table in labeled:
-        rows = [[label] + list(names)]
-        for x in range(poset.n):
-            rows.append([names[x]] +
-                        [_cell_text(names, table[x][y], style, is_set)
-                         for y in range(poset.n)])
-        widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+        text = {v: _cell_text(names, v, style, is_set)
+                for v in set().union(*table)}
+        rows = [(label, *names)] + [(names[x], *map(text.__getitem__, row))
+                                    for x, row in enumerate(table)]
+        widths = [max(map(len, col)) for col in zip(*rows)]
+        first = "%%-%ds" % widths[0]
+        rest = " ".join("%%-%ds" % w for w in widths[1:])
         lines = []
         for r in rows:
-            cells = [r[c].ljust(widths[c]) for c in range(len(r))]
-            first = cells[0]
-            rest = " ".join(cells[1:]).rstrip()
-            lines.append((first + " | " + rest).rstrip() if rest
-                         else first.rstrip())
+            cells = (rest % r[1:]).rstrip()
+            lines.append((first % r[0] + " | " + cells).rstrip() if cells
+                         else r[0].rstrip())
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
