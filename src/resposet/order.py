@@ -150,17 +150,15 @@ def _block_swaps(w):
     # for each block size s: the shift s*(w-1) from entry (i, j) to
     # (i+s, j-s), and the mask of the entries (i, j) with bit s clear in i
     # and set in j
+    size = w // 8
     swaps = []
-    s = w // 2
-    while s:
-        row = sum(1 << j for j in range(w) if j & s).to_bytes(w // 8,
-                                                              "little")
-        zero = bytes(w // 8)
-        sel = int.from_bytes(b"".join(zero if i & s else row
-                                      for i in range(w)), "little")
-        swaps.append((s * (w - 1), sel))
-        s //= 2
-    return tuple(swaps)
+    for k in reversed(range(w.bit_length() - 1)):
+        s = 1 << k
+        row = sum(1 << j for j in range(w) if j & s).to_bytes(size, "little")
+        block = row * s + bytes(size * s)
+        swaps.append((s * (w - 1),
+                      int.from_bytes(block * (w // (2 * s)), "little")))
+    return swaps
 
 
 def _poset(names, up):

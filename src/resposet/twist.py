@@ -287,10 +287,9 @@ def check_operator_residuated(os):
     items.append(CheckItem("op-commutative", comm is None,
                            named_witness(p.names, ("x", "y"), comm)))
 
-    dot = os.odot
-    if wf is not None:
-        dot = [[m & p.full for m in row] for row in dot]
-    assoc = _associativity_failure(dot)
+    full = p.full
+    assoc = _associativity_failure([[m & full for m in row]
+                                    for row in os.odot])
     items.append(CheckItem(
         "op-associative", assoc is None,
         () if assoc is None else
@@ -348,8 +347,12 @@ def _associativity_failure(dot):
     x, y = min(fails)
     row = left[dot[x][y]]
     z = next(z for z in range(n) if row[z] != right[dot[y][z]][x])
-    return (x, y, z, _union(dot[u][z] for u in bits(dot[x][y])),
-            _union(dot[x][u] for u in bits(dot[y][z])))
+    lhs = rhs = 0
+    for u in bits(dot[x][y]):
+        lhs |= dot[u][z]
+    for u in bits(dot[y][z]):
+        rhs |= dot[x][u]
+    return x, y, z, lhs, rhs
 
 
 def _union_rows(rows, members):
@@ -361,13 +364,6 @@ def _union_rows(rows, members):
     out = rows[next(it)]
     for u in it:
         out = list(map(int.__or__, out, rows[u]))
-    return out
-
-
-def _union(masks):
-    out = 0
-    for m in masks:
-        out |= m
     return out
 
 
