@@ -310,8 +310,8 @@ def _associativity_failure(dot):
     x (.) (y (.) z), each side the union of the images of its members,
     as (x, y, z, lhs mask, rhs mask); None when associative.
 
-    dot[x][y] is the image mask of x (.) y.  For each distinct image
-    mask m, left[m] is the elementwise OR of the rows dot[u] (u in m), a row
+    dot[x][y] is the image mask of x (.) y.  For each distinct image mask
+    m, left[m] is the elementwise OR of the rows dot[u] (u in m), a row
     over z, and right[m] the OR of the columns dot[.][u], a column over x.
     Each union is stored as an array of small codes, one per distinct
     value, shared by both sides.  One y at a time, the left side in (x, z)
