@@ -6,7 +6,8 @@ condition (3) and the five-point operator audit
 (twist.check_operator_residuated) must give the same verdicts and the
 same first witnesses, row-major in (x, y, z), as the plain loops below,
 which work on Python sets and p.leq only (operator images are read as
-the sets of their members).
+the sets of their members).  The bit-matrix transpose order.transposed
+must match a loop over its definition.
 """
 
 import functools
@@ -424,7 +425,6 @@ def test_adjunction_matches_reference_on_random_tables():
     assert None in witnesses and len(witnesses) > 30
 
 
-
 def _member_sets(table):
     return [[set(bits(m)) for m in row] for row in table]
 
@@ -503,8 +503,8 @@ def reference_transposed(rows, width):
 
 
 def test_transposed_matches_reference():
-    # sizes cross the 8/16/32/64 padding steps; one row in four has bits
-    # at or past width, which have no column
+    # sizes cross the 8/16/32/64 padding steps; one row in four is drawn
+    # 9 bits wider than width, and bits at or past width have no column
     rng = random.Random(64)
     sizes = [(k, w) for k in (1, 7, 8, 9, 16, 17, 33, 64, 65, 70)
              for w in (1, 8, 9, 31, 64, 70)]
