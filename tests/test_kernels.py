@@ -16,7 +16,8 @@ import random
 
 import pytest
 
-from resposet.kleene_twist import check_kleene_twist
+from resposet.kleene_twist import build_restricted_twist, \
+    check_kleene_twist
 from resposet.order import _lu_identity_failure, antichain, bits, chain, \
     is_antitone_involution, is_pseudo_kleene, mask_of, poset_from_covers, \
     transposed
@@ -26,7 +27,8 @@ from resposet.search import enumerate_posets, enumerate_structures, \
     residuable_columns
 from resposet.structfile import load
 from resposet.twist import OperatorStructure, build_operator_twist, \
-    check_operator_residuated, full_twist, projection, twist_operations
+    check_operator_residuated, full_twist, operator_implication, \
+    operator_product, projection, twist_operations
 
 
 def _leq(p, dual):
@@ -41,18 +43,26 @@ def _upper(leq, n, subset):
     return frozenset(x for x in range(n) if all(leq(a, x) for a in subset))
 
 
-def reference_lu_failure(p, dual):
-    """L(U(x,y) u {z}) = L(U(L(x,z) u L(y,z))), first failing triple."""
+def cone_operators(p, dual):
+    """L and U of p (of its order dual with dual) on frozensets, each
+    computed once per distinct argument."""
     leq, n = _leq(p, dual), p.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = _lower(leq, n, _upper(leq, n, {x, y}) | {z})
-                inner = _lower(leq, n, {x, z}) | _lower(leq, n, {y, z})
-                rhs = _lower(leq, n, _upper(leq, n, inner))
-                if lhs != rhs:
-                    return (x, y, z)
-    return None
+    return (functools.lru_cache(maxsize=None)(lambda s: _lower(leq, n, s)),
+            functools.lru_cache(maxsize=None)(lambda s: _upper(leq, n, s)))
+
+
+def lu_identity_holds(lower, upper, x, y, z):
+    """L(U(x,y) u {z}) = L(U(L(x,z) u L(y,z)))."""
+    lhs = lower(upper(frozenset((x, y))) | {z})
+    inner = lower(frozenset((x, z))) | lower(frozenset((y, z)))
+    return lhs == lower(upper(inner))
+
+
+def reference_lu_failure(p, dual):
+    """The LU identity's first failing triple, row-major."""
+    lower, upper = cone_operators(p, dual)
+    return next((t for t in itertools.product(range(p.n), repeat=3)
+                 if not lu_identity_holds(lower, upper, *t)), None)
 
 
 def reference_normality_failure(p, mapping):
@@ -106,12 +116,24 @@ def reference_audit(os):
     items.append(associativity_item(
         names, next(associativity_failures(inside), None)))
 
-    adj = first((("x", names[x]), ("y", names[y]), ("z", names[z]))
-                for x, y, z in itertools.product(range(n), repeat=3)
-                if all(u < n and p.leq(u, z) for u in odot[x][y])
-                != all(p.leq(x, u) for u in oimp[y][z]))
-    items.append(CheckItem("op-adjunction", adj is None, adj or ()))
+    adj = first(adjunction_failures(p, odot, oimp))
+    items.append(CheckItem("op-adjunction", adj is None, () if adj is None
+                           else tuple(zip("xyz", map(names.__getitem__,
+                                                     adj)))))
     return items
+
+
+def adjunction_failures(p, odot, oimp):
+    """Each (x, y, z), row-major, at which "every member of x (.) y is
+    below z" and "x is below every member of y (=>) z" disagree; odot and
+    oimp hold sets, and a product member past the carrier is below
+    nothing."""
+    n = p.n
+    leq = _leq_matrix(p)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if all(u < n and leq[u][z] for u in odot[x][y]) \
+                != all(u < n and leq[x][u] for u in oimp[y][z]):
+            yield x, y, z
 
 
 def associativity_failures(odot):
@@ -176,6 +198,32 @@ def test_distributivity_matches_reference_on_full_twists(base):
     p = full_twist(base)
     for dual in (False, True):
         assert _lu_identity_failure(p, dual) == reference_lu_failure(p, dual)
+
+
+def test_lu_identity_holds_at_comparable_pairs():
+    # the lemma behind skipping comparable pairs: for x <= y, U(x,y) is
+    # the up-cone of y and L(x,z) is inside L(y,z), so both sides are
+    # L(y,z); the same holds in the dual order
+    checked = 0
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            for dual in (False, True):
+                lower, upper = cone_operators(p, dual)
+                for x, y in itertools.product(range(n), repeat=2):
+                    if p.leq(x, y) or p.leq(y, x):
+                        for z in range(n):
+                            assert lu_identity_holds(lower, upper, x, y, z), \
+                                (p.names, p.up, dual, x, y, z)
+                            checked += 1
+    assert checked == 721646
+
+
+@pytest.mark.parametrize("base, a", [("godel8", a) for a in range(8)]
+                         + [("godel10", 5), ("lukasiewicz10", 1)])
+def test_distributivity_matches_reference_on_restricted_carriers(base, a):
+    # the carriers whose distributivity pa decides
+    p = build_restricted_twist(_base(base).poset, a).poset
+    assert _lu_identity_failure(p, False) == reference_lu_failure(p, False)
 
 
 def _bcrms():
@@ -378,11 +426,19 @@ def _lukasiewicz(n):
                             lambda y, z, top: min(top, top - y + z))
 
 
+def _base(name):
+    """"example1", or "godel" or "lukasiewicz" followed by the chain
+    length."""
+    if name == "example1":
+        return load("example1").structure
+    kind = name.rstrip("0123456789")
+    return {"godel": _godel, "lukasiewicz": _lukasiewicz}[kind](
+        int(name[len(kind):]))
+
+
 @pytest.mark.parametrize("base", ["godel10", "lukasiewicz10", "example1"])
 def test_adjunction_matches_reference_on_large_lifts(base):
-    s = {"godel10": lambda: _godel(10),
-         "lukasiewicz10": lambda: _lukasiewicz(10),
-         "example1": lambda: load("example1").structure}[base]()
+    s = _base(base)
     lift = _lifts(s)[0]
     assert _assert_adjunction_matches(lift) is None
     # two changed cells can break two columns, and the first witness
@@ -448,8 +504,7 @@ def test_audit_matches_reference_on_perturbed_chain_twists(base):
     # the scan runs to the end, so every failing (x, y) is known: a later y
     # can fail at a smaller x than the least failing y does, and the first
     # witness is then not in the least failing y
-    s = {"godel6": _godel, "lukasiewicz6": _lukasiewicz}[base](6)
-    ops = build_operator_twist(s)
+    ops = build_operator_twist(_base(base))
     assert _lines(check_operator_residuated(ops)) == \
         _lines(reference_audit(ops))
     names = ops.poset.names
@@ -493,6 +548,88 @@ def test_audit_matches_reference_on_restricted_carrier():
         failures = list(associativity_failures(_member_sets(mutated.odot)))
         assert _associativity_line(mutated) == \
             associativity_item(names, min(failures, default=None)).line()
+
+
+@pytest.mark.parametrize("base", ["bcrms", "godel10", "lukasiewicz10",
+                                  "example1"])
+def test_operator_twist_matches_cell_definitions(base):
+    for s in _bcrms() if base == "bcrms" else [_base(base)]:
+        n = s.poset.n
+        ops = build_operator_twist(s)
+        pairs = list(itertools.product(range(n), repeat=2))
+        for table, cell in ((ops.odot, operator_product),
+                            (ops.oimp, operator_implication)):
+            assert table == tuple(tuple(cell(s, *p, *q) for q in pairs)
+                                  for p in pairs)
+        assert ops.poset == full_twist(s.poset)
+        assert (ops.zero, ops.one) == (s.zero * n + s.one, s.one * n + s.zero)
+
+
+def _symmetric_odot_perturbations(rng, ops, count):
+    # one or two cells of odot, each set together with its mirror cell to
+    # a one- or two-member image, so op-commutative still passes
+    n = ops.poset.n
+    for trial in range(count):
+        cells = []
+        for _ in range(1 + trial % 2):
+            x, y = rng.randrange(n), rng.randrange(n)
+            image = mask_of(rng.sample(range(n), rng.randint(1, 2)))
+            cells += [(x, y, image), (y, x, image)]
+        yield _with_odot(ops, cells)
+
+
+def _oimp_perturbations(rng, ops, count):
+    # one or two cells of oimp, each set to a one- or two-member image
+    n = ops.poset.n
+    for trial in range(count):
+        oimp = list(map(list, ops.oimp))
+        for _ in range(1 + trial % 2):
+            oimp[rng.randrange(n)][rng.randrange(n)] = \
+                mask_of(rng.sample(range(n), rng.randint(1, 2)))
+        yield OperatorStructure(ops.poset, ops.odot, tuple(map(tuple, oimp)),
+                                ops.zero, ops.one)
+
+
+def _later_y_first(failures):
+    # the row-major first failure is not in the least failing y
+    return bool(failures) and min(failures)[1] != min(f[1] for f in failures)
+
+
+@pytest.mark.parametrize("base", ["godel6", "lukasiewicz6"])
+def test_audit_matches_reference_on_perturbed_commutative_chain_twists(base):
+    # symmetric odot perturbations keep the product table commutative, so
+    # associativity fails on a commutative table; oimp perturbations fail
+    # only the adjunction.  Both scans run to the end here, so every
+    # failing (x, y) is known, and a later y fails at a smaller x than the
+    # least failing y does in some cases of each
+    ops = build_operator_twist(_base(base))
+    p = ops.poset
+    rng = random.Random("commutative " + base)
+    later = {"op-associative": 0, "op-adjunction": 0}
+    for mutated in itertools.chain(_symmetric_odot_perturbations(rng, ops, 6),
+                                   _oimp_perturbations(rng, ops, 6)):
+        want = _lines(reference_audit(mutated))
+        assert want[2] == "CHECK (op-commutative) PASS"
+        assert _lines(check_operator_residuated(mutated)) == want
+        odot, oimp = map(_member_sets, (mutated.odot, mutated.oimp))
+        later["op-associative"] += _later_y_first(
+            [f[:3] for f in associativity_failures(odot)])
+        later["op-adjunction"] += _later_y_first(
+            list(adjunction_failures(p, odot, oimp)))
+    assert min(later.values()) >= 1, later
+
+
+def test_audit_matches_reference_on_perturbed_commutative_example1_twist():
+    ops = build_operator_twist(_base("example1"))
+    rng = random.Random("commutative example1")
+    failed = 0
+    for mutated in itertools.chain(_symmetric_odot_perturbations(rng, ops, 2),
+                                   _oimp_perturbations(rng, ops, 2)):
+        want = _lines(reference_audit(mutated))
+        assert want[2] == "CHECK (op-commutative) PASS"
+        assert _lines(check_operator_residuated(mutated)) == want
+        failed += any("FAIL" in line for line in want)
+    assert failed == 4
 
 
 def reference_transposed(rows, width):
