@@ -111,15 +111,17 @@ SECTION_WORDS = frozenset(("elements", "covers", "order", "table", "const",
 
 
 def check_names(names):
-    """The one rule for element names: none may be empty, hold whitespace
-    or '#', or be a section word, since the structure file format would
-    read each of those back as something else."""
+    """The one rule for element names: none may be empty, hold whitespace,
+    '#' or ',', or be a section word, since the structure file format
+    would read each of those back as something else (',' separates the
+    members of an optable cell, the two names of a pairmap pair and the
+    two names of twist --const)."""
     for name in names:
         if (not name or name in SECTION_WORDS
-                or any(c == "#" or c.isspace() for c in name)):
+                or any(c in "#," or c.isspace() for c in name)):
             raise OrderError(
                 "element name %r is empty, a section word, or contains"
-                " whitespace or '#'" % (name,))
+                " whitespace, '#' or ','" % (name,))
 
 
 def transposed(rows, width):

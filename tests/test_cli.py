@@ -36,6 +36,18 @@ def test_check_needs_both_tables(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "twist", "optwist"])
+def test_element_name_with_comma_is_rejected(tmp_path, capsys, command):
+    # such a name used to load, but could not be written back in an
+    # optable cell, a pairmap pair or twist --const
+    f = tmp_path / "comma.struct"
+    f.write_text("elements x,y z\ncovers\nx,y < z\n"
+                 "table mul\nx,y x,y\nx,y z\ntable imp\nz z\nx,y z\n"
+                 "const one = z\nconst zero = x,y\n")
+    assert run([command, str(f)]) == 2
+    assert "element name 'x,y'" in capsys.readouterr().err
+
+
 def test_twist_example1(capsys):
     assert run(["twist", "example1"]) == 0
     out = capsys.readouterr().out

@@ -48,6 +48,7 @@ def test_cycle_in_covers_is_antisymmetry_error():
 
 @pytest.mark.parametrize("names", [
     ("covers", "x"), ("optable", "x"), ("", "x"), ("a b", "x"), ("a#", "x"),
+    ("x,y", "z"),
 ])
 def test_unwritable_element_names_are_rejected_at_construction(names):
     # the structure file format would read each of these back as

@@ -223,11 +223,13 @@ def test_emit_parse_chain_with_odd_names(names):
     (("covers", "x"), "line 1: element name 'covers'"),
     (("order", "b"), "line 1: element name 'order'"),
     (("a#", "b"), "line 3"),   # '#' starts a comment on the elements line
+    (("x,y", "z"), "line 1: element name 'x,y'"),
 ])
 def test_unwritable_element_names_are_rejected(names, parse_error):
     # "covers" used to parse back as a different structure (its cover
     # line read as a new section); "order" and "a#" made the emitted text
-    # unparseable
+    # unparseable; "x,y" loaded, but could not be written in an optable
+    # cell, a pairmap pair or twist --const, which split on ','
     from resposet.order import chain
     from resposet.residuation import structure
     p = chain(2)
