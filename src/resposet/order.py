@@ -127,24 +127,47 @@ def check_names(names):
 def transposed(rows, width):
     """The bit matrix with rows[i] >> j & 1 as entry (i, j), transposed:
     one mask per column j < width, with bit i set when rows[i] has bit j.
-    Bits at or past width are ignored.
+    Bits at or past width are ignored."""
+    w = matrix_side(len(rows), width)
+    keep = (1 << width) - 1
+    return unpack(transpose_packed(
+        pack(row_bytes(r & keep, w) for r in rows), w), w, width)
 
-    The rows are packed into one int as a w x w matrix, w the least power
-    of two >= 8 that fits both the rows and the width, row i at bits
-    [i*w, (i+1)*w).  The s x s blocks of every 2s x 2s block swap across
-    the diagonal for s = w/2, ..., 1, which moves entry (i, j) to (j, i);
-    row j of the result is column j.
-    """
-    w = max(8, 1 << (max(len(rows), width) - 1).bit_length())
-    keep, size = (1 << width) - 1, w // 8
-    m = int.from_bytes(b"".join(
-        (r & keep).to_bytes(size, "little") for r in rows), "little")
+
+def matrix_side(count, width):
+    """The side w of the square bit matrix that holds count rows of width
+    bits when packed: the least power of two >= 8 that fits both."""
+    return max(8, 1 << (max(count, width) - 1).bit_length())
+
+
+def row_bytes(r, w):
+    """The row r (below 2**w) of a packed w x w bit matrix as its w // 8
+    little-endian bytes."""
+    return r.to_bytes(w // 8, "little")
+
+
+def pack(encoded):
+    """The rows given by their row_bytes, in order, as one int: row i at
+    bits [i*w, (i+1)*w)."""
+    return int.from_bytes(b"".join(encoded), "little")
+
+
+def unpack(m, w, count):
+    """The first count rows of a packed w x w bit matrix."""
+    size = w // 8
+    data = m.to_bytes(w * size, "little")
+    return [int.from_bytes(data[i * size:(i + 1) * size], "little")
+            for i in range(count)]
+
+
+def transpose_packed(m, w):
+    """The transpose of a packed w x w bit matrix (w a power of two):
+    the s x s blocks of every 2s x 2s block swap across the diagonal for
+    s = w/2, ..., 1, which moves entry (i, j) to (j, i)."""
     for shift, sel in _block_swaps(w):
         t = (m ^ m >> shift) & sel
         m ^= t ^ t << shift
-    data = m.to_bytes(w * size, "little")
-    return [int.from_bytes(data[j * size:(j + 1) * size], "little")
-            for j in range(width)]
+    return m
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,25 +367,30 @@ def _lu_identity_failure(p, dual):
     same identity in the order-dual poset.
 
     Since U(A u B) = U(A) & U(B), the right side is L(UL[x][z] & UL[y][z])
-    with UL[x][z] = U(L(x,z)) computed once per pair, and the left side is
-    L(U(x,y)) & down[z]; both sides are compared for all z at once.  Both
-    sides are symmetric in x and y, so a failure at (x, y, z) with y < x
-    is preceded by one at (y, x, z): scanning y >= x finds the same first
-    triple.
+    with UL[x][z] = U(L(x,z)), and the left side is L(U(x,y)) & down[z];
+    both sides are compared for all z at once.  Both sides are symmetric
+    in x and y, so a failure at (x, y, z) with y < x is preceded by one at
+    (y, x, z).  And the identity holds at every comparable pair: for
+    x <= y, U(x,y) is the up-cone of y, so the left side is L(y,z), and
+    L(x,z) is inside L(y,z), so the right side is LUL(y,z) = L(y,z)
+    (dually for y <= x).  So scanning only the y > x incomparable with x
+    finds the same first triple.
     """
     if dual:
         p = Poset(p.names, p.down, p.up)
-    n = p.n
+    n, full = p.n, p.full
     up, down = p.up, p.down
     upper = ConeMemo(upper_cone, p)
-    ul = [list(map(upper.__getitem__, map(dx.__and__, down))) for dx in down]
     lower = ConeMemo(lower_cone, p)
+    # UL[u] for each u incomparable with some element: no other u is
+    # scanned
+    ul = [list(map(upper.__getitem__, map(du.__and__, down)))
+          if uu | du != full else None for uu, du in zip(up, down)]
     for x in range(n):
-        ulx = ul[x]
-        for y in range(x, n):
+        for y in bits((full ^ (up[x] | down[x])) >> x << x):
             outer = lower[up[x] & up[y]]
             lhs = list(map(outer.__and__, down))
-            rhs = list(map(lower.__getitem__, map(int.__and__, ulx, ul[y])))
+            rhs = list(map(lower.__getitem__, map(int.__and__, ul[x], ul[y])))
             if lhs != rhs:
                 z = next(z for z in range(n) if lhs[z] != rhs[z])
                 return (x, y, z)

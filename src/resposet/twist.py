@@ -19,9 +19,11 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 
 from .order import (ConeMemo, Poset, bits, bounds, lower_cone, lowest,
-                    transposed, upper_cone)
+                    matrix_side, pack, row_bytes, transpose_packed,
+                    upper_cone)
 from .report import CheckItem
 from .residuation import (StructureError, classify, commutativity_failure,
                           condition_holds, named_witness, structure)
@@ -229,18 +231,26 @@ def build_operator_twist(s):
                     "operator twist needs a bounded commutative residuated "
                     "monoid: base is %s" % label)
     n = s.poset.n
+    mul, imp = s.mul, s.imp
+    bit = [1 << i for i in range(n * n)].__getitem__
+    # per y: z -> y over z, and (v -> y) * n over v
+    imp_to = list(zip(*imp))
+    imp_to_n = [[u * n for u in col] for col in imp_to]
     odot = []
     oimp = []
     for x in range(n):
+        first = [u * n for u in mul[x]]
+        # the member of each image that does not depend on y, over (z, v):
+        # (x*z, x->v) for the product, (x->z, x*v) for the implication
+        dot_x = [bit(f + u) for f in first for u in imp[x]]
+        imp_x = [bit(u * n + w) for u in imp[x] for w in mul[x]]
         for y in range(n):
-            drow = []
-            irow = []
-            for z in range(n):
-                for v in range(n):
-                    drow.append(operator_product(s, x, y, z, v))
-                    irow.append(operator_implication(s, x, y, z, v))
-            odot.append(tuple(drow))
-            oimp.append(tuple(irow))
+            # (x*z, z->y) is the same for every v, (v->y, x*v) for every z
+            by_z = map(bit, map(int.__add__, first, imp_to[y]))
+            by_v = list(map(bit, map(int.__add__, imp_to_n[y], mul[x])))
+            odot.append(tuple(map(int.__or__, dot_x, chain.from_iterable(
+                map(repeat, by_z, repeat(n))))))
+            oimp.append(tuple(map(int.__or__, imp_x, by_v * n)))
     return OperatorStructure(full_twist(s.poset), tuple(odot), tuple(oimp),
                              zero=s.zero * n + s.one, one=s.one * n + s.zero)
 
@@ -274,10 +284,11 @@ def check_operator_residuated(os):
             witness = (("zero", p.names[os.zero]), ("one", p.names[os.one]))
         items.append(CheckItem("op-bounded", ok, witness))
 
+    full = p.full
     wf = next(((op_name, x, y)
                for op_name, table in (("odot", os.odot), ("oimp", os.oimp))
-               for x in range(n) for y in range(n)
-               if not table[x][y] or table[x][y] >> n), None)
+               for x, row in enumerate(table) if not all(row) or max(row) > full
+               for y in range(n) if not row[y] or row[y] > full), None)
     items.append(CheckItem(
         "op-wellformed", wf is None,
         () if wf is None else
@@ -287,8 +298,7 @@ def check_operator_residuated(os):
     items.append(CheckItem("op-commutative", comm is None,
                            named_witness(p.names, ("x", "y"), comm)))
 
-    full = p.full
-    assoc = _associativity_failure([[m & full for m in row]
+    assoc = _associativity_failure([tuple(map(full.__and__, row))
                                     for row in os.odot])
     items.append(CheckItem(
         "op-associative", assoc is None,
@@ -310,35 +320,35 @@ def _associativity_failure(dot):
     x (.) (y (.) z), each side the union of the images of its members,
     as (x, y, z, lhs mask, rhs mask); None when associative.
 
-    dot[x][y] is the image mask of x (.) y.  For each distinct image mask
-    m, left[m] is the elementwise OR of the rows dot[u] (u in m), a row
-    over z, and right[m] the OR of the columns dot[.][u], a column over x.
-    Each union is stored as an array of small codes, one per distinct
-    value, shared by both sides.  One y at a time, the left side in (x, z)
-    order is left[x (.) y] joined over x; the right side is right[y (.) z]
-    joined over z, read in (x, z) order by the stride-n slices from each
-    x.  One comparison decides y.  The row-major first failure is the
-    least (x, y) over the failing y, at the first z where its rows differ.
+    dot[x] is the tuple of the image masks x (.) y.  For each distinct
+    image mask m, left[m] is the elementwise OR of the rows dot[u]
+    (u in m), a row over z, and right[m] the OR of the columns dot[.][u],
+    a column over x.  Each union is stored as an array of codes, one per
+    distinct value, shared by both sides.  One y at a time, the left
+    side in (x, z) order is left[x (.) y] joined over x; the right side is
+    right[y (.) z] joined over z, read in (x, z) order by the stride-n
+    slices from each x.  One comparison decides y.  When the table equals
+    its transpose, right[m] is left[m] and column y is row y, so only the
+    left unions are built and the left side's bytes are the right side's
+    too.  The row-major first failure is the least (x, y) over the
+    failing y, at the first z where its rows differ.
     """
     n = len(dot)
     cols = list(zip(*dot))
-    images = set()
-    for row in dot:
-        images.update(row)
-    left = {m: _union_rows(dot, m) for m in images}
-    right = {m: _union_rows(cols, m) for m in images}
-    values = set()
-    for union in (left, right):
-        for row in union.values():
-            values.update(row)
-    code = dict(zip(values, range(len(values)))).__getitem__
-    for union in (left, right):
+    left = {m: _union_rows(dot, m) for m in set().union(*dot)}
+    right = left if cols == dot else \
+        {m: _union_rows(cols, m) for m in left}
+    # a new value takes the next number; a value seen before keeps its own
+    code = {}.setdefault
+    numbers = count()
+    for union in (left,) if right is left else (left, right):
         for m, row in union.items():
-            union[m] = array("L", map(code, row))
+            union[m] = array("L", map(code, row, numbers))
     fails = []
     for y, col in enumerate(cols):
         lhs = b"".join(map(left.__getitem__, col))
-        zx = array("L", b"".join(map(right.__getitem__, dot[y])))
+        zx = array("L", lhs if right is left else
+                   b"".join(map(right.__getitem__, dot[y])))
         if lhs != b"".join([zx[x::n] for x in range(n)]):
             fails.append(next((x, y) for x in range(n)
                               if left[col[x]] != zx[x::n]))
@@ -372,21 +382,30 @@ def _adjunction_failure(p, dot, imp):
     below z" and "x is below every member of y (=>) z" disagree; None when
     they always agree.
 
-    The first holds exactly when z is in U(x (.) y), a mask over z.  The
-    second holds exactly when x is in L(y (=>) z); transposing those cones
-    gives, for each (y, x), the mask of such z.  So each (x, y) costs one
-    XOR, and the lowest set bit of the difference is the first z.
+    The first holds exactly when z is in U(x (.) y), a mask over z; the
+    second exactly when x is in L(y (=>) z), a mask over x.  One y at a
+    time, the rows U(x (.) y) are packed into one int, x-major, and the
+    rows L(y (=>) z), z-major, are packed and transposed into the same
+    layout, so one XOR decides y, and its lowest set bit is the least
+    failing x at its first z.  The row-major first failure is the least
+    (x, y) over the failing y.
     """
     n = p.n
-    lower = ConeMemo(lower_cone, p)
-    below = [transposed(list(map(lower.__getitem__, row)), n) for row in imp]
+    w = matrix_side(n, n)
     upper = ConeMemo(upper_cone, p)
-    for x in range(n):
-        for y in range(n):
-            diff = upper[dot[x][y]] ^ below[y][x]
-            if diff:
-                return x, y, lowest(diff)
-    return None
+    lower = ConeMemo(lower_cone, p)
+    # each distinct image's cone as a packed row
+    above = {m: row_bytes(upper[m], w) for m in set().union(*dot)}
+    below = {m: row_bytes(lower[m], w) for m in set().union(*imp)}
+    first = None
+    for y, col in enumerate(zip(*dot)):
+        diff = pack(map(above.__getitem__, col)) ^ transpose_packed(
+            pack(map(below.__getitem__, imp[y])), w)
+        if diff:
+            x, z = divmod(lowest(diff), w)
+            if first is None or x < first[0]:
+                first = (x, y, z)
+    return first
 
 
 def check_embedding(base, poset, a0, image):
