@@ -232,21 +232,21 @@ def build_operator_twist(s):
                     "monoid: base is %s" % label)
     n = s.poset.n
     mul, imp = s.mul, s.imp
+    # bit(i) is the mask of the pair index i; imp_to[y][z] is z->y
     bit = [1 << i for i in range(n * n)].__getitem__
-    # per y: z -> y over z, and (v -> y) * n over v
     imp_to = list(zip(*imp))
     imp_to_n = [[u * n for u in col] for col in imp_to]
     odot = []
     oimp = []
     for x in range(n):
-        first = [u * n for u in mul[x]]
+        xz = [u * n for u in mul[x]]
         # the member of each image that does not depend on y, over (z, v):
         # (x*z, x->v) for the product, (x->z, x*v) for the implication
-        dot_x = [bit(f + u) for f in first for u in imp[x]]
+        dot_x = [bit(f + u) for f in xz for u in imp[x]]
         imp_x = [bit(u * n + w) for u in imp[x] for w in mul[x]]
         for y in range(n):
             # (x*z, z->y) is the same for every v, (v->y, x*v) for every z
-            by_z = map(bit, map(int.__add__, first, imp_to[y]))
+            by_z = map(bit, map(int.__add__, xz, imp_to[y]))
             by_v = list(map(bit, map(int.__add__, imp_to_n[y], mul[x])))
             odot.append(tuple(map(int.__or__, dot_x, chain.from_iterable(
                 map(repeat, by_z, repeat(n))))))
@@ -287,7 +287,8 @@ def check_operator_residuated(os):
     full = p.full
     wf = next(((op_name, x, y)
                for op_name, table in (("odot", os.odot), ("oimp", os.oimp))
-               for x, row in enumerate(table) if not all(row) or max(row) > full
+               for x, row in enumerate(table)
+               if not all(row) or max(row) > full
                for y in range(n) if not row[y] or row[y] > full), None)
     items.append(CheckItem(
         "op-wellformed", wf is None,
