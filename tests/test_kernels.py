@@ -7,7 +7,10 @@ condition (3) and the five-point operator audit
 same first witnesses, row-major in (x, y, z), as the plain loops below,
 which work on Python sets and p.leq only (operator images are read as
 the sets of their members).  The bit-matrix transpose order.transposed
-must match a loop over its definition.
+must match a loop over its definition, build_operator_twist the one-cell
+definitions operator_product and operator_implication, and the LU
+identity must hold at every comparable pair of every small poset, which
+is why the distributivity scan may skip those pairs.
 """
 
 import functools
