@@ -1,6 +1,6 @@
 import pytest
 
-from resposet import kleene_twist
+from resposet import cli, kleene_twist
 from resposet.cli import run
 from resposet.structfile import emit_structure
 
@@ -193,3 +193,120 @@ def test_pa_long_style(capsys):
     assert run(["pa", "chain3", "--a", "a", "--style", "long"]) == 0
     out = capsys.readouterr().out
     assert "{(0,1)}" in out
+
+
+# --- command-line parsing ----------------------------------------------
+
+TABLE_DEFAULTS = {"style": "compressed", "tables": False, "out": None}
+
+ACCEPTED = [
+    (["check", "x.struct"], {"file": "x.struct"}),
+    (["check", "-1"], {"file": "-1"}),
+    (["check", "--", "-x"], {"file": "-x"}),
+    (["twist", "x"], dict(TABLE_DEFAULTS, file="x", f=None, g=None,
+                          const=None)),
+    (["twist", "--f", "proj2", "--g=proj1", "--const", "1,1", "x"],
+     dict(TABLE_DEFAULTS, file="x", f="proj2", g="proj1", const="1,1")),
+    (["twist", "x", "--tab", "--sty=long", "--o", "t.txt", "--f", "a",
+      "--f", "b"],
+     dict(file="x", f="b", g=None, const=None, style="long", tables=True,
+          out="t.txt")),
+    (["optwist", "--tables", "x", "--tables", "--out="],
+     dict(TABLE_DEFAULTS, file="x", tables=True, out="")),
+    (["pa", "x"], dict(TABLE_DEFAULTS, file="x", a=None)),
+    (["pa", "--a", "-1", "x", "--style", "long"],
+     dict(TABLE_DEFAULTS, file="x", a="-1", style="long")),
+    (["pa", "--a", "-x y", "x", "--ou=o=p"],
+     dict(TABLE_DEFAULTS, file="x", a="-x y", out="o=p")),
+    (["enumerate", "--size", "3"], {"size": 3, "filter": "poset"}),
+    (["enumerate", "--fil", "unital-groupoid", "--si=-3"],
+     {"size": -3, "filter": "unital-groupoid"}),
+    (["verify", "--suite", "lemmas"], {"suite": "lemmas", "max_size": None}),
+    (["verify", "--max-size", "-1", "--suite=theorems"],
+     {"suite": "theorems", "max_size": -1}),
+    (["verify", "--su", "lemmas", "--max=2"],
+     {"suite": "lemmas", "max_size": 2}),
+]
+
+REJECTED = [
+    [], ["frobnicate"], ["--bogus", "check", "x"],
+    ["check"], ["pa", "--a", "a"], ["verify"], ["verify", "--max-size", "2"],
+    ["enumerate"], ["enumerate", "--filter", "poset"],
+    ["enumerate", "--size", "3", "--filter", "lattice"],
+    ["twist", "x", "--style", "wide"], ["verify", "--suite", "axioms"],
+    ["enumerate", "--size", "three"], ["enumerate", "--size", "2.5"],
+    ["verify", "--suite", "lemmas", "--max-size", "x"],
+    ["check", "x", "y"], ["enumerate", "--size", "3", "extra"],
+    ["check", "x", "--tables"], ["twist", "x", "--bogus"],
+    ["pa", "x", "-z"], ["verify", "--=lemmas"],
+    ["pa", "x", "--a"], ["pa", "x", "--a", "-z"], ["verify", "--suite"],
+    ["twist", "x", "--out", "--tables"], ["twist", "x", "--tables=yes"],
+]
+
+OPTIONS = {
+    "check": ["file"],
+    "twist": ["file", "--f", "--g", "--const", "--style", "--tables",
+              "--out"],
+    "optwist": ["file", "--style", "--tables", "--out"],
+    "pa": ["file", "--a", "--style", "--tables", "--out"],
+    "enumerate": ["--size", "--filter"],
+    "verify": ["--suite", "--max-size"],
+}
+
+
+def _parsed(monkeypatch, argv):
+    # each command runs the module's _cmd_<command>; the spy records the
+    # parsed fields instead of running the check
+    seen = {}
+
+    def spy(args):
+        seen.update(vars(args))
+        return 0
+    for command in OPTIONS:
+        monkeypatch.setattr(cli, "_cmd_" + command, spy)
+    assert cli.run(argv) == 0
+    seen.pop("func", None)
+    seen.pop("command", None)
+    return seen
+
+
+@pytest.mark.parametrize("argv, fields", ACCEPTED,
+                         ids=[" ".join(a) for a, _ in ACCEPTED])
+def test_argv_parses_to_fields(monkeypatch, argv, fields):
+    assert _parsed(monkeypatch, argv) == fields
+
+
+@pytest.mark.parametrize("argv", REJECTED,
+                         ids=[" ".join(a) or "<empty>" for a in REJECTED])
+def test_bad_argv_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: resposet")
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]])
+def test_help_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: resposet")
+    for command in OPTIONS:
+        assert command in out
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_command_help_lists_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.run([command, "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: resposet " + command)
+    for option in OPTIONS[command]:
+        assert option in captured.out
