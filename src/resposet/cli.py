@@ -7,8 +7,9 @@ escape matches no closure case (EscapeCaseError; its witness goes to stdout).
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
+import types
 
 from .kleene_twist import EscapeCaseError, check_kleene_twist
 from .order import OrderError, is_distributive, is_lattice
@@ -33,7 +34,7 @@ def _load_structure(path):
 
 def _emit_output(args, text):
     print(text, end="")
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
@@ -197,66 +198,139 @@ def _cmd_verify(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="resposet",
-        description="Exact checks for finite residuated order structures "
-                    "and their twist constructions.")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
+_TABLE_OPTIONS = (("style", ("compressed", "long"), "compressed"),
+                  ("tables", bool, False), ("out", "PATH", None))
+# command -> (help, positionals, options); an option is (name, kind,
+# default), kind being int, bool for a flag, the tuple of allowed values or
+# the metavar of any other value.  Command c runs _cmd_c(args).
+COMMANDS = {
+    "check": ("conditions, classification and laws", ("file",), ()),
+    "twist": ("lift the operations to the pair poset", ("file",), (
+        ("f", "{proj1,proj2}", None), ("g", "{proj1,proj2}", None),
+        ("const", "X,Y", None)) + _TABLE_OPTIONS),
+    "optwist": ("set-valued operator twist and its audit", ("file",),
+                _TABLE_OPTIONS),
+    "pa": ("restricted twist around an element", ("file",),
+           (("a", "ELEMENT", None),) + _TABLE_OPTIONS),
+    "enumerate": ("count small posets or structures", (), (
+        ("size", int, REQUIRED),
+        ("filter", ("poset",) + STRUCTURE_KINDS, "poset"))),
+    "verify": ("universal property sweeps", (), (
+        ("suite", ("lemmas", "theorems"), REQUIRED), ("max-size", int, None))),
+}
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")   # a value, not an option
 
-    def add_table_flags(p):
-        p.add_argument("--style", choices=("compressed", "long"),
-                       default="compressed")
-        p.add_argument("--tables", action="store_true",
-                       help="print operation tables")
-        p.add_argument("--out", help="also write tables to this path")
 
-    p = sub.add_parser("check", help="conditions, classification and laws")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
+def _usage(command):
+    if not command:
+        return "[-h] {%s} ..." % ",".join(COMMANDS)
+    _, positionals, options = COMMANDS[command]
+    words = [command, "[-h]"]
+    for name, kind, default in options:
+        if isinstance(kind, tuple):
+            name += " {%s}" % ",".join(kind)
+        elif kind is not bool:
+            name += " N" if kind is int else " " + kind
+        words.append("--" + name if default is REQUIRED else "[--%s]" % name)
+    return " ".join(words + list(positionals))
 
-    p = sub.add_parser("twist", help="lift the operations to the pair poset")
-    p.add_argument("file")
-    p.add_argument("--f", dest="f")
-    p.add_argument("--g", dest="g")
-    p.add_argument("--const", help="unit pair, as 'x,y'")
-    add_table_flags(p)
-    p.set_defaults(func=_cmd_twist)
 
-    p = sub.add_parser("optwist",
-                       help="set-valued operator twist and its audit")
-    p.add_argument("file")
-    add_table_flags(p)
-    p.set_defaults(func=_cmd_optwist)
+def _exit(command, error=None):
+    """Print the usage, then the error (exit 2) or the help (exit 0)."""
+    print("usage: resposet " + _usage(command),
+          file=sys.stderr if error else None)
+    if error:
+        print("resposet: error: " + error, file=sys.stderr)
+        sys.exit(2)
+    if command:
+        print("\n" + COMMANDS[command][0])
+    else:
+        print("\nExact checks for finite residuated order structures.\n")
+        for name, entry in COMMANDS.items():
+            print("  %-10s %s" % (name, entry[0]))
+    sys.exit(0)
 
-    p = sub.add_parser("pa", help="restricted twist around an element")
-    p.add_argument("file")
-    p.add_argument("--a", dest="a", help="designated element name")
-    add_table_flags(p)
-    p.set_defaults(func=_cmd_pa)
 
-    p = sub.add_parser("enumerate", help="count small posets or structures")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--filter", default="poset",
-                   choices=("poset",) + STRUCTURE_KINDS)
-    p.set_defaults(func=_cmd_enumerate)
+def _option(arg, names):
+    """(option, its '=' value or None), (arg, None) for an unknown or
+    ambiguous option or (None, arg) for a value; a unique prefix of a long
+    option names it, and -h<text> is --help with the value <text>."""
+    if arg[:2] == "-h":
+        return "--help", arg[2:] or None
+    flag, eq, value = arg.partition("=")
+    if arg[:2] == "--" and arg != "--":
+        found = [n for n in names if n == flag] or \
+            [n for n in names if n.startswith(flag)]
+        if len(found) == 1:
+            return found[0], value if eq else None
+    if arg[:1] != "-" or len(arg) == 1 or " " in arg or _NUMBER.match(arg):
+        return None, arg
+    return arg, None
 
-    p = sub.add_parser("verify", help="universal property sweeps")
-    p.add_argument("--suite", choices=("lemmas", "theorems"), required=True)
-    p.add_argument("--max-size", type=int, default=None)
-    p.set_defaults(func=_cmd_verify)
 
-    return parser
+def parse_args(argv):
+    """Read argv as (command, fields).  A usage error prints the usage and
+    exits 2; -h or --help prints help and exits 0."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        if _option(command, ["--help"]) == ("--help", None):
+            _exit("")
+        _exit("", "unknown command %r" % command if command else "no command")
+    _, positionals, options = COMMANDS[command]
+    kinds = dict([("--help", bool)] + [("--" + n, k) for n, k, _ in options])
+    fields = {name: default for name, _, default in options}
+    free, extra, rest, bordered = [], [], iter(argv[1:]), False
+    for arg in rest:
+        if arg == "--":   # as with argparse, it must border a positional
+            if bordered or len(free) < len(positionals):
+                free += rest
+            else:
+                extra += [arg, *rest]
+            break
+        name, value = _option(arg, kinds)
+        bordered, kind = name is None, kinds.get(name)
+        if kind is None:
+            (free if bordered else extra).append(arg)
+            continue
+        if kind is bool and value is not None:
+            _exit(command, "argument %s: ignored explicit argument %r"
+                  % (name, value))
+        if name == "--help":
+            _exit(command)
+        if kind is bool:
+            value = True
+        elif value is None:
+            value = next(rest, "--")
+            if value == "--" or _option(value, kinds)[0]:
+                _exit(command, "argument %s: expected one argument" % name)
+        try:
+            value = int(value) if kind is int else value
+        except ValueError:
+            _exit(command, "argument %s: invalid int value: %r"
+                  % (name, value))
+        if isinstance(kind, tuple) and value not in kind:
+            _exit(command, "argument %s: invalid choice: %r" % (name, value))
+        fields[name[2:]] = value
+    missing = list(positionals[len(free):]) + [
+        "--" + name for name, value in fields.items() if value is REQUIRED]
+    if missing:
+        _exit(command, "the following arguments are required: "
+              + ", ".join(missing))
+    extra = free[len(positionals):] + extra
+    if extra:
+        _exit(command, "unrecognized arguments: " + " ".join(extra))
+    fields.update(zip(positionals, free))
+    return command, types.SimpleNamespace(
+        **{name.replace("-", "_"): value for name, value in fields.items()})
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    command, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
-    except (ParseError, StructureError, OrderError, EnumerationError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
+        return globals()["_cmd_" + command](args)
+    except (ParseError, StructureError, OrderError, EnumerationError,
+            OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except EscapeCaseError as e:

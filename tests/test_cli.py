@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from resposet import cli, kleene_twist
@@ -310,3 +314,16 @@ def test_command_help_lists_every_option(capsys, command):
     assert captured.out.startswith("usage: resposet " + command)
     for option in OPTIONS[command]:
         assert option in captured.out
+
+
+def test_command_does_not_import_argparse():
+    # argparse's first message lookup imports gettext and locale; a cold
+    # command paid more for those than for checking a small structure
+    code = ("import sys; sys.path.insert(0, %r); import resposet.cli; "
+            "resposet.cli.run(['check', 'chain3']); "
+            "print(sorted({'argparse', 'gettext', 'locale'}"
+            " & set(sys.modules)))"
+            % str(pathlib.Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -25,7 +25,7 @@ def test_struct_example_is_chain3():
 def test_command_line_is_accepted(line, capsys):
     try:
         code = run(shlex.split(line, comments=True)[1:])
-    except SystemExit as e:        # argparse rejects unknown flags
+    except SystemExit as e:        # usage errors exit 2, --help exits 0
         code = e.code
     assert code != 2, capsys.readouterr().err
 
