@@ -179,11 +179,6 @@ def test_missing_file(capsys):
     assert "no such structure file" in capsys.readouterr().err
 
 
-def test_unknown_subcommand():
-    with pytest.raises(SystemExit):
-        run(["frobnicate"])
-
-
 def test_tables_out_file(tmp_path, capsys):
     out_path = tmp_path / "tables.txt"
     assert run(["pa", "chain3", "--a", "a", "--out", str(out_path)]) == 0
