@@ -282,7 +282,7 @@ def parse_args(argv):
     fields = {name: default for name, _, default in options}
     free, extra, rest, bordered = [], [], iter(argv[1:]), False
     for arg in rest:
-        if arg == "--":   # taken only next to a positional, as by argparse
+        if arg == "--":   # it counts only beside a positional
             if bordered or len(free) < len(positionals):
                 free += rest
             else:
