@@ -17,8 +17,7 @@ report holds the assumption items and nothing else.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .order import (Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of,
                     set_leq)
@@ -29,8 +28,7 @@ from .twist import OperatorStructure, check_embedding, \
     operator_product, pair_name, pair_names
 
 
-@dataclass(frozen=True)
-class RestrictedTwist:
+class RestrictedTwist(NamedTuple):
     """The carrier pairs in row-major order, the restricted order and swap
     on them, and index: the carrier index of each member's pair index
     x*n + y."""
@@ -39,7 +37,7 @@ class RestrictedTwist:
     members: tuple[tuple[int, int], ...]
     poset: Poset
     swap: tuple[int, ...]
-    index: dict = dataclasses.field(compare=False)
+    index: dict
 
 
 def pair_in_carrier(base, a, x, y):
@@ -207,8 +205,7 @@ def check_involution_membership(s, rt):
     return CheckItem("involution-membership", True)
 
 
-@dataclass(frozen=True)
-class KleeneTwistReport:
+class KleeneTwistReport(NamedTuple):
     """What check_kleene_twist established: the restricted twist, the
     assumption items, the report items, the operator audit and the
     restricted operator tables.  When an assumption fails there are no
@@ -245,7 +242,7 @@ def check_kleene_twist(s, a):
     assumptions, closure_item, ops = check_restricted_closure(s, rt)
     if closure_item is None:
         return KleeneTwistReport(rt, assumptions, [], [], None)
-    designated = dataclasses.replace(s, designated=a)
+    designated = s._replace(designated=a)
     items = [check_condition(designated, 11),
              check_condition(designated, 12), closure_item]
     conds_hold = items[0].passed and items[1].passed

@@ -12,7 +12,7 @@ posets the package builds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class OrderError(ValueError):
@@ -43,8 +43,7 @@ def popcount(mask):
     return mask.bit_count()
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(NamedTuple):
     """A finite poset given by its name tuple and up/down cone tables.
 
     up[x] is the bitmask of every y with x <= y (including x itself);
@@ -317,8 +316,7 @@ def bounds(p):
     return bottom, top
 
 
-@dataclass(frozen=True)
-class LatticeVerdict:
+class LatticeVerdict(NamedTuple):
     is_lattice: bool
     kind: str = ""        # "join" or "meet" for the failing pair
     x: int = -1
@@ -343,8 +341,7 @@ def is_lattice(p):
     return LatticeVerdict(True)
 
 
-@dataclass(frozen=True)
-class DistributivityVerdict:
+class DistributivityVerdict(NamedTuple):
     is_distributive: bool
     witness: tuple[int, int, int] | None = None
 
@@ -397,8 +394,7 @@ def _lu_identity_failure(p, dual):
     return None
 
 
-@dataclass(frozen=True)
-class InvolutionVerdict:
+class InvolutionVerdict(NamedTuple):
     ok: bool
     reason: str = ""
     witness: tuple[int, ...] = ()

@@ -8,11 +8,10 @@ marked non-gating: those are reported but never turn the exit code red.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     check_id: str
     passed: bool
     witness: tuple[tuple[str, str], ...] = ()

@@ -16,7 +16,7 @@ derived laws take as premises.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .order import (bits, bounds, cover_walk, lowest, mask_of,
                     maximal_elements, popcount)
@@ -38,8 +38,7 @@ def _as_table(rows, n):
     return table
 
 
-@dataclass(frozen=True)
-class ResStructure:
+class ResStructure(NamedTuple):
     poset: Poset
     mul: tuple[tuple[int, ...], ...] | None
     imp: tuple[tuple[int, ...], ...] | None
@@ -294,8 +293,7 @@ def is_associative(s):
     return condition_holds(s, "associative")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     left_residuated: bool
     bounded: bool
     commutative: bool
@@ -331,8 +329,7 @@ def classify(s):
     )
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     ok: bool
     imp: tuple[tuple[int, ...], ...] | None = None
     kind: str = ""          # "empty", "no-maximum" or "not-principal"
@@ -381,8 +378,7 @@ def synthesize_residuum(poset, mul):
     return SynthesisResult(True, imp=tuple(imp))
 
 
-@dataclass(frozen=True)
-class LawVerdict:
+class LawVerdict(NamedTuple):
     law_id: str
     status: str        # "CONFIRMED", "VACUOUS" or "REFUTED"
     witness: tuple[tuple[str, str], ...] = ()

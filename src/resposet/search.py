@@ -16,10 +16,9 @@ sweep's items and prefixes its witness with the item's description.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .order import (Poset, _lu_identity_failure, bits, bounds,
                     is_distributive, is_kleene, is_pseudo_kleene)
@@ -123,7 +122,7 @@ def _bcrms(n):
     for s in enumerate_structures(n, "commutative-residuated-monoid"):
         bot, top = bounds(s.poset)
         if bot is not None and top == s.one:
-            yield dataclasses.replace(s, zero=bot)
+            yield s._replace(zero=bot)
 
 
 def _tables(n, fixed):
@@ -204,8 +203,7 @@ def _witness_names(s, w):
     return ",".join(s.poset.names[i] for i in w)
 
 
-@dataclass(frozen=True)
-class Property:
+class Property(NamedTuple):
     """A universal sweep: check(item) yields one failure reason, or None,
     per case of each item of kind (a structure kind, or "poset") over
     sizes."""
@@ -216,8 +214,7 @@ class Property:
     check: object
 
 
-@dataclass(frozen=True)
-class UniversalResult:
+class UniversalResult(NamedTuple):
     name: str
     cases: int
     witness: str | None
@@ -261,7 +258,7 @@ def _law_check(law):
     def check(s):
         # a law about a designated element is checked at each element
         for a in range(s.poset.n) if needs.get("designated") else (None,):
-            t = s if a is None else dataclasses.replace(s, designated=a)
+            t = s if a is None else s._replace(designated=a)
             status, w = evaluate_law(t, law)
             if status != "REFUTED":
                 yield None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import importlib.resources
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .order import (SECTION_WORDS, OrderError, bits, check_names, mask_of,
                     poset_from_covers, poset_from_relation)
@@ -25,8 +25,7 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass
-class StructureFile:
+class StructureFile(NamedTuple):
     structure: ResStructure | None = None
     operators: OperatorStructure | None = None
     pairmaps: dict | None = None
@@ -210,8 +209,6 @@ def parse(text):
     else:
         poset = poset_from_relation(names, order_pairs)
 
-    out = StructureFile(pairmaps=pairmaps)
-
     if optables:
         if tables:
             raise ParseError("optables cannot be combined with tables")
@@ -221,17 +218,15 @@ def parse(text):
             raise ParseError("optables need both odot and oimp")
         if "one" not in consts or "zero" not in consts:
             raise ParseError("operator tables need const one and const zero")
-        out.operators = OperatorStructure(
+        return StructureFile(operators=OperatorStructure(
             poset, optables["odot"], optables["oimp"],
-            zero=consts["zero"], one=consts["one"])
-        return out
+            zero=consts["zero"], one=consts["one"]), pairmaps=pairmaps)
 
     if "one" not in consts:
         raise ParseError("const one is required")
-    out.structure = structure(
+    return StructureFile(structure(
         poset, tables.get("mul"), tables.get("imp"), one=consts["one"],
-        zero=consts.get("zero"), designated=designated)
-    return out
+        zero=consts.get("zero"), designated=designated), pairmaps=pairmaps)
 
 
 def _split_cell(lineno, cell):

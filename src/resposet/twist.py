@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import functools
 from array import array
-from dataclasses import dataclass
 from itertools import chain, count, repeat
+from typing import NamedTuple
 
 from .order import (ConeMemo, Poset, bits, bounds, lower_cone, lowest,
                     matrix_side, pack, row_bytes, transpose_packed,
@@ -200,8 +200,7 @@ def operator_implication(s, x, y, z, v):
     return 1 << (s.imp[x][z] * n + second) | 1 << (s.imp[v][y] * n + second)
 
 
-@dataclass(frozen=True)
-class OperatorStructure:
+class OperatorStructure(NamedTuple):
     """A poset with two set-valued operations and two constants.  Images
     are masks of element indices; zero and one may be absent only for the
     degenerate empty carrier."""

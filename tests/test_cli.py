@@ -312,12 +312,13 @@ def test_command_help_lists_every_option(capsys, command):
 
 
 def test_command_does_not_import_argparse():
-    # argparse's first message lookup imports gettext and locale; a cold
-    # command paid more for those than for checking a small structure
+    # argparse's first message lookup imports gettext and locale, and
+    # dataclasses imports inspect; a cold command paid more for these
+    # than for checking a small structure
     code = ("import sys; sys.path.insert(0, %r); import resposet.cli; "
             "resposet.cli.run(['check', 'chain3']); "
-            "print(sorted({'argparse', 'gettext', 'locale'}"
-            " & set(sys.modules)))"
+            "print(sorted({'argparse', 'gettext', 'locale', 'dataclasses',"
+            " 'inspect'} & set(sys.modules)))"
             % str(pathlib.Path(cli.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
                          capture_output=True, text=True).stdout

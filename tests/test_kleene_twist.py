@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from resposet.kleene_twist import (build_restricted_operators,
@@ -80,7 +78,7 @@ def test_chain3_golden_tables(chain3):
 
 
 def _designated(s, a):
-    return dataclasses.replace(s, designated=a)
+    return s._replace(designated=a)
 
 
 def test_example1_a0_diagnostics(example1):
@@ -169,8 +167,7 @@ def test_idempotence_assumption(example1):
 
 
 def test_kleene_twist_requires_bcrm(diamond):
-    import dataclasses
-    s = dataclasses.replace(diamond, zero=None)
+    s = diamond._replace(zero=None)
     with pytest.raises(StructureError):
         check_kleene_twist(s, 1)
 

@@ -91,10 +91,8 @@ REPRS = {
                       + ", operators=None, pairmaps={})"),
 }
 
-# A record holding a list or a dict cannot be hashed; StructureFile is the
-# one record that may be assigned to, so it has no hash either.
+# a record holding a list or a dict cannot be hashed
 UNHASHABLE = {"RestrictedTwist", "KleeneTwistReport", "StructureFile"}
-MUTABLE = {"StructureFile"}
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +138,7 @@ def test_repr_is_pinned(samples, name):
     assert repr(x) == expected
 
 
-@pytest.mark.parametrize("name", sorted(set(FIELDS) - MUTABLE))
+@pytest.mark.parametrize("name", sorted(FIELDS))
 def test_fields_cannot_be_assigned(samples, name):
     x = samples[name]
     for field in FIELDS[name]:

@@ -145,8 +145,7 @@ def test_laws_vacuous_without_premises():
 
 
 def test_law_13_with_designated(chain3):
-    import dataclasses
-    s = dataclasses.replace(chain3, designated=1)
+    s = chain3._replace(designated=1)
     by_id = {v.law_id: v for v in check_derived_laws(s)}
     assert by_id["13-from-idempotent"].status == "CONFIRMED"
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from resposet import search
@@ -145,7 +143,7 @@ def test_law_sweep_non_vacuous_count(law):
     for n in prop.sizes:
         for s in enumerate_structures(n, prop.kind):
             for a in range(n) if law[3].get("designated") else (None,):
-                t = s if a is None else dataclasses.replace(s, designated=a)
+                t = s if a is None else s._replace(designated=a)
                 confirmed += evaluate_law(t, law)[0] == "CONFIRMED"
     assert confirmed == NON_VACUOUS[law[0]]
 
@@ -196,7 +194,7 @@ def test_structure_sweep_witness_starts_with_its_structure(monkeypatch):
     real = search.evaluate_law
 
     def fake(t, law):
-        if t == dataclasses.replace(target, designated=1):
+        if t == target._replace(designated=1):
             return "REFUTED", (0, 1)
         return real(t, law)
 
@@ -227,8 +225,8 @@ def test_operator_audit_reports_first_cardinality_failure(monkeypatch):
         if s != target:
             return ops
         assert ops.odot[1][1].bit_count() == ops.oimp[0][0].bit_count() == 1
-        return dataclasses.replace(
-            ops, odot=_tamper(ops.odot, {(1, 1): 0b11}),
+        return ops._replace(
+            odot=_tamper(ops.odot, {(1, 1): 0b11}),
             oimp=_tamper(ops.oimp, {(0, 0): 0b11}))
 
     monkeypatch.setattr(search, "build_operator_twist", fake)
