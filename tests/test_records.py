@@ -13,8 +13,8 @@ from resposet import (PROPERTIES, build_operator_twist,
 from resposet.order import (DistributivityVerdict, InvolutionVerdict,
                             LatticeVerdict)
 from resposet.report import CheckItem
-from resposet.residuation import (Classification, LawVerdict, ResStructure,
-                                  SynthesisResult, check_derived_laws)
+from resposet.residuation import (LawVerdict, ResStructure, SynthesisResult,
+                                  check_derived_laws)
 from resposet.structfile import StructureFile
 
 FIELDS = {
@@ -176,13 +176,3 @@ def test_defaults_are_pinned():
         "StructureFile(structure=None, operators=None, pairmaps=None)",
     ]
 
-
-def test_properties_and_methods(samples):
-    flags = samples["Classification"]
-    assert (flags.crm, flags.bcrm) == (True, True)
-    assert flags.summary() == "bounded commutative residuated monoid"
-    assert Classification(True, False, True, True).summary() == (
-        "commutative residuated monoid")
-    assert samples["ResStructure"].names == ("0", "a", "1")
-    assert (samples["Poset"].n, samples["Poset"].full) == (3, 7)
-    assert samples["UniversalResult"].ok
