@@ -187,6 +187,120 @@ def test_parse_rejects_duplicate_sections(tmp_path, capsys, tail, message):
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+_PAIRMAP_F = _TWO_CHAIN + "pairmap f\n"   # the pairmap header is line 11
+
+_OPTABLES = ("optable odot\n0 0\n0 1\n"    # headers on lines 6 and 9
+             "optable oimp\n1 1\n0 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty input"),
+    ("# a comment\n\n", "empty input"),
+    ("covers\n0 < 1\n", "line 1: file must start with an elements line"),
+    ("elements\n", "line 1: elements line declares no elements"),
+    ("elements 0 1\n\nelements\n", "line 3: duplicate elements line"),
+    ("elements 0 covers\n", "line 1: element name 'covers' is empty, a"
+     " section word, or contains whitespace, '#' or ','"),
+    ("elements 0 1 0\n", "line 1: duplicate element names"),
+    ("elements 0 1\ntabel mul\n", "line 2: unknown section 'tabel'"),
+    ("elements 0 1\n0 < 1\ncovers\n", "line 2: unknown section '0'"),
+    (_TWO_CHAIN + "elements 0 1\n", "line 11: duplicate elements line"),
+    ("elements 0 1\ncovers\n0 1\n", "line 3: expected '<x> < <y>'"),
+    ("elements 0 1\norder\n0 >= 1\n", "line 3: expected '<x> < <y>'"),
+    ("elements 0 1\ncovers\n0 < 1 < 1\n", "line 3: expected '<x> < <y>'"),
+    ("elements 0 1\norder\nq <= 1\n", "line 3: unknown element name 'q'"),
+    (_TWO_CHAIN + "covers\n0 < 1\norder\n0 <= 1\n",
+     "both covers and order sections given"),
+    ("elements 0 1\ntable mul\n0 0\n0 1\nconst one = 1\n",
+     "no order information (covers or order section)"),
+    ("elements 0 1\ncovers\n0 < 1\ntable\n",
+     "line 4: expected 'table mul' or 'table imp'"),
+    ("elements 0 1\ncovers\n0 < 1\ntable mul imp\n",
+     "line 4: expected 'table mul' or 'table imp'"),
+    ("elements 0 1\ncovers\n0 < 1\ntable odot\n",
+     "line 4: expected 'table mul' or 'table imp'"),
+    (_TWO_CHAIN + "table imp\n1 1\n0 1\n", "line 11: duplicate table imp"),
+    ("elements 0 1\ncovers\n0 < 1\ntable mul\n0 0\n",
+     "line 4: table mul ends early"),
+    ("elements 0 1\ncovers\n0 < 1\ntable mul\n0\n0 1\n",
+     "line 5: expected 2 entries"),
+    ("elements 0 1\ncovers\n0 < 1\ntable mul\n0 0\n0 1 1\n",
+     "line 6: expected 2 entries"),
+    ("elements 0 1\ncovers\n0 < 1\ntable imp\n1 1\n0 x\n",
+     "line 6: unknown element name 'x'"),
+    (_TWO_CHAIN.replace("const one = 1\n", "0 1\nconst one = 1\n"),
+     "line 10: unknown section '0'"),
+    ("elements 0 1\ncovers\n0 < 1\nconst one 1\n",
+     "line 4: expected 'const one = <name>' or 'const zero = <name>'"),
+    ("elements 0 1\ncovers\n0 < 1\nconst two = 1\n",
+     "line 4: expected 'const one = <name>' or 'const zero = <name>'"),
+    ("elements 0 1\ncovers\n0 < 1\nconst one = 1 0\n",
+     "line 4: expected 'const one = <name>' or 'const zero = <name>'"),
+    ("elements 0 1\ncovers\n0 < 1\nconst zero = q\n",
+     "line 4: unknown element name 'q'"),
+    (_TWO_CHAIN + "const one = 0\n", "line 11: duplicate const one"),
+    (_TWO_CHAIN + "0 1\n", "line 11: unknown section '0'"),
+    ("elements 0 1\ncovers\n0 < 1\n", "const one is required"),
+    (_TWO_CHAIN + "designated 0\n",
+     "line 11: expected 'designated = <name>'"),
+    (_TWO_CHAIN + "designated = q\n", "line 11: unknown element name 'q'"),
+    (_TWO_CHAIN + "designated = 0\n= 0\n", "line 12: unknown section '='"),
+    (_TWO_CHAIN + "pairmap h\n",
+     "line 11: expected 'pairmap f' or 'pairmap g'"),
+    (_TWO_CHAIN + "pairmap\n", "line 11: expected 'pairmap f' or 'pairmap g'"),
+    (_PAIRMAP_F, "line 11: pairmap f has no body"),
+    (_PAIRMAP_F + "proj1\nproj2\n", "line 13: unknown section 'proj2'"),
+    (_PAIRMAP_F + "proj2 proj1\n", "line 12: expected '(<x>,<y>) -> <z>'"),
+    (_PAIRMAP_F + "(0,0) 1\n", "line 12: expected '(<x>,<y>) -> <z>'"),
+    (_PAIRMAP_F + "0,0 -> 1\n", "line 12: expected '(<x>,<y>) -> <z>'"),
+    (_PAIRMAP_F + "(0) -> 1\n", "line 12: expected '(<x>,<y>) -> <z>'"),
+    (_PAIRMAP_F + "(0,0,1) -> 1\n", "line 12: expected '(<x>,<y>) -> <z>'"),
+    (_PAIRMAP_F + "(0,0) -> 1\nproj1\n",
+     "line 13: expected '(<x>,<y>) -> <z>'"),
+    (_PAIRMAP_F + "(0,q) -> 1\n", "line 12: unknown element name 'q'"),
+    (_PAIRMAP_F + "(0,0) -> 2\n", "line 12: unknown element name '2'"),
+    (_PAIRMAP_F + "(0,0) -> 1\n(0,0) -> 0\n",
+     "line 13: duplicate pairmap entry"),
+    (_PAIRMAP_F + "(0,0) -> 1\n(0,1) -> 1\n(1,0) -> 0\n",
+     "line 14: pairmap f has 3 of 4 entries"),
+    (_OPTABLE_HEAD + "optable\n",
+     "line 6: expected 'optable odot' or 'optable oimp'"),
+    (_OPTABLE_HEAD + "optable mul\n",
+     "line 6: expected 'optable odot' or 'optable oimp'"),
+    (_OPTABLE_HEAD + _OPTABLES + "optable oimp\n1 1\n0 1\n",
+     "line 12: duplicate optable oimp"),
+    (_OPTABLE_HEAD + "optable odot\n0 0\n", "line 6: optable odot ends early"),
+    (_OPTABLE_HEAD + "optable odot\n0 0 0\n", "line 7: expected 2 entries"),
+    (_OPTABLE_HEAD + "optable odot\n0 {0\n",
+     "line 7: unbalanced braces in '{0'"),
+    (_OPTABLE_HEAD + "optable odot\n0 {}\n", "line 7: empty operator image"),
+    (_OPTABLE_HEAD + "optable odot\n0 0,\n",
+     "line 7: malformed image cell '0,'"),
+    (_OPTABLE_HEAD + "optable odot\n0 {,1}\n",
+     "line 7: malformed image cell ',1'"),
+    (_OPTABLE_HEAD + "optable odot\n0 0,,1\n",
+     "line 7: malformed image cell '0,,1'"),
+    (_OPTABLE_HEAD + "optable odot\n0 {0,q}\n",
+     "line 7: unknown element name 'q'"),
+    (_OPTABLE_HEAD + _OPTABLES + "0 1\n", "line 12: unknown section '0'"),
+    (_OPTABLE_HEAD + _OPTABLES + "table mul\n0 0\n0 1\n",
+     "optables cannot be combined with tables"),
+    (_OPTABLE_HEAD + "optable odot\n0 0\n0 1\n",
+     "optables need both odot and oimp"),
+    (_OPTABLE_HEAD.replace("const zero = 0\n", "") + _OPTABLES,
+     "operator tables need const one and const zero"),
+])
+def test_parse_error_messages(tmp_path, capsys, text, message):
+    # each message of parse, with its line; the file exits 2 with it
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+    f = tmp_path / "bad.struct"
+    f.write_text(text)
+    assert run(["check", str(f)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_all_small_groupoids_round_trip():
     count = 0
     for n in (1, 2, 3):
