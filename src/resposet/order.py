@@ -123,16 +123,6 @@ def check_names(names):
                 " whitespace, '#' or ','" % (name,))
 
 
-def transposed(rows, width):
-    """The bit matrix with rows[i] >> j & 1 as entry (i, j), transposed:
-    one mask per column j < width, with bit i set when rows[i] has bit j.
-    Bits at or past width are ignored."""
-    w = matrix_side(len(rows), width)
-    keep = (1 << width) - 1
-    return unpack(transpose_packed(
-        pack(row_bytes(r & keep, w) for r in rows), w), w, width)
-
-
 def matrix_side(count, width):
     """The side w of the square bit matrix that holds count rows of width
     bits when packed: the least power of two >= 8 that fits both."""
@@ -149,14 +139,6 @@ def pack(encoded):
     """The rows given by their row_bytes, in order, as one int: row i at
     bits [i*w, (i+1)*w)."""
     return int.from_bytes(b"".join(encoded), "little")
-
-
-def unpack(m, w, count):
-    """The first count rows of a packed w x w bit matrix."""
-    size = w // 8
-    data = m.to_bytes(w * size, "little")
-    return [int.from_bytes(data[i * size:(i + 1) * size], "little")
-            for i in range(count)]
 
 
 def transpose_packed(m, w):
@@ -195,7 +177,8 @@ def _poset(names, up):
     if len(set(names)) != n:
         raise OrderError("duplicate element names")
     up = tuple(up)
-    down = tuple(transposed(up, n))
+    down = tuple(mask_of(x for x in range(n) if up[x] >> y & 1)
+                 for y in range(n))
     for x in range(n):
         if not up[x] >> x & 1:
             raise OrderError("reflexivity fails at %s" % names[x])

@@ -1,12 +1,21 @@
 """The line-oriented text format for structures.
 
-A file declares its elements, the order (either generating covers or the
-full relation), optional operation tables, constants, a designated
-element, optional pair maps for the lifting construction, and optionally
-a pair of set-valued operator tables instead of the single-valued ones
-(an operator cell lists its members, and is read as the mask of them, so
-a repeated member counts once; such a file has no designated element).
-'#' starts a comment; blank lines are ignored.
+'#' starts a comment; blank lines are ignored.  The first line is
+'elements' and the n element names.  After it, a line whose first word
+is a section word opens a section, and its body runs to the next one:
+
+  covers | order       one 'x < y' (or 'x <= y') line per pair: the
+                       generating covers, or the full order relation
+  table mul | imp      exactly n rows of n names
+  optable odot | oimp  exactly n rows of n cells, each its ','-separated
+                       members, optionally in braces, read as their mask
+                       (a repeated member counts once)
+  const one | zero = x and designated = x have no body
+  pairmap f | g        'proj1' or 'proj2', or n*n '(x,y) -> z' lines
+
+A body line that its section does not use is an error.  The order is one
+covers or order section; optables replace the tables and allow no
+designated element.
 """
 
 from __future__ import annotations
@@ -39,36 +48,36 @@ def _check_names(names, where=""):
         raise ParseError(where + str(e)) from None
 
 
-def _lines(text):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
 def _fail(lineno, msg):
     raise ParseError("line %d: %s" % (lineno, msg))
 
 
+def _sections(entries):
+    """The lines after the elements line as (lineno, header words, body):
+    a line whose first word is a section word opens a section, and every
+    other line joins the body of the section above as (lineno, words)."""
+    sections = []
+    for lineno, line in entries:
+        words = line.split()
+        if words[0] in SECTION_WORDS:
+            sections.append((lineno, words, []))
+        elif sections:
+            sections[-1][2].append((lineno, words))
+        else:
+            _fail(lineno, "unknown section %r" % words[0])
+    return sections
+
+
 def parse(text):
     """Parse the text format into a structure file bundle."""
-    names = None
-    cover_pairs = []
-    order_pairs = []
-    saw_covers = saw_order = False
-    tables = {}
-    optables = {}
+    orders = {}
+    tables = {}   # by label: mul and imp, or the optables odot and oimp
     consts = {}
     designated = None
     pairmaps = {}
 
-    entries = list(_lines(text))
-
-    def lookup(lineno, name_to_index, token):
-        if token not in name_to_index:
-            _fail(lineno, "unknown element name %r" % token)
-        return name_to_index[token]
-
+    entries = [(k, line) for k, raw in enumerate(text.splitlines(), 1)
+               if (line := raw.split("#", 1)[0].strip())]
     if not entries:
         raise ParseError("empty input")
     lineno, line = entries[0]
@@ -84,142 +93,112 @@ def parse(text):
     index = {nm: k for k, nm in enumerate(names)}
     n = len(names)
 
-    i = 1
-    while i < len(entries):
-        lineno, line = entries[i]
-        parts = line.split()
+    def lookup(lineno, token):
+        if token not in index:
+            _fail(lineno, "unknown element name %r" % token)
+        return index[token]
+
+    for lineno, parts, body in _sections(entries[1:]):
         word = parts[0]
+        used = len(body)
 
         if word in ("covers", "order"):
-            if word == "covers":
-                saw_covers = True
-            else:
-                saw_order = True
-            i += 1
-            while i < len(entries):
-                lno, body = entries[i]
-                bparts = body.split()
-                if bparts[0] in SECTION_WORDS:
-                    break
-                if len(bparts) != 3 or bparts[1] not in ("<", "<="):
+            if len(parts) != 1:
+                _fail(lineno, "expected %r on its own line" % word)
+            pairs = orders.setdefault(word, [])
+            for lno, words in body:
+                if len(words) != 3 or words[1] not in ("<", "<="):
                     _fail(lno, "expected '<x> < <y>'")
-                pair = (lookup(lno, index, bparts[0]),
-                        lookup(lno, index, bparts[2]))
-                (cover_pairs if word == "covers" else order_pairs).append(pair)
-                i += 1
-            continue
+                pairs.append((lookup(lno, words[0]), lookup(lno, words[2])))
 
-        if word in ("table", "optable"):
+        elif word in ("table", "optable"):
             labels = ("mul", "imp") if word == "table" else ("odot", "oimp")
             if len(parts) != 2 or parts[1] not in labels:
                 _fail(lineno, "expected '%s %s' or '%s %s'"
                       % (word, labels[0], word, labels[1]))
             label = parts[1]
-            found = tables if word == "table" else optables
-            if label in found:
+            if label in tables:
                 _fail(lineno, "duplicate %s %s" % (word, label))
+            used = n
             rows = []
-            i += 1
-            for _ in range(n):
-                if i >= len(entries):
-                    _fail(lineno, "%s %s ends early" % (word, label))
-                lno, body = entries[i]
-                cells = body.split()
+            for lno, cells in body[:n]:
                 if len(cells) != n:
                     _fail(lno, "expected %d entries" % n)
-                if word == "table":
-                    rows.append(tuple(lookup(lno, index, c) for c in cells))
-                else:
-                    rows.append(tuple(
-                        mask_of(lookup(lno, index, m)
-                                for m in _split_cell(lno, c))
-                        for c in cells))
-                i += 1
-            found[label] = tuple(rows)
-            continue
+                rows.append(tuple(
+                    lookup(lno, c) if word == "table" else
+                    mask_of(lookup(lno, m) for m in _split_cell(lno, c))
+                    for c in cells))
+            if len(rows) < n:
+                _fail(lineno, "%s %s ends early" % (word, label))
+            tables[label] = tuple(rows)
 
-        if word == "const":
+        elif word == "const":
             if len(parts) != 4 or parts[2] != "=" or parts[1] not in ("one", "zero"):
                 _fail(lineno, "expected 'const one = <name>' or 'const zero = <name>'")
             if parts[1] in consts:
                 _fail(lineno, "duplicate const %s" % parts[1])
-            consts[parts[1]] = lookup(lineno, index, parts[3])
-            i += 1
-            continue
+            consts[parts[1]] = lookup(lineno, parts[3])
+            used = 0
 
-        if word == "designated":
+        elif word == "designated":
             if len(parts) != 3 or parts[1] != "=":
                 _fail(lineno, "expected 'designated = <name>'")
             if designated is not None:
                 _fail(lineno, "duplicate designated")
-            designated = lookup(lineno, index, parts[2])
-            i += 1
-            continue
+            designated = lookup(lineno, parts[2])
+            used = 0
 
-        if word == "pairmap":
+        elif word == "pairmap":
             if len(parts) != 2 or parts[1] not in ("f", "g"):
                 _fail(lineno, "expected 'pairmap f' or 'pairmap g'")
             label = parts[1]
             if label in pairmaps:
                 _fail(lineno, "duplicate pairmap %s" % label)
-            i += 1
-            if i >= len(entries):
+            if not body:
                 _fail(lineno, "pairmap %s has no body" % label)
-            lno, body = entries[i]
-            if body in ("proj1", "proj2"):
-                pairmaps[label] = projection(n, body)
-                i += 1
-                continue
-            rows = [[None] * n for _ in range(n)]
-            count = 0
-            while i < len(entries):
-                lno, body = entries[i]
-                bparts = body.split()
-                if bparts[0] in SECTION_WORDS:
-                    break
-                ok = (len(bparts) == 3 and bparts[1] == "->"
-                      and bparts[0].startswith("(") and bparts[0].endswith(")"))
-                if not ok:
-                    _fail(lno, "expected '(<x>,<y>) -> <z>'")
-                inner = bparts[0][1:-1].split(",")
-                if len(inner) != 2:
-                    _fail(lno, "expected '(<x>,<y>) -> <z>'")
-                x = lookup(lno, index, inner[0])
-                y = lookup(lno, index, inner[1])
-                if rows[x][y] is not None:
-                    _fail(lno, "duplicate pairmap entry")
-                rows[x][y] = lookup(lno, index, bparts[2])
-                count += 1
-                i += 1
-            if count != n * n:
-                _fail(lno, "pairmap %s has %d of %d entries" % (label, count, n * n))
-            pairmaps[label] = tuple(map(tuple, rows))
-            continue
+            if body[0][1] in (["proj1"], ["proj2"]):
+                pairmaps[label] = projection(n, body[0][1][0])
+                used = 1
+            else:
+                rows = [[None] * n for _ in range(n)]
+                for lno, words in body:
+                    inner = words[0][1:-1].split(",")
+                    if (len(words) != 3 or words[1] != "->" or len(inner) != 2
+                            or (words[0][0], words[0][-1]) != ("(", ")")):
+                        _fail(lno, "expected '(<x>,<y>) -> <z>'")
+                    x, y = (lookup(lno, v) for v in inner)
+                    if rows[x][y] is not None:
+                        _fail(lno, "duplicate pairmap entry")
+                    rows[x][y] = lookup(lno, words[2])
+                if len(body) != n * n:
+                    _fail(lno, "pairmap %s has %d of %d entries"
+                          % (label, len(body), n * n))
+                pairmaps[label] = tuple(map(tuple, rows))
 
-        if word == "elements":
+        else:
             _fail(lineno, "duplicate elements line")
-        _fail(lineno, "unknown section %r" % word)
 
-    if saw_covers and saw_order:
-        raise ParseError("both covers and order sections given")
-    if not saw_covers and not saw_order:
-        raise ParseError("no order information (covers or order section)")
-    if saw_covers:
-        poset = poset_from_covers(names, cover_pairs)
-    else:
-        poset = poset_from_relation(names, order_pairs)
+        for lno, words in body[used:]:
+            _fail(lno, "unknown section %r" % words[0])
 
-    if optables:
-        if tables:
+    if len(orders) != 1:
+        raise ParseError("both covers and order sections given" if orders
+                         else "no order information (covers or order section)")
+    (word, pairs), = orders.items()
+    poset = (poset_from_covers if word == "covers"
+             else poset_from_relation)(names, pairs)
+
+    if "odot" in tables or "oimp" in tables:
+        if "mul" in tables or "imp" in tables:
             raise ParseError("optables cannot be combined with tables")
         if designated is not None:
             raise ParseError("optables cannot be combined with designated")
-        if "odot" not in optables or "oimp" not in optables:
+        if "odot" not in tables or "oimp" not in tables:
             raise ParseError("optables need both odot and oimp")
         if "one" not in consts or "zero" not in consts:
             raise ParseError("operator tables need const one and const zero")
         return StructureFile(operators=OperatorStructure(
-            poset, optables["odot"], optables["oimp"],
+            poset, tables["odot"], tables["oimp"],
             zero=consts["zero"], one=consts["one"]), pairmaps=pairmaps)
 
     if "one" not in consts:
@@ -236,21 +215,8 @@ def _split_cell(lineno, cell):
         cell = cell[1:-1]
     if not cell:
         _fail(lineno, "empty operator image")
-    members = []
-    depth = 0
-    current = []
-    for ch in cell:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            members.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    members.append("".join(current))
-    if any(not m for m in members):
+    members = cell.split(",")
+    if not all(members):
         _fail(lineno, "malformed image cell %r" % cell)
     return members
 

@@ -6,11 +6,12 @@ condition (3) and the five-point operator audit
 (twist.check_operator_residuated) must give the same verdicts and the
 same first witnesses, row-major in (x, y, z), as the plain loops below,
 which work on Python sets and p.leq only (operator images are read as
-the sets of their members).  The bit-matrix transpose order.transposed
-must match a loop over its definition, build_operator_twist the one-cell
-definitions operator_product and operator_implication, and the LU
-identity must hold at every comparable pair of every small poset, which
-is why the distributivity scan may skip those pairs.
+the sets of their members).  The packed bit-matrix transpose
+order.transpose_packed must match a loop over its definition,
+build_operator_twist the one-cell definitions operator_product and
+operator_implication, and the LU identity must hold at every comparable
+pair of every small poset, which is why the distributivity scan may skip
+those pairs.
 """
 
 import functools
@@ -22,8 +23,8 @@ import pytest
 from resposet.kleene_twist import build_restricted_twist, \
     check_kleene_twist
 from resposet.order import _lu_identity_failure, antichain, bits, chain, \
-    is_antitone_involution, is_pseudo_kleene, mask_of, poset_from_covers, \
-    transposed
+    is_antitone_involution, is_pseudo_kleene, mask_of, matrix_side, pack, \
+    poset_from_covers, row_bytes, transpose_packed
 from resposet.report import CheckItem
 from resposet.residuation import condition_holds, structure
 from resposet.search import enumerate_posets, enumerate_structures, \
@@ -644,13 +645,16 @@ def reference_transposed(rows, width):
 
 def test_transposed_matches_reference():
     # sizes cross the 8/16/32/64 padding steps; one row in four is drawn
-    # 9 bits wider than width, and bits at or past width have no column
+    # 9 bits wider than width, which fills padding columns up to the side
+    # w, and every one of the w rows of the transpose is compared
     rng = random.Random(64)
     sizes = [(k, w) for k in (1, 7, 8, 9, 16, 17, 33, 64, 65, 70)
              for w in (1, 8, 9, 31, 64, 70)]
     sizes += [(rng.randint(1, 70), rng.randint(1, 70)) for _ in range(40)]
     for k, width in sizes:
-        rows = [rng.getrandbits(width + 9 * (i % 4 == 3))
+        w = matrix_side(k, width)
+        rows = [rng.getrandbits(width + 9 * (i % 4 == 3)) & ((1 << w) - 1)
                 for i in range(k)]
-        assert transposed(rows, width) == \
-            reference_transposed(rows, width), (k, width)
+        m = transpose_packed(pack(row_bytes(r, w) for r in rows), w)
+        assert [m >> j * w & ((1 << w) - 1) for j in range(w)] == \
+            reference_transposed(rows, w), (k, width)

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from resposet.cli import run
 from resposet.order import OrderError, check_names, poset_from_covers
-from resposet.residuation import structure
+from resposet.residuation import StructureError, structure
 from resposet.search import enumerate_structures
 from resposet.structfile import (ParseError, data_path, emit_structure,
                                  emit_tables, load, parse)
@@ -118,6 +120,15 @@ def test_parse_empty_operator_cell_rejected():
 _OPTABLE_HEAD = "elements 0 1\ncovers\n0 < 1\nconst one = 1\nconst zero = 0\n"
 
 
+def test_operator_cell_members_may_hold_parentheses():
+    # a cell splits at every ',': element names cannot hold one
+    text = ("elements (a b)\ncovers\n(a < b)\nconst one = b)\n"
+            "const zero = (a\noptable odot\n(a (a,b)\nb),(a b)\n"
+            "optable oimp\nb) b)\n(a b)\n")
+    odot = parse(text).operators.odot
+    assert odot[0][1] == odot[1][0] == 0b11
+
+
 def test_repeated_member_in_operator_cell_is_one_set(tmp_path, capsys):
     # "0,0" and "0" are both the set {0}, so odot is commutative
     text = _OPTABLE_HEAD + ("optable odot\n0 0,0\n0 1\n"
@@ -205,6 +216,10 @@ _OPTABLES = ("optable odot\n0 0\n0 1\n"    # headers on lines 6 and 9
     ("elements 0 1\ntabel mul\n", "line 2: unknown section 'tabel'"),
     ("elements 0 1\n0 < 1\ncovers\n", "line 2: unknown section '0'"),
     (_TWO_CHAIN + "elements 0 1\n", "line 11: duplicate elements line"),
+    ("elements 0 1\ncovers 0 < 1\n",
+     "line 2: expected 'covers' on its own line"),
+    ("elements 0 1\norder 0 <= 1\n",
+     "line 2: expected 'order' on its own line"),
     ("elements 0 1\ncovers\n0 1\n", "line 3: expected '<x> < <y>'"),
     ("elements 0 1\norder\n0 >= 1\n", "line 3: expected '<x> < <y>'"),
     ("elements 0 1\ncovers\n0 < 1 < 1\n", "line 3: expected '<x> < <y>'"),
@@ -221,6 +236,8 @@ _OPTABLES = ("optable odot\n0 0\n0 1\n"    # headers on lines 6 and 9
      "line 4: expected 'table mul' or 'table imp'"),
     (_TWO_CHAIN + "table imp\n1 1\n0 1\n", "line 11: duplicate table imp"),
     ("elements 0 1\ncovers\n0 < 1\ntable mul\n0 0\n",
+     "line 4: table mul ends early"),
+    (_TWO_CHAIN.replace("0 1\ntable imp", "table imp"),
      "line 4: table mul ends early"),
     ("elements 0 1\ncovers\n0 < 1\ntable mul\n0\n0 1\n",
      "line 5: expected 2 entries"),
@@ -249,6 +266,7 @@ _OPTABLES = ("optable odot\n0 0\n0 1\n"    # headers on lines 6 and 9
      "line 11: expected 'pairmap f' or 'pairmap g'"),
     (_TWO_CHAIN + "pairmap\n", "line 11: expected 'pairmap f' or 'pairmap g'"),
     (_PAIRMAP_F, "line 11: pairmap f has no body"),
+    (_PAIRMAP_F + "pairmap g\nproj1\n", "line 11: pairmap f has no body"),
     (_PAIRMAP_F + "proj1\nproj2\n", "line 13: unknown section 'proj2'"),
     (_PAIRMAP_F + "proj2 proj1\n", "line 12: expected '(<x>,<y>) -> <z>'"),
     (_PAIRMAP_F + "(0,0) 1\n", "line 12: expected '(<x>,<y>) -> <z>'"),
@@ -263,6 +281,8 @@ _OPTABLES = ("optable odot\n0 0\n0 1\n"    # headers on lines 6 and 9
      "line 13: duplicate pairmap entry"),
     (_PAIRMAP_F + "(0,0) -> 1\n(0,1) -> 1\n(1,0) -> 0\n",
      "line 14: pairmap f has 3 of 4 entries"),
+    (_PAIRMAP_F + "(0,0) -> 1\n(0,1) -> 1\npairmap g\nproj1\n",
+     "line 13: pairmap f has 2 of 4 entries"),
     (_OPTABLE_HEAD + "optable\n",
      "line 6: expected 'optable odot' or 'optable oimp'"),
     (_OPTABLE_HEAD + "optable mul\n",
@@ -270,6 +290,8 @@ _OPTABLES = ("optable odot\n0 0\n0 1\n"    # headers on lines 6 and 9
     (_OPTABLE_HEAD + _OPTABLES + "optable oimp\n1 1\n0 1\n",
      "line 12: duplicate optable oimp"),
     (_OPTABLE_HEAD + "optable odot\n0 0\n", "line 6: optable odot ends early"),
+    (_OPTABLE_HEAD + "optable odot\n0 0\noptable oimp\n1 1\n0 1\n",
+     "line 6: optable odot ends early"),
     (_OPTABLE_HEAD + "optable odot\n0 0 0\n", "line 7: expected 2 entries"),
     (_OPTABLE_HEAD + "optable odot\n0 {0\n",
      "line 7: unbalanced braces in '{0'"),
@@ -299,6 +321,51 @@ def test_parse_error_messages(tmp_path, capsys, text, message):
     f.write_text(text)
     assert run(["check", str(f)]) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+_PAIRMAP_FILE = _PAIRMAP_F + ("proj2\npairmap g\n(0,0) -> 1\n(0,1) -> 1\n"
+                              "(1,0) -> 0\n(1,1) -> 1\n")
+
+
+def _mutants(seed, count):
+    # each valid file with one line deleted, duplicated, replaced by a
+    # line of any of the files, or with one word replaced by any word
+    texts = [data_path(name).read_text() for name in
+             ("example1.struct", "chain3.struct")]
+    texts += [_PAIRMAP_FILE, _OPTABLE_HEAD + _OPTABLES]
+    pool = [line for t in texts for line in t.splitlines()]
+    words = sorted({w for line in pool for w in line.split()})
+    rng = random.Random(seed)
+    for _ in range(count):
+        lines = rng.choice(texts).splitlines()
+        k = rng.randrange(len(lines))
+        kind = rng.randrange(4)
+        if kind == 0:
+            del lines[k]
+        elif kind == 1:
+            lines.insert(k, lines[k])
+        elif kind == 2:
+            lines.insert(k, rng.choice(pool))
+        else:
+            line = lines[k].split() or [""]
+            line[rng.randrange(len(line))] = rng.choice(words)
+            lines[k] = " ".join(line)
+        yield "\n".join(lines) + "\n"
+
+
+def test_mutated_files_fail_cleanly(tmp_path, capsys):
+    # a bad file is an error with a message (exit 2), never a traceback;
+    # check loads a file with parse, so only the files it reads can reach
+    # anything past the exit-2 errors above
+    f = tmp_path / "mutant.struct"
+    for text in _mutants(13, 2500):
+        try:
+            parse(text)
+        except (ParseError, OrderError, StructureError):
+            continue
+        f.write_text(text)
+        assert run(["check", str(f)]) in (0, 1, 2), text
+        capsys.readouterr()
 
 
 def test_all_small_groupoids_round_trip():
