@@ -175,7 +175,7 @@ def parse(text):
                           % (label, len(body), n * n))
                 pairmaps[label] = tuple(map(tuple, rows))
 
-        else:
+        else:   # elements, the one section word left
             _fail(lineno, "duplicate elements line")
 
         for lno, words in body[used:]:

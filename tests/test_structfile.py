@@ -355,8 +355,8 @@ def _mutants(seed, count):
 
 def test_mutated_files_fail_cleanly(tmp_path, capsys):
     # a bad file is an error with a message (exit 2), never a traceback;
-    # check loads a file with parse, so only the files it reads can reach
-    # anything past the exit-2 errors above
+    # run turns each of these three errors into exit 2, so only a file
+    # that parses can reach code past parse
     f = tmp_path / "mutant.struct"
     for text in _mutants(13, 2500):
         try:
