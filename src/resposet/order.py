@@ -111,16 +111,16 @@ SECTION_WORDS = frozenset(("elements", "covers", "order", "table", "const",
 
 def check_names(names):
     """The one rule for element names: none may be empty, hold whitespace,
-    '#' or ',', or be a section word, since the structure file format
-    would read each of those back as something else (',' separates the
-    members of an optable cell, the two names of a pairmap pair and the
-    two names of twist --const)."""
+    '#', ',', '{' or '}', or be a section word, since the structure file
+    format would read each of those back as something else (',' separates
+    the members of an optable cell, the two names of a pairmap pair and
+    the two names of twist --const; braces enclose an optable cell)."""
     for name in names:
         if (not name or name in SECTION_WORDS
-                or any(c in "#," or c.isspace() for c in name)):
+                or any(c in "#,{}" or c.isspace() for c in name)):
             raise OrderError(
                 "element name %r is empty, a section word, or contains"
-                " whitespace, '#' or ','" % (name,))
+                " whitespace, '#', ',', '{' or '}'" % (name,))
 
 
 def matrix_side(count, width):

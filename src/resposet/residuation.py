@@ -337,6 +337,7 @@ class SynthesisResult(NamedTuple):
     candidates: int = 0     # bitmask: the solution set at the failure point
 
 
+@functools.lru_cache(maxsize=None)
 def residuum_row(p, col):
     """Recover y->z for one product column col[x] = x*y: row[z] is the
     greatest x with col[x] <= z.
@@ -345,7 +346,8 @@ def residuum_row(p, col):
     principal down-set of that greatest element; a unique maximal element
     alone is not enough for the adjunction to hold, so that case is its
     own failure kind.  Returns (row, None), or (None, (kind, z,
-    candidates)) at the first z that fails.
+    candidates)) at the first z that fails.  Memoized: the sweeps recover
+    the same few columns thousands of times.
     """
     row = []
     for z in range(p.n):

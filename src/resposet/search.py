@@ -12,6 +12,8 @@ pairs whose unit column is the identity, commutative residuated monoids
 are filtered from the cached left-residuated groupoids, and bounded ones
 from the cached commutative monoids.  check_universal alone enumerates a
 sweep's items and prefixes its witness with the item's description.
+Every kind comes poset by poset: all units of one poset form one block,
+which the one-poset lift memo of twist.twist_operations relies on.
 """
 
 from __future__ import annotations
@@ -227,7 +229,9 @@ class UniversalResult(NamedTuple):
 def check_universal(name, sizes=None):
     """Run one registered property over every item of its kind at each
     size, stopping at the first failing case; its witness is the item's
-    description followed by the failure reason."""
+    description followed by the failure reason.  Items come in enumeration
+    order, all units of one poset in one block, so the lifting sweeps use
+    each poset's lifts before moving on (twist.twist_operations)."""
     if name not in PROPERTIES:
         raise EnumerationError("unknown property %r" % (name,))
     prop = PROPERTIES[name]

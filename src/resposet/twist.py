@@ -98,6 +98,7 @@ def cone_product_failure(base):
     return None
 
 
+@functools.lru_cache(maxsize=None)
 def projection(n, kind):
     """The pair map (x, y) |-> x ("proj1") or y ("proj2") on n elements,
     as an n x n table."""
@@ -119,6 +120,40 @@ def _validate_pairmap(table, label, base, const, one):
             % (label, base.names[a], base.names[b], base.names[one]))
 
 
+_lifts = {}     # {base poset: (lifts, rows)} for one base at a time
+
+
+def _lift(s, f, g):
+    """The unit-free lift of s through f and g: the lifted structure, with
+    unit 0, and whether lifted condition (3), which no unit enters, holds.
+    Memoized by (mul, imp, f, g) for the last base poset only (the sweeps
+    bring all units of a poset in one block); equal rows are shared."""
+    base = s.poset
+    if base not in _lifts:
+        _lifts.clear()
+        _lifts[base] = {}, {}
+    memo, rows = _lifts[base]
+    key = (s.mul, s.imp, tuple(map(tuple, f)), tuple(map(tuple, g)))
+    lift = memo.get(key)
+    if lift is None:
+        n, mul, imp = base.n, s.mul, s.imp
+        omul = [[0] * (n * n) for _ in range(n * n)]
+        oimp = [[0] * (n * n) for _ in range(n * n)]
+        for x in range(n):
+            for y in range(n):
+                p, fp, gp = x * n + y, f[x][y], g[x][y]
+                for z in range(n):
+                    for v in range(n):
+                        q = z * n + v
+                        omul[p][q] = mul[x][f[z][v]] * n + imp[g[z][v]][y]
+                        oimp[p][q] = imp[fp][z] * n + mul[v][gp]
+        omul, oimp = ([rows.setdefault(r, r) for r in map(tuple, t)]
+                      for t in (omul, oimp))
+        ts = structure(full_twist(base), omul, oimp, one=0)
+        lift = memo[key] = ts, condition_holds(ts, 3)[0]
+    return lift
+
+
 def twist_operations(s, f, g, const):
     """Lift mul/imp to the pair carrier through the pair maps f and g
     (n x n tables):
@@ -127,28 +162,17 @@ def twist_operations(s, f, g, const):
         (x,y) -> (z,v) = (f(x,y) -> z, v * g(x,y))
 
     with the pair const as unit.  f and g must be surjective and send
-    const to the base unit.
+    const to the base unit.  The lifted tables are unit-free, so they come
+    from a memo that holds the lifts of one base poset at a time (_lift).
     """
     if s.mul is None or s.imp is None:
         raise StructureError("twist lifting needs both operation tables")
     base = s.poset
     _validate_pairmap(f, "f", base, const, s.one)
     _validate_pairmap(g, "g", base, const, s.one)
-    n = base.n
-    mul, imp = s.mul, s.imp
-    nn = n * n
-    omul = [[0] * nn for _ in range(nn)]
-    oimp = [[0] * nn for _ in range(nn)]
-    for x in range(n):
-        for y in range(n):
-            p = x * n + y
-            fp, gp = f[x][y], g[x][y]
-            for z in range(n):
-                for v in range(n):
-                    q = z * n + v
-                    omul[p][q] = mul[x][f[z][v]] * n + imp[g[z][v]][y]
-                    oimp[p][q] = imp[fp][z] * n + mul[v][gp]
-    return structure(full_twist(base), omul, oimp, one=const[0] * n + const[1])
+    ts = _lift(s, f, g)[0]
+    return structure(ts.poset, ts.mul, ts.imp,
+                     one=const[0] * base.n + const[1])
 
 
 def check_twist_lifting(s, f, g, const):
@@ -161,7 +185,7 @@ def check_twist_lifting(s, f, g, const):
     base3 = condition_holds(s, 3)[0]
     base6 = condition_holds(s, 6)[0]
     base9 = condition_holds(s, 9)[0]
-    twist3 = condition_holds(ts, 3)[0]
+    twist3 = _lift(s, f, g)[1]
     twist6 = condition_holds(ts, 6)[0]
     base_lrg = base3 and base6
     twist_lrg = twist3 and twist6

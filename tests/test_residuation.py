@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from resposet.order import antichain, chain, poset_from_covers
@@ -5,8 +7,8 @@ from resposet.residuation import (CONDITION_IDS, StructureError,
                                   check_condition, check_derived_laws,
                                   classify, condition_applicable,
                                   condition_holds, is_associative,
-                                  is_commutative, structure,
-                                  synthesize_residuum)
+                                  is_commutative, residuum_row,
+                                  structure, synthesize_residuum)
 from resposet.search import enumerate_structures
 
 
@@ -176,3 +178,42 @@ def test_commutative_and_associative_match_definitions(kind):
             assert is_commutative(s) == (w is None, w)
             w = _first_associativity_failure(s.mul)
             assert is_associative(s) == (w is None, w)
+
+
+def _columns_and_posets(example1):
+    from resposet.search import enumerate_posets
+    for n in (1, 2, 3):
+        for p in enumerate_posets(n):
+            yield p, list(itertools.product(range(n), repeat=n))
+    p = example1.poset
+    yield p, [tuple(r[y] for r in example1.mul) for y in range(p.n)]
+
+
+def test_residuum_memo_is_exact(example1, monkeypatch):
+    # residuum_row is memoized; residuable_columns fills the memo and
+    # synthesize_residuum reads it
+    from resposet import residuation
+    from resposet.search import residuable_columns
+    plain = residuum_row.__wrapped__
+    checked = 0
+    for p, cols in _columns_and_posets(example1):
+        residuum_row.cache_clear()
+        before = [residuum_row(p, col) for col in cols]
+        residuum_row.cache_clear()
+        if p.n <= 3:
+            residuable_columns.__wrapped__(p)
+        after = [residuum_row(p, col) for col in cols]
+        assert before == after == [plain(p, col) for col in cols]
+        for value in after:
+            assert type(value) is tuple
+            assert all(type(v) is tuple for v in value if v is not None)
+        # each column as every column of a product table
+        tables = [tuple((c,) * p.n for c in col) for col in cols]
+        if p is example1.poset:
+            tables.append(example1.mul)
+        memo = [synthesize_residuum(p, t) for t in tables]
+        with monkeypatch.context() as m:
+            m.setattr(residuation, "residuum_row", plain)
+            assert memo == [synthesize_residuum(p, t) for t in tables]
+        checked += len(cols)
+    assert checked == 1 + 3 * 4 + 19 * 27 + 10

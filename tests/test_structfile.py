@@ -211,7 +211,12 @@ _OPTABLES = ("optable odot\n0 0\n0 1\n"    # headers on lines 6 and 9
     ("elements\n", "line 1: elements line declares no elements"),
     ("elements 0 1\n\nelements\n", "line 3: duplicate elements line"),
     ("elements 0 covers\n", "line 1: element name 'covers' is empty, a"
-     " section word, or contains whitespace, '#' or ','"),
+     " section word, or contains whitespace, '#', ',', '{' or '}'"),
+    # an optable cell strips one pair of braces, so '{a}' would read as a
+    ("elements a {a}\n", "line 1: element name '{a}' is empty, a section"
+     " word, or contains whitespace, '#', ',', '{' or '}'"),
+    ("elements a b}\n", "line 1: element name 'b}' is empty, a section"
+     " word, or contains whitespace, '#', ',', '{' or '}'"),
     ("elements 0 1 0\n", "line 1: duplicate element names"),
     ("elements 0 1\ntabel mul\n", "line 2: unknown section 'tabel'"),
     ("elements 0 1\n0 < 1\ncovers\n", "line 2: unknown section '0'"),

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from resposet.order import antichain, bits, chain, poset_from_covers
@@ -175,3 +178,98 @@ def test_embedding_detects_corruption():
     wrong = antichain(4)  # same size as the twist carrier, wrong order
     item = check_embedding(base, wrong, 0, [0, 2])
     assert not item.passed
+
+
+# The lift memo against the lift written from its definition: the tables
+# of (x,y)*(z,v) = (x*f(z,v), g(z,v)->y) and
+# (x,y)->(z,v) = (f(x,y)->z, v*g(x,y)), and the five lifting items from
+# the conditions of the base and of that reference lift.
+
+def _reference_lift(s, f, g, const):
+    n = s.poset.n
+    m, i = s.mul, s.imp
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    omul = [[m[x][f[z][v]] * n + i[g[z][v]][y] for z, v in pairs]
+            for x, y in pairs]
+    oimp = [[i[f[x][y]][z] * n + m[v][g[x][y]] for z, v in pairs]
+            for x, y in pairs]
+    return structure(full_twist(s.poset), omul, oimp,
+                     one=const[0] * n + const[1])
+
+
+def _reference_verdicts(s, ts):
+    b3, b6, b9 = (condition_holds(s, k)[0] for k in (3, 6, 9))
+    t3, t6 = (condition_holds(ts, k)[0] for k in (3, 6))
+    return [b3 and b6, t3 and t6, t3 == b3, t6 == (b6 and b9),
+            (b3 and b6) == (t3 and t6)]
+
+
+def _assert_lift_exact(s, f, g, const):
+    ref = _reference_lift(s, f, g, const)
+    assert twist_operations(s, f, g, const) == ref
+    ts, items = check_twist_lifting(s, f, g, const)
+    assert ts == ref
+    assert [it.passed for it in items] == _reference_verdicts(s, ref)
+    return items
+
+
+def _surjective_maps(n, a, b, one):
+    # every n x n table onto the carrier that sends (a, b) to one
+    for cells in itertools.product(range(n), repeat=n * n):
+        if len(set(cells)) == n and cells[a * n + b] == one:
+            yield tuple(cells[x * n:x * n + n] for x in range(n))
+
+
+def test_lift_memo_exact_on_all_pair_maps_up_to_2():
+    cases = 0
+    for n in (1, 2):
+        for s in enumerate_structures(n, "residuated-pair"):
+            for a, b in itertools.product(range(n), repeat=2):
+                maps = list(_surjective_maps(n, a, b, s.one))
+                for f, g in itertools.product(maps, repeat=2):
+                    _assert_lift_exact(s, f, g, (a, b))
+                    cases += 1
+    assert cases == 1 + 24 * 4 * 7 * 7
+
+
+def test_lift_memo_exact_on_projections_of_a_sample_at_3():
+    rng = random.Random(14)
+    first, second = projection(3, "proj1"), projection(3, "proj2")
+    for s in rng.sample(enumerate_structures(3, "residuated-pair"), 300):
+        for f, g in ((first, second), (second, first)):
+            _assert_lift_exact(s, f, g, (s.one, s.one))
+
+
+def test_lift_memo_follows_the_base_poset(chain3):
+    # the same tables over another order (A, B, A): a lift kept from the
+    # other base would carry the wrong pair order and adjunction verdict
+    other = structure(antichain(3), chain3.mul, chain3.imp, one=chain3.one)
+    f, g = projection(3, "proj1"), projection(3, "proj2")
+    const = (chain3.one, chain3.one)
+    seen = [_assert_lift_exact(s, f, g, const)
+            for s in (chain3, other, chain3)]
+    assert seen[0] == seen[2] != seen[1]
+    assert twist_operations(other, f, g, const).poset == \
+        full_twist(antichain(3))
+
+
+def test_lift_memo_takes_list_pair_maps(example1):
+    n = example1.poset.n
+    f, g = projection(n, "proj1"), projection(n, "proj2")
+    const = (example1.one, example1.one)
+    want = check_twist_lifting(example1, f, g, const)
+    lists = [list(map(list, f)), list(map(list, g))]
+    assert check_twist_lifting(example1, *lists, const) == want
+    assert twist_operations(example1, *lists, const) == want[0]
+
+
+def test_lift_memo_keeps_the_bad_unit_error(bool2):
+    # the const code -3 is no element; the pair maps check passes because
+    # f[-2][1] is f[0][1]
+    proj2 = projection(2, "proj2")
+    for _ in range(2):
+        with pytest.raises(StructureError, match="^unit element required$"):
+            twist_operations(bool2, proj2, proj2, (-2, 1))
+    twist_operations(bool2, proj2, proj2, (1, 1))
+    with pytest.raises(StructureError, match="^unit element required$"):
+        check_twist_lifting(bool2, proj2, proj2, (-2, 1))
