@@ -25,7 +25,7 @@ from .report import CheckItem, all_pass
 from .residuation import StructureError, check_condition, classify
 from .twist import OperatorStructure, check_embedding, \
     check_operator_residuated, full_twist, operator_implication, \
-    operator_product, pair_name, pair_names
+    operator_product
 
 
 class RestrictedTwist(NamedTuple):
@@ -48,7 +48,7 @@ def pair_in_carrier(base, a, x, y):
 
 def build_restricted_twist(base, a):
     """Collect the carrier in row-major pair order and restrict the full
-    twist's cones and the swap involution to it."""
+    twist's names, cones and the swap involution to it."""
     n = base.n
     members = tuple((x, y) for x in range(n) for y in range(n)
                     if pair_in_carrier(base, a, x, y))
@@ -60,8 +60,8 @@ def build_restricted_twist(base, a):
         return tuple(mask_of(index[v] for v in bits(cones[u] & carrier))
                      for u in index)
 
-    poset = Poset(pair_names(base, members), restrict(twist.up),
-                  restrict(twist.down))
+    poset = Poset(tuple(map(twist.names.__getitem__, index)),
+                  restrict(twist.up), restrict(twist.down))
     swap = tuple(index[y * n + x] for x, y in members)
     return RestrictedTwist(base, a, members, poset, swap, index)
 
@@ -135,9 +135,10 @@ def classify_escape(s, a, op, ppair, qpair, member):
     which of conditions (11)/(12) it breaks.  Exactly one row of the case
     table fires under the standing assumptions (else EscapeCaseError)."""
     base = s.poset
-    witness = (("op", op), ("p", pair_name(base, ppair)),
-               ("q", pair_name(base, qpair)),
-               ("member", pair_name(base, member)))
+    names, n = full_twist(base).names, base.n
+    witness = (("op", op), ("p", names[ppair[0] * n + ppair[1]]),
+               ("q", names[qpair[0] * n + qpair[1]]),
+               ("member", names[member[0] * n + member[1]]))
     p_pattern = _pair_pattern(base, a, ppair)
     q_pattern = _pair_pattern(base, a, qpair)
     for case in _escape_cases(s, a, *ppair, *qpair):
@@ -197,11 +198,10 @@ def check_restricted_closure(s, rt):
 
 def check_involution_membership(s, rt):
     """(y,x) must be one of the image members of (x,y) => (0,1)."""
-    for (x, y) in rt.members:
+    for (x, y), p in zip(rt.members, rt.poset.names):
         image = operator_implication(s, x, y, s.zero, s.one)
         if not image >> (y * s.poset.n + x) & 1:
-            return CheckItem("involution-membership", False,
-                             (("p", pair_name(s.poset, (x, y))),))
+            return CheckItem("involution-membership", False, (("p", p),))
     return CheckItem("involution-membership", True)
 
 

@@ -271,6 +271,21 @@ class ConeMemo(dict):
         return value
 
 
+def _monotone_failure(p, t, antitone=False):
+    """x <= y must give t[z][x] <= t[z][y] for every row z of t
+    (t[z][y] <= t[z][x] when antitone).  Conditions (1), (2), (4) and (5)
+    pass an operation table or its transpose, is_antitone_involution the
+    one-row table of its map.  The witness is (x, y, z)."""
+    up = p.up
+    cone = p.down if antitone else up
+    for x in range(p.n):
+        for y in bits(up[x]):
+            for z in range(len(t)):
+                if not cone[t[z][x]] >> t[z][y] & 1:
+                    return (x, y, z)
+    return None
+
+
 def set_leq(p, amask, bmask):
     """Every element of A below every element of B (vacuously true when
     either side is empty)."""
@@ -392,10 +407,9 @@ def is_antitone_involution(p, mapping):
     for x in range(p.n):
         if mapping[mapping[x]] != x:
             return InvolutionVerdict(False, "not an involution", (x,))
-    for x in range(p.n):
-        for y in bits(p.up[x]):
-            if not p.leq(mapping[y], mapping[x]):
-                return InvolutionVerdict(False, "not antitone", (x, y))
+    w = _monotone_failure(p, (mapping,), antitone=True)
+    if w is not None:
+        return InvolutionVerdict(False, "not antitone", w[:2])
     return InvolutionVerdict(True)
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .order import (bits, bounds, cover_walk, lowest, mask_of,
-                    maximal_elements, popcount)
+from .order import (_monotone_failure, bits, bounds, cover_walk, lowest,
+                    mask_of, maximal_elements, popcount)
 from .report import CheckItem
 
 
@@ -89,20 +89,6 @@ def _missing(s, needs):
 # Each condition function returns None on success or the witness tuple of
 # element indices, scanned in lexicographic order with loop variables in
 # the order they appear in the condition.
-
-def _monotone_failure(p, t, antitone=False):
-    """Conditions (1), (2), (4) and (5): x <= y must give t[z][x] <= t[z][y]
-    for every z (t[z][y] <= t[z][x] when antitone), where t is an operation
-    table or its transpose.  The witness is (x, y, z)."""
-    up = p.up
-    cone = p.down if antitone else up
-    for x in range(p.n):
-        for y in bits(up[x]):
-            for z in range(p.n):
-                if not cone[t[z][x]] >> t[z][y] & 1:
-                    return (x, y, z)
-    return None
-
 
 def _transpose(t):
     return tuple(zip(*t))
@@ -231,28 +217,28 @@ def _idempotence_failure(s):
 
 _CONDITIONS = {
     1: (lambda s: _monotone_failure(s.poset, s.mul),
-        ("x", "y", "z"), dict(mul=True)),
+        ("x", "y", "z"), ("mul",)),
     2: (lambda s: _monotone_failure(s.poset, _transpose(s.mul)),
-        ("x", "y", "z"), dict(mul=True)),
-    3: (_cond3, ("x", "y", "z"), dict(mul=True, imp=True)),
+        ("x", "y", "z"), ("mul",)),
+    3: (_cond3, ("x", "y", "z"), ("mul", "imp")),
     4: (lambda s: _monotone_failure(s.poset, s.imp),
-        ("x", "y", "z"), dict(imp=True)),
+        ("x", "y", "z"), ("imp",)),
     5: (lambda s: _monotone_failure(s.poset, _transpose(s.imp), True),
-        ("x", "y", "z"), dict(imp=True)),
-    6: (_cond6, ("x",), dict(mul=True)),
-    7: (_cond7, ("x", "y"), dict(mul=True)),
-    8: (_cond8, ("x", "y", "z"), dict(mul=True, imp=True)),
-    9: (_cond9, ("x",), dict(imp=True)),
-    10: (_cond10, ("x", "y"), dict(imp=True)),
-    11: (_cond11, ("x",), dict(mul=True, zero=True, designated=True)),
-    12: (_cond12, ("x",), dict(imp=True, designated=True)),
-    13: (_cond13, ("x", "y"), dict(mul=True, designated=True)),
+        ("x", "y", "z"), ("imp",)),
+    6: (_cond6, ("x",), ("mul",)),
+    7: (_cond7, ("x", "y"), ("mul",)),
+    8: (_cond8, ("x", "y", "z"), ("mul", "imp")),
+    9: (_cond9, ("x",), ("imp",)),
+    10: (_cond10, ("x", "y"), ("imp",)),
+    11: (_cond11, ("x",), ("mul", "zero", "designated")),
+    12: (_cond12, ("x",), ("imp", "designated")),
+    13: (_cond13, ("x", "y"), ("mul", "designated")),
     "commutative": (lambda s: commutativity_failure(s.mul), ("x", "y"),
-                    dict(mul=True)),
-    "associative": (_associativity_failure, ("x", "y", "z"), dict(mul=True)),
-    "unit-top": (_unit_top_failure, ("x",), dict()),
+                    ("mul",)),
+    "associative": (_associativity_failure, ("x", "y", "z"), ("mul",)),
+    "unit-top": (_unit_top_failure, ("x",), ()),
     "idempotent": (_idempotence_failure, ("a",),
-                   dict(mul=True, designated=True)),
+                   ("mul", "designated")),
 }
 
 CONDITION_IDS = tuple(range(1, 14))
@@ -386,23 +372,36 @@ class LawVerdict(NamedTuple):
     witness: tuple[tuple[str, str], ...] = ()
 
 
-# The derived laws (Lemma-style implications between the conditions):
-# law id, premises, conclusion, ingredients.  Premises and conclusion are
-# rows of the condition table.  "unit-top" asks more than the unit law:
-# the derivation of (7) rests on y <= 1 for every y.  Laws needing a
-# designated element are evaluated with each element designated in turn
-# by the sweeps.
+class Law(NamedTuple):
+    """A derived law, a Lemma-style implication between rows of the
+    condition table; its sweep runs over the structures of kind."""
+    law_id: str
+    premises: tuple
+    conclusion: int | str
+    kind: str
+
+    @property
+    @functools.lru_cache(maxsize=None)
+    def needs(self):
+        """The ingredients of its rows, in the order of _INGREDIENTS."""
+        rows = [_CONDITIONS[k][2] for k in (*self.premises, self.conclusion)]
+        return tuple(k for k in _INGREDIENTS if any(k in r for r in rows))
+
+
+# "unit-top" asks more than the unit law: the derivation of (7) rests on
+# y <= 1 for every y.  Laws needing a designated element are evaluated
+# with each element designated in turn by the sweeps.
 LAWS = (
-    ("5-from-1-3", (1, 3), 5, dict(mul=True, imp=True)),
-    ("7-from-comm-1-6-top", ("unit-top", "commutative", 1, 6), 7,
-     dict(mul=True)),
-    ("8-from-assoc-2-3", ("associative", 2, 3), 8, dict(mul=True, imp=True)),
-    ("2-from-3-6", (3, 6), 2, dict(mul=True, imp=True)),
-    ("4-from-3-6", (3, 6), 4, dict(mul=True, imp=True)),
-    ("9-from-3-6", (3, 6), 9, dict(mul=True, imp=True)),
-    ("10-from-5-9-top", ("unit-top", 5, 9), 10, dict(imp=True)),
-    ("13-from-idempotent", ("idempotent", 1, 2), 13,
-     dict(mul=True, designated=True)),
+    Law("5-from-1-3", (1, 3), 5, "residuated-pair"),
+    Law("7-from-comm-1-6-top", ("unit-top", "commutative", 1, 6), 7,
+        "unital-groupoid"),
+    Law("8-from-assoc-2-3", ("associative", 2, 3), 8, "residuated-pair"),
+    Law("2-from-3-6", (3, 6), 2, "left-residuated-groupoid"),
+    Law("4-from-3-6", (3, 6), 4, "left-residuated-groupoid"),
+    Law("9-from-3-6", (3, 6), 9, "left-residuated-groupoid"),
+    Law("10-from-5-9-top", ("unit-top", 5, 9), 10, "unital-implication"),
+    Law("13-from-idempotent", ("idempotent", 1, 2), 13,
+        "commutative-residuated-monoid"),
 )
 
 
@@ -410,11 +409,10 @@ def evaluate_law(s, law):
     """One entry of LAWS on one structure that has its ingredients:
     ("VACUOUS", None) when a premise fails, else ("CONFIRMED", None) or
     ("REFUTED", first witness of the conclusion)."""
-    _, premises, conclusion, _ = law
-    for prem in premises:
+    for prem in law.premises:
         if not condition_holds(s, prem)[0]:
             return "VACUOUS", None
-    ok, w = condition_holds(s, conclusion)
+    ok, w = condition_holds(s, law.conclusion)
     return ("CONFIRMED", None) if ok else ("REFUTED", w)
 
 
@@ -428,9 +426,8 @@ def check_derived_laws(s):
     """
     out = []
     for law in LAWS:
-        law_id, _, conclusion, needs = law
-        if _missing(s, needs) is None:
+        if _missing(s, law.needs) is None:
             status, w = evaluate_law(s, law)
-            out.append(LawVerdict(law_id, status, named_witness(
-                s.names, _CONDITIONS[conclusion][1], w)))
+            out.append(LawVerdict(law.law_id, status, named_witness(
+                s.names, _CONDITIONS[law.conclusion][1], w)))
     return out

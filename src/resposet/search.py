@@ -28,7 +28,7 @@ from .residuation import (LAWS, condition_holds, evaluate_law, residuum_row,
                           structure, synthesize_residuum)
 from .twist import (build_operator_twist, check_embeddings,
                     check_operator_residuated, check_twist_lifting,
-                    cone_product_failure, pair_names, projection)
+                    cone_product_failure, full_twist, projection)
 from .kleene_twist import build_restricted_twist, check_kleene_twist
 
 
@@ -257,17 +257,17 @@ def _at(p, a, reason):
 
 
 def _law_check(law):
-    conclusion, needs = law[2], law[3]
+    designated = "designated" in law.needs
 
     def check(s):
         # a law about a designated element is checked at each element
-        for a in range(s.poset.n) if needs.get("designated") else (None,):
+        for a in range(s.poset.n) if designated else (None,):
             t = s if a is None else s._replace(designated=a)
             status, w = evaluate_law(t, law)
             if status != "REFUTED":
                 yield None
                 continue
-            reason = "condition %s fails at %s" % (conclusion,
+            reason = "condition %s fails at %s" % (law.conclusion,
                                                   _witness_names(s, w))
             yield reason if a is None else _at(s.poset, a, reason)
     return check
@@ -297,7 +297,7 @@ def _operator_audit(s):
     # an image is a singleton exactly when the implications it is built
     # from collapse; the first failure, row-major, product first
     nn, i = s.poset.n, s.imp
-    names = pair_names(s.poset)
+    names = full_twist(s.poset).names
     for x, y, z, v in itertools.product(range(nn), repeat=4):
         p, q = x * nn + y, z * nn + v
         for label, table, collapse in (
@@ -335,7 +335,7 @@ def _cone_product(p):
     if w is None:
         yield None
     else:
-        names = pair_names(p)
+        names = full_twist(p).names
         yield "cone product law broken at %s, %s" % (names[w[0]], names[w[1]])
 
 
@@ -374,22 +374,10 @@ def _distributivity_agreement(p):
         yield "cone distributivity identities disagree"
 
 
-# Which structures each law of residuation.LAWS is swept over.
-_LAW_KINDS = {
-    "5-from-1-3": "residuated-pair",
-    "7-from-comm-1-6-top": "unital-groupoid",
-    "8-from-assoc-2-3": "residuated-pair",
-    "2-from-3-6": "left-residuated-groupoid",
-    "4-from-3-6": "left-residuated-groupoid",
-    "9-from-3-6": "left-residuated-groupoid",
-    "10-from-5-9-top": "unital-implication",
-    "13-from-idempotent": "commutative-residuated-monoid",
-}
-
 _BCRM = "bounded-commutative-residuated-monoid"
 
 PROPERTIES: dict[str, Property] = {prop.name: prop for prop in (
-    *(Property("law-" + law[0], "lemmas", (1, 2, 3), _LAW_KINDS[law[0]],
+    *(Property("law-" + law.law_id, "lemmas", (1, 2, 3), law.kind,
                _law_check(law)) for law in LAWS),
     Property("synthesis-adjunction", "lemmas", (1, 2, 3), "residuated-pair",
              _synthesis),

@@ -37,12 +37,12 @@ def pair_name(base, pair, long=False):
     return base.names[x] + base.names[y]
 
 
-def pair_names(base, pairs=None):
-    """Names of the given pairs (all of them, row-major, by default):
-    concatenated, falling back to explicit "(x,y)" names whenever
-    concatenation would be ambiguous among them."""
-    if pairs is None:
-        pairs = [(x, y) for x in range(base.n) for y in range(base.n)]
+def pair_names(base):
+    """The names of all pairs, row-major: concatenated, or all "(x,y)"
+    when concatenation would give two pairs the same name.  These are the
+    pair names everywhere (full_twist(base).names): the restricted carrier
+    and every witness read them."""
+    pairs = [(x, y) for x in range(base.n) for y in range(base.n)]
     short = tuple(pair_name(base, pair) for pair in pairs)
     if len(set(short)) == len(short):
         return short
@@ -124,8 +124,8 @@ _lifts = {}     # {base poset: (lifts, rows)} for one base at a time
 
 
 def _lift(s, f, g):
-    """The unit-free lift of s through f and g: the lifted structure, with
-    unit 0, and whether lifted condition (3), which no unit enters, holds.
+    """Every unit-free fact of the lift of s through f and g: the lifted
+    structure with unit 0, and condition (3) in the base and in the lift.
     Memoized by (mul, imp, f, g) for the last base poset only (the sweeps
     bring all units of a poset in one block); equal rows are shared."""
     base = s.poset
@@ -150,7 +150,8 @@ def _lift(s, f, g):
         omul, oimp = ([rows.setdefault(r, r) for r in map(tuple, t)]
                       for t in (omul, oimp))
         ts = structure(full_twist(base), omul, oimp, one=0)
-        lift = memo[key] = ts, condition_holds(ts, 3)[0]
+        lift = memo[key] = (ts, condition_holds(s, 3)[0],
+                            condition_holds(ts, 3)[0])
     return lift
 
 
@@ -161,18 +162,18 @@ def twist_operations(s, f, g, const):
         (x,y) * (z,v)  = (x * f(z,v), g(z,v) -> y)
         (x,y) -> (z,v) = (f(x,y) -> z, v * g(x,y))
 
-    with the pair const as unit.  f and g must be surjective and send
-    const to the base unit.  The lifted tables are unit-free, so they come
-    from a memo that holds the lifts of one base poset at a time (_lift).
+    with the pair const of element indices as unit.  f and g must be
+    surjective and send const to the base unit.  The lifted tables come
+    from the memo of validated unit-free lifts (_lift).
     """
     if s.mul is None or s.imp is None:
         raise StructureError("twist lifting needs both operation tables")
     base = s.poset
+    if not all(0 <= c < base.n for c in const):
+        raise StructureError("unit element required")
     _validate_pairmap(f, "f", base, const, s.one)
     _validate_pairmap(g, "g", base, const, s.one)
-    ts = _lift(s, f, g)[0]
-    return structure(ts.poset, ts.mul, ts.imp,
-                     one=const[0] * base.n + const[1])
+    return _lift(s, f, g)[0]._replace(one=const[0] * base.n + const[1])
 
 
 def check_twist_lifting(s, f, g, const):
@@ -182,10 +183,9 @@ def check_twist_lifting(s, f, g, const):
     unit law holds exactly when the base satisfies both unit laws
     (x*1 = x and 1->x = x)."""
     ts = twist_operations(s, f, g, const)
-    base3 = condition_holds(s, 3)[0]
+    _, base3, twist3 = _lift(s, f, g)
     base6 = condition_holds(s, 6)[0]
     base9 = condition_holds(s, 9)[0]
-    twist3 = _lift(s, f, g)[1]
     twist6 = condition_holds(ts, 6)[0]
     base_lrg = base3 and base6
     twist_lrg = twist3 and twist6

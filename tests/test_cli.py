@@ -103,6 +103,21 @@ def test_pa_chain3(capsys):
     assert "odot | " in out
 
 
+def test_pa_witnesses_use_the_full_twist_pair_names(tmp_path, capsys):
+    # chain3 renamed b < aa < a: concatenation names both (aa,a) and
+    # (a,aa) "aaa", so every pair name is long, in witnesses too
+    f = tmp_path / "renamed.struct"
+    f.write_text("elements b aa a\ncovers\nb < aa\naa < a\n"
+                 "table mul\nb b b\nb aa aa\nb aa a\n"
+                 "table imp\na a a\nb a a\nb aa a\n"
+                 "const one = a\nconst zero = b\n")
+    assert run(["pa", str(f), "--a", "a"]) == 1
+    out = capsys.readouterr().out
+    assert "carrier: (b,a) (aa,a) (a,b) (a,aa) (a,a)\n" in out
+    assert "CHECK (closure) FAIL witness op=oimp p=(aa,a) q=(b,a)" \
+        " member=(b,aa) pattern=low-low" in out
+
+
 def test_pa_example1_failures(capsys):
     assert run(["pa", "example1", "--a", "0"]) == 1
     out = capsys.readouterr().out

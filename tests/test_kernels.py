@@ -82,6 +82,15 @@ def reference_normality_failure(p, mapping):
     return None
 
 
+def reference_antitone_failure(p, mapping):
+    """First (x, y), row-major, with x <= y but not y' <= x'."""
+    for x in range(p.n):
+        for y in range(p.n):
+            if p.leq(x, y) and not p.leq(mapping[y], mapping[x]):
+                return (x, y)
+    return None
+
+
 def reference_audit(os):
     """The five-point audit, item for item, from its definitions.  An
     image member past the carrier is comparable to nothing: a product
@@ -194,6 +203,21 @@ def test_normality_matches_reference_on_all_small_posets():
                 checked += 1
                 failed += want is not None
     assert checked > 100 and failed > 10
+
+
+def test_antitone_witness_matches_reference_on_all_small_posets():
+    rejected = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            for perm in itertools.permutations(range(n)):
+                v = is_antitone_involution(p, perm)
+                want = reference_antitone_failure(p, perm)
+                if v.reason == "not antitone":
+                    assert v.witness == want, (p.names, p.up, perm)
+                    rejected += 1
+                elif v.ok:
+                    assert want is None, (p.names, p.up, perm)
+    assert rejected > 100
 
 
 @pytest.mark.parametrize("base", [chain(2), chain(3), antichain(2)],

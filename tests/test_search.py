@@ -142,7 +142,7 @@ def test_law_sweep_non_vacuous_count(law):
     confirmed = 0
     for n in prop.sizes:
         for s in enumerate_structures(n, prop.kind):
-            for a in range(n) if law[3].get("designated") else (None,):
+            for a in range(n) if "designated" in law.needs else (None,):
                 t = s if a is None else s._replace(designated=a)
                 confirmed += evaluate_law(t, law)[0] == "CONFIRMED"
     assert confirmed == NON_VACUOUS[law[0]]

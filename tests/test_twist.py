@@ -273,3 +273,13 @@ def test_lift_memo_keeps_the_bad_unit_error(bool2):
     twist_operations(bool2, proj2, proj2, (1, 1))
     with pytest.raises(StructureError, match="^unit element required$"):
         check_twist_lifting(bool2, proj2, proj2, (-2, 1))
+
+
+@pytest.mark.parametrize("const", [(3, 0), (2, -1)])
+def test_unit_pair_must_be_two_elements(chain3, const):
+    # each component must be an element index: (3, 0) lies past the pair
+    # maps, and (2, -1) would read f[2][-1] = f[2][2] and name pair 5, (a,1)
+    f, g = projection(3, "proj1"), projection(3, "proj2")
+    for check in (twist_operations, check_twist_lifting):
+        with pytest.raises(StructureError, match="^unit element required$"):
+            check(chain3, f, g, const)
