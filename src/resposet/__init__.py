@@ -14,8 +14,8 @@ from .residuation import (CONDITION_IDS, Classification, ResStructure,
                           synthesize_residuum)
 from .twist import (OperatorStructure, build_operator_twist, check_embedding,
                     check_operator_residuated, check_twist_lifting,
-                    full_twist, operator_implication, operator_product,
-                    pair_names, projection, twist_operations)
+                    full_twist, operator_rows, pair_names, projection,
+                    twist_operations)
 from .kleene_twist import (RestrictedTwist, build_restricted_operators,
                            build_restricted_twist, check_kleene_twist,
                            check_restricted_closure,

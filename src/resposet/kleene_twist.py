@@ -8,8 +8,8 @@ and every carrier pair is comparable with (a,a), the set-valued operator
 pair restricts to this carrier exactly when conditions (11) and (12)
 hold; the checks here verify that equivalence and the accompanying
 claims (pseudo-Kleene involution, embedding, involution membership).
-One scan over the carrier pairs builds the restricted operator tables
-and stops at the first image member that leaves the carrier; that escape
+The restricted operators are twist.operator_rows on the carrier only,
+scanned up to the first image member that leaves the carrier; that escape
 becomes the failing closure item, with its case analysis as witness.
 Every outcome is part of the report: when an assumption fails, the
 report holds the assumption items and nothing else.
@@ -24,8 +24,7 @@ from .order import (Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of,
 from .report import CheckItem, all_pass
 from .residuation import StructureError, check_condition, classify
 from .twist import OperatorStructure, check_embedding, \
-    check_operator_residuated, full_twist, operator_implication, \
-    operator_product
+    check_operator_residuated, full_twist, operator_rows
 
 
 class RestrictedTwist(NamedTuple):
@@ -153,30 +152,27 @@ def classify_escape(s, a, op, ppair, qpair, member):
 
 
 def build_restricted_operators(s, rt):
-    """The operator tables over the carrier, each image the mask of its
-    members' carrier indices, from one scan: operand pairs row-major, odot
-    before oimp, image members ascending.  At the first image member
-    outside the carrier the scan stops and returns that escape's failing
-    closure item instead."""
+    """The operator tables (operator_rows) over the carrier, each image the
+    mask of its members' carrier indices.  The rows come one carrier pair
+    at a time, row-major, and each is scanned odot before oimp, image
+    members ascending: at the first member outside the carrier the scan
+    stops and returns that escape's failing closure item instead."""
     n = rt.base.n
     index = rt.index
     outside = ~mask_of(index)
-    odot = []
-    oimp = []
-    for x, y in rt.members:
-        drow = []
-        irow = []
-        for z, v in rt.members:
-            for op, image, row in (
-                    ("odot", operator_product(s, x, y, z, v), drow),
-                    ("oimp", operator_implication(s, x, y, z, v), irow)):
-                escape = image & outside
-                if escape:
+    odot, oimp = [], []
+    carrier_mask = {}   # the carrier-index mask of each image scanned
+    for (x, y), rows in zip(rt.members, operator_rows(s, index, index)):
+        for (z, v), *images in zip(rt.members, *rows):
+            for op, image in zip(("odot", "oimp"), images):
+                if image & outside:
                     return classify_escape(s, rt.a, op, (x, y), (z, v),
-                                           divmod(lowest(escape), n))
-                row.append(mask_of(map(index.__getitem__, bits(image))))
-        odot.append(tuple(drow))
-        oimp.append(tuple(irow))
+                                           divmod(lowest(image & outside), n))
+                if image not in carrier_mask:
+                    carrier_mask[image] = mask_of(map(index.__getitem__,
+                                                      bits(image)))
+        for row, table in zip(rows, (odot, oimp)):
+            table.append(tuple(map(carrier_mask.__getitem__, row)))
     return OperatorStructure(rt.poset, tuple(odot), tuple(oimp),
                              index[s.zero * n + s.one],
                              index[s.one * n + s.zero])
@@ -198,9 +194,10 @@ def check_restricted_closure(s, rt):
 
 def check_involution_membership(s, rt):
     """(y,x) must be one of the image members of (x,y) => (0,1)."""
-    for (x, y), p in zip(rt.members, rt.poset.names):
-        image = operator_implication(s, x, y, s.zero, s.one)
-        if not image >> (y * s.poset.n + x) & 1:
+    n = s.poset.n
+    rows = operator_rows(s, rt.index, [s.zero * n + s.one])
+    for (x, y), p, (_, (image,)) in zip(rt.members, rt.poset.names, rows):
+        if not image >> (y * n + x) & 1:
             return CheckItem("involution-membership", False, (("p", p),))
     return CheckItem("involution-membership", True)
 

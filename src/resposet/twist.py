@@ -11,14 +11,15 @@ different structures:
   is left-residuated exactly when the base is), and
 * the set-valued operator pair used for bounded commutative bases, whose
   images are masks of pair indices, with the five-point residuation audit
-  for such operator structures.
+  for such operator structures; operator_rows, for any rows and columns,
+  is the one definition of the images.
 """
 
 from __future__ import annotations
 
 import functools
 from array import array
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 from .order import (ConeMemo, Poset, bits, bounds, lower_cone, lowest,
@@ -210,20 +211,6 @@ def check_twist_lifting(s, f, g, const):
     return ts, items
 
 
-def operator_product(s, x, y, z, v):
-    """Set value of (x,y) (.) (z,v) as a mask of pair indices."""
-    n = s.poset.n
-    first = s.mul[x][z] * n
-    return 1 << (first + s.imp[x][v]) | 1 << (first + s.imp[z][y])
-
-
-def operator_implication(s, x, y, z, v):
-    """Set value of (x,y) (=>) (z,v) as a mask of pair indices."""
-    n = s.poset.n
-    second = s.mul[x][v]
-    return 1 << (s.imp[x][z] * n + second) | 1 << (s.imp[v][y] * n + second)
-
-
 class OperatorStructure(NamedTuple):
     """A poset with two set-valued operations and two constants.  Images
     are masks of element indices; zero and one may be absent only for the
@@ -235,13 +222,44 @@ class OperatorStructure(NamedTuple):
     one: int | None
 
 
-def build_operator_twist(s):
-    """The set-valued twist of a bounded commutative residuated monoid:
+def operator_rows(s, rows, cols):
+    """The set-valued twist images of a bounded commutative residuated
+    monoid, row by row:
 
         (x,y)(.)(z,v)  = {(x*z, x->v), (x*z, z->y)}
         (x,y)(=>)(z,v) = {(x->z, x*v), (v->y, x*v)}
 
-    with constants (0,1) and (1,0).
+    For each pair index x*n + y in rows, in the given order, yields the
+    odot and oimp rows over the pair indices z*n + v listed in cols, each
+    image the mask of its members' pair indices.
+    """
+    n = s.poset.n
+    mul, imp = s.mul, s.imp
+    bit = [1 << i for i in range(n * n)].__getitem__  # bit(i) is 1 << i
+    zc, vc = [q // n for q in cols], [q % n for q in cols]
+    # (x*z, z->y) depends on z alone and (v->y, x*v) on v alone: each row
+    # builds them once per distinct z (v) of cols, zs (vs), and reads them
+    # for each column at its position zat (vat) there
+    zs, vs = list(dict.fromkeys(zc)), list(dict.fromkeys(vc))
+    zat, vat = ([us.index(u) for u in col] for us, col in ((zs, zc), (vs, vc)))
+    last = None
+    for x, y in map(divmod, rows, repeat(n)):
+        if x != last:
+            last, mx, ix = x, mul[x], imp[x]
+            # the member of each image that does not depend on y:
+            # (x*z, x->v) for the product, (x->z, x*v) for the implication
+            dot_x = [bit(mx[z] * n + ix[v]) for z, v in zip(zc, vc)]
+            imp_x = [bit(ix[z] * n + mx[v]) for z, v in zip(zc, vc)]
+        by_z = [bit(mx[z] * n + imp[z][y]) for z in zs]
+        by_v = [bit(imp[v][y] * n + mx[v]) for v in vs]
+        yield (tuple(map(int.__or__, dot_x, map(by_z.__getitem__, zat))),
+               tuple(map(int.__or__, imp_x, map(by_v.__getitem__, vat))))
+
+
+def build_operator_twist(s):
+    """The set-valued twist (operator_rows) of a bounded commutative
+    residuated monoid over the full pair carrier, with constants (0,1)
+    and (1,0).
     """
     flags = classify(s)
     if not flags.bcrm:
@@ -254,27 +272,8 @@ def build_operator_twist(s):
                     "operator twist needs a bounded commutative residuated "
                     "monoid: base is %s" % label)
     n = s.poset.n
-    mul, imp = s.mul, s.imp
-    # bit(i) is the mask of the pair index i; imp_to[y][z] is z->y
-    bit = [1 << i for i in range(n * n)].__getitem__
-    imp_to = list(zip(*imp))
-    imp_to_n = [[u * n for u in col] for col in imp_to]
-    odot = []
-    oimp = []
-    for x in range(n):
-        xz = [u * n for u in mul[x]]
-        # the member of each image that does not depend on y, over (z, v):
-        # (x*z, x->v) for the product, (x->z, x*v) for the implication
-        dot_x = [bit(f + u) for f in xz for u in imp[x]]
-        imp_x = [bit(u * n + w) for u in imp[x] for w in mul[x]]
-        for y in range(n):
-            # (x*z, z->y) is the same for every v, (v->y, x*v) for every z
-            by_z = map(bit, map(int.__add__, xz, imp_to[y]))
-            by_v = list(map(bit, map(int.__add__, imp_to_n[y], mul[x])))
-            odot.append(tuple(map(int.__or__, dot_x, chain.from_iterable(
-                map(repeat, by_z, repeat(n))))))
-            oimp.append(tuple(map(int.__or__, imp_x, by_v * n)))
-    return OperatorStructure(full_twist(s.poset), tuple(odot), tuple(oimp),
+    odot, oimp = zip(*operator_rows(s, range(n * n), range(n * n)))
+    return OperatorStructure(full_twist(s.poset), odot, oimp,
                              zero=s.zero * n + s.one, one=s.one * n + s.zero)
 
 

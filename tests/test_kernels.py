@@ -7,11 +7,16 @@ condition (3) and the five-point operator audit
 same first witnesses, row-major in (x, y, z), as the plain loops below,
 which work on Python sets and p.leq only (operator images are read as
 the sets of their members).  The packed bit-matrix transpose
-order.transpose_packed must match a loop over its definition,
-build_operator_twist the one-cell definitions operator_product and
-operator_implication, and the LU identity must hold at every comparable
-pair of every small poset, which is why the distributivity scan may skip
-those pairs.
+order.transpose_packed must match a loop over its definition, and the
+LU identity must hold at every comparable pair of every small poset,
+which is why the distributivity scan may skip those pairs.
+
+The operator images have one definition in the program,
+twist.operator_rows.  The one-cell definitions operator_product and
+operator_implication below are its reference: the rows it yields for
+any rows and columns, and the full table build_operator_twist, must
+match them cell by cell, and the restricted operators must be the full
+tables restricted to the carrier (restricted_from_full).
 """
 
 import functools
@@ -21,18 +26,18 @@ import random
 import pytest
 
 from resposet.kleene_twist import build_restricted_twist, \
-    check_kleene_twist
+    check_kleene_twist, check_restricted_closure, classify_escape
 from resposet.order import _lu_identity_failure, antichain, bits, chain, \
-    is_antitone_involution, is_pseudo_kleene, mask_of, matrix_side, pack, \
-    poset_from_covers, row_bytes, transpose_packed
+    is_antitone_involution, is_pseudo_kleene, lowest, mask_of, matrix_side, \
+    pack, poset_from_covers, poset_from_leq, row_bytes, transpose_packed
 from resposet.report import CheckItem
 from resposet.residuation import condition_holds, structure
 from resposet.search import enumerate_posets, enumerate_structures, \
     residuable_columns
 from resposet.structfile import load
 from resposet.twist import OperatorStructure, build_operator_twist, \
-    check_operator_residuated, full_twist, operator_implication, \
-    operator_product, projection, twist_operations
+    check_operator_residuated, full_twist, operator_rows, projection, \
+    twist_operations
 
 
 def _leq(p, dual):
@@ -89,6 +94,43 @@ def reference_antitone_failure(p, mapping):
             if p.leq(x, y) and not p.leq(mapping[y], mapping[x]):
                 return (x, y)
     return None
+
+
+def operator_product(s, x, y, z, v):
+    """Set value of (x,y) (.) (z,v) = {(x*z, x->v), (x*z, z->y)} as a mask
+    of pair indices."""
+    n = s.poset.n
+    first = s.mul[x][z] * n
+    return 1 << (first + s.imp[x][v]) | 1 << (first + s.imp[z][y])
+
+
+def operator_implication(s, x, y, z, v):
+    """Set value of (x,y) (=>) (z,v) = {(x->z, x*v), (v->y, x*v)} as a mask
+    of pair indices."""
+    n = s.poset.n
+    second = s.mul[x][v]
+    return 1 << (s.imp[x][z] * n + second) | 1 << (s.imp[v][y] * n + second)
+
+
+def restricted_from_full(s, rt):
+    """The restricted operators read from the full operator twist: its
+    masks on the carrier pairs, re-indexed to carrier indices; or, at the
+    first image member outside the carrier (operand pairs row-major, odot
+    before oimp, lowest member), that escape's closure item."""
+    n = s.poset.n
+    full = build_operator_twist(s)
+    outside = ~mask_of(rt.index)
+    for p, q in itertools.product(rt.index, repeat=2):
+        for op, table in (("odot", full.odot), ("oimp", full.oimp)):
+            if table[p][q] & outside:
+                return classify_escape(
+                    s, rt.a, op, divmod(p, n), divmod(q, n),
+                    divmod(lowest(table[p][q] & outside), n))
+    odot, oimp = (tuple(tuple(mask_of(rt.index[u] for u in bits(table[p][q]))
+                              for q in rt.index) for p in rt.index)
+                  for table in (full.odot, full.oimp))
+    return OperatorStructure(rt.poset, odot, oimp, rt.index[full.zero],
+                             rt.index[full.one])
 
 
 def reference_audit(os):
@@ -591,6 +633,68 @@ def test_operator_twist_matches_cell_definitions(base):
                                   for p in pairs)
         assert ops.poset == full_twist(s.poset)
         assert (ops.zero, ops.one) == (s.zero * n + s.one, s.one * n + s.zero)
+
+
+@pytest.mark.parametrize("base", ["bcrms", "godel10", "example1"])
+def test_operator_rows_match_cell_definitions(base):
+    # seeded row subsets, in ascending or shuffled order, over all
+    # columns, one column, no column and an arbitrary column list
+    rng = random.Random(16)
+    for s in _bcrms() if base == "bcrms" else [_base(base)]:
+        n = s.poset.n
+        pairs = range(n * n)
+        for cols in (list(pairs), [rng.randrange(n * n)], [],
+                     rng.sample(pairs, rng.randint(1, n * n))):
+            rows = rng.sample(pairs, rng.randint(1, n * n))
+            if rng.random() < 0.5:
+                rows.sort()
+            got = list(operator_rows(s, rows, cols))
+            assert len(got) == len(rows)
+            for p, (odot, oimp) in zip(rows, got):
+                for image, cell in ((odot, operator_product),
+                                    (oimp, operator_implication)):
+                    assert image == tuple(cell(s, *divmod(p, n),
+                                               *divmod(q, n))
+                                          for q in cols)
+
+
+def _relabel(s, rng):
+    """s with its index order shuffled; each element keeps its name."""
+    n = s.poset.n
+    old = rng.sample(range(n), n)       # old[new index] = old index
+    new = {u: k for k, u in enumerate(old)}.__getitem__
+    p = s.poset
+    poset = poset_from_leq([p.names[u] for u in old],
+                           [[p.leq(u, w) for w in old] for u in old])
+    mul, imp = ([[new(table[u][w]) for w in old] for u in old]
+                for table in (s.mul, s.imp))
+    return structure(poset, mul, imp, new(s.one), new(s.zero))
+
+
+def _restriction_cases():
+    rng = random.Random(16)
+    for name in ("godel8", "godel10", "example1"):
+        s = _base(name)
+        for t in (s, _relabel(s, rng)):
+            yield from ((t, a) for a in range(t.poset.n))
+    yield from ((s, a) for s in _bcrms() for a in range(s.poset.n))
+
+
+def test_restricted_operators_are_restricted_full_tables():
+    escapes = closed = 0
+    for s, a in _restriction_cases():
+        rt = build_restricted_twist(s.poset, a)
+        _, closure, ops = check_restricted_closure(s, rt)
+        if closure is None:
+            continue
+        want = restricted_from_full(s, rt)
+        if isinstance(want, CheckItem):
+            assert (closure, ops) == (want, None), (s, a)
+            escapes += 1
+        else:
+            assert closure.passed and ops == want, (s, a)
+            closed += 1
+    assert (escapes, closed) == (50, 25)
 
 
 def _symmetric_odot_perturbations(rng, ops, count):

@@ -2,11 +2,13 @@ import pytest
 
 from resposet.kleene_twist import (build_restricted_operators,
                                    build_restricted_twist, check_kleene_twist,
+                                   check_involution_membership,
                                    check_restricted_closure,
                                    check_restriction_assumptions,
                                    pair_in_carrier)
-from resposet.report import all_pass
-from resposet.residuation import StructureError, check_condition
+from resposet.report import CheckItem, all_pass
+from resposet.residuation import StructureError, check_condition, \
+    condition_holds
 from resposet.structfile import emit_tables
 
 CHAIN3_CARRIER = ("0a", "01", "a0", "aa", "a1", "10", "1a")
@@ -170,6 +172,21 @@ def test_kleene_twist_requires_bcrm(diamond):
     s = diamond._replace(zero=None)
     with pytest.raises(StructureError):
         check_kleene_twist(s, 1)
+
+
+def test_involution_membership_fails_without_unit_law(chain3):
+    # 1->a = 1 breaks (9), and (y,x) leaves the image of
+    # (x,y) => (0,1) = {(x->0, x), (1->y, x)} at every carrier pair (x,a)
+    # with x->0 != a; the first carrier pair, 0a, is one
+    imp = [list(row) for row in chain3.imp]
+    imp[2][1] = 2
+    s = chain3._replace(imp=tuple(map(tuple, imp)))
+    assert not condition_holds(s, 9)[0]
+    rt = build_restricted_twist(s.poset, 1)
+    assert rt.poset.names[0] == "0a"
+    assert check_involution_membership(s, rt) == CheckItem(
+        "involution-membership", False, (("p", "0a"),))
+    assert check_involution_membership(chain3, rt).passed
 
 
 def _restricted_reference(p, a):
