@@ -103,6 +103,32 @@ def cover_walk(p):
                  for c in bits(covers[x]))
 
 
+def adjunction_failure(p, cols, seeds, above):
+    """The first (x, y, z), row-major, at which "z is in above[cols[y][x]]"
+    and "x is below a seed of z in column y" disagree; None when they
+    always agree.  seeds holds, for each column y, the pairs (w, 1 << z)
+    that seed z at w.
+
+    One column at a time on masks over z: R[w] starts as the OR of the
+    z-bits seeded at w, and R[x] |= R[c] over the cover walk (covers
+    first) leaves in R[x] the z with x below a seed of z, which must equal
+    above[cols[y][x]].  The witness is the least failing (x, y, z)."""
+    n = p.n
+    walk = cover_walk(p)
+    fails = []
+    for y, (col, pairs) in enumerate(zip(cols, seeds)):
+        r = [0] * n
+        for w, zbit in pairs:
+            r[w] |= zbit
+        for x, c in walk:
+            r[x] |= r[c]
+        want = list(map(above.__getitem__, col))
+        if r != want:
+            x = next(x for x in range(n) if r[x] != want[x])
+            fails.append((x, y, lowest(r[x] ^ want[x])))
+    return min(fails, default=None)
+
+
 # Words that open a section of the structure file format; an element
 # with one of these names would read back as that section.
 SECTION_WORDS = frozenset(("elements", "covers", "order", "table", "const",
@@ -121,50 +147,6 @@ def check_names(names):
             raise OrderError(
                 "element name %r is empty, a section word, or contains"
                 " whitespace, '#', ',', '{' or '}'" % (name,))
-
-
-def matrix_side(count, width):
-    """The side w of the square bit matrix that holds count rows of width
-    bits when packed: the least power of two >= 8 that fits both."""
-    return max(8, 1 << (max(count, width) - 1).bit_length())
-
-
-def row_bytes(r, w):
-    """The row r (below 2**w) of a packed w x w bit matrix as its w // 8
-    little-endian bytes."""
-    return r.to_bytes(w // 8, "little")
-
-
-def pack(encoded):
-    """The rows given by their row_bytes, in order, as one int: row i at
-    bits [i*w, (i+1)*w)."""
-    return int.from_bytes(b"".join(encoded), "little")
-
-
-def transpose_packed(m, w):
-    """The transpose of a packed w x w bit matrix (w a power of two):
-    the s x s blocks of every 2s x 2s block swap across the diagonal for
-    s = w/2, ..., 1, which moves entry (i, j) to (j, i)."""
-    for shift, sel in _block_swaps(w):
-        t = (m ^ m >> shift) & sel
-        m ^= t ^ t << shift
-    return m
-
-
-@functools.lru_cache(maxsize=None)
-def _block_swaps(w):
-    # for each block size s: the shift s*(w-1) from entry (i, j) to
-    # (i+s, j-s), and the mask of the entries (i, j) with bit s clear in i
-    # and set in j
-    size = w // 8
-    swaps = []
-    for k in reversed(range(w.bit_length() - 1)):
-        s = 1 << k
-        row = sum(1 << j for j in range(w) if j & s).to_bytes(size, "little")
-        block = row * s + bytes(size * s)
-        swaps.append((s * (w - 1),
-                      int.from_bytes(block * (w // (2 * s)), "little")))
-    return swaps
 
 
 def _poset(names, up):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .order import (_monotone_failure, bits, bounds, cover_walk, lowest,
+from .order import (_monotone_failure, adjunction_failure, bits, bounds,
                     mask_of, maximal_elements, popcount)
 from .report import CheckItem
 
@@ -95,25 +95,13 @@ def _transpose(t):
 
 
 def _cond3(s):
-    """x*y <= z iff x <= y->z, one column y at a time on masks over z: R[w]
-    starts as the z with y->z = w; R[x] |= R[c] for each upper cover c of x,
-    covers first, leaves the z with x <= y->z, which must equal up[x*y].
-    The witness is the first failing (x, y, z), row-major."""
-    p, m, i = s.poset, s.mul, s.imp
-    up, n = p.up, p.n
-    walk = cover_walk(p)
-    fails = []
-    for y, col in enumerate(zip(*m)):
-        r = [0] * n
-        for z, w in enumerate(i[y]):
-            r[w] |= 1 << z
-        for x, c in walk:
-            r[x] |= r[c]
-        want = list(map(up.__getitem__, col))
-        if r != want:
-            x = next(x for x in range(n) if r[x] != want[x])
-            fails.append((x, y, lowest(r[x] ^ want[x])))
-    return min(fails, default=None)
+    """x*y <= z iff x <= y->z, decided by order.adjunction_failure: column
+    y seeds each z at its one element y->z, and above is up, since
+    x*y <= z says z is in up[x*y]."""
+    p = s.poset
+    zbits = [1 << z for z in range(p.n)]
+    return adjunction_failure(p, zip(*s.mul),
+                              (zip(row, zbits) for row in s.imp), p.up)
 
 
 def _cond6(s):

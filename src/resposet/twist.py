@@ -22,9 +22,8 @@ from array import array
 from itertools import count, repeat
 from typing import NamedTuple
 
-from .order import (ConeMemo, Poset, bits, bounds, lower_cone, lowest,
-                    matrix_side, pack, row_bytes, transpose_packed,
-                    upper_cone)
+from .order import (ConeMemo, Poset, adjunction_failure, bits, bounds,
+                    lower_cone, maximal_elements, upper_cone)
 from .report import CheckItem
 from .residuation import (StructureError, classify, commutativity_failure,
                           condition_holds, named_witness, structure)
@@ -405,30 +404,26 @@ def _adjunction_failure(p, dot, imp):
     below z" and "x is below every member of y (=>) z" disagree; None when
     they always agree.
 
-    The first holds exactly when z is in U(x (.) y), a mask over z; the
-    second exactly when x is in L(y (=>) z), a mask over x.  One y at a
-    time, the rows U(x (.) y) are packed into one int, x-major, and the
-    rows L(y (=>) z), z-major, are packed and transposed into the same
-    layout, so one XOR decides y, and its lowest set bit is the least
-    failing x at its first z.  The row-major first failure is the least
-    (x, y) over the failing y.
+    The first holds exactly when z is in U(x (.) y); the second exactly
+    when x is in L(y (=>) z), the down-set of its maximal elements.  So
+    order.adjunction_failure decides it, with above the upper cones and
+    each z of column y seeded at the maximal elements of L(y (=>) z).
+    Those seeds are found once per distinct image: a principal cone, the
+    down-cone of one element, by one lookup.  An image with a member past
+    the carrier has the empty cone and seeds nothing; the empty image
+    seeds the maximal elements of p.
     """
-    n = p.n
-    w = matrix_side(n, n)
-    upper = ConeMemo(upper_cone, p)
     lower = ConeMemo(lower_cone, p)
-    # each distinct image's cone as a packed row
-    above = {m: row_bytes(upper[m], w) for m in set().union(*dot)}
-    below = {m: row_bytes(lower[m], w) for m in set().union(*imp)}
-    first = None
-    for y, col in enumerate(zip(*dot)):
-        diff = pack(map(above.__getitem__, col)) ^ transpose_packed(
-            pack(map(below.__getitem__, imp[y])), w)
-        if diff:
-            x, z = divmod(lowest(diff), w)
-            if first is None or x < first[0]:
-                first = (x, y, z)
-    return first
+    principal = {down: x for x, down in enumerate(p.down)}
+    tops = {}
+    for m in set().union(*imp):
+        cone = lower[m]
+        tops[m] = (principal[cone],) if cone in principal else \
+            tuple(bits(maximal_elements(p, cone)))
+    zbits = [1 << z for z in range(p.n)]
+    seeds = ([(w, zbit) for zbit, m in zip(zbits, row) for w in tops[m]]
+             for row in imp)
+    return adjunction_failure(p, zip(*dot), seeds, ConeMemo(upper_cone, p))
 
 
 def check_embedding(base, poset, a0, image):

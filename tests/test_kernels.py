@@ -6,10 +6,11 @@ condition (3) and the five-point operator audit
 (twist.check_operator_residuated) must give the same verdicts and the
 same first witnesses, row-major in (x, y, z), as the plain loops below,
 which work on Python sets and p.leq only (operator images are read as
-the sets of their members).  The packed bit-matrix transpose
-order.transpose_packed must match a loop over its definition, and the
-LU identity must hold at every comparable pair of every small poset,
-which is why the distributivity scan may skip those pairs.
+the sets of their members).  Condition (3) and the audit's adjunction
+item are one scan, order.adjunction_failure, seeded two ways, so on
+one-element images the two must report the same witness.  The LU
+identity must hold at every comparable pair of every small poset, which
+is why the distributivity scan may skip those pairs.
 
 The operator images have one definition in the program,
 twist.operator_rows.  The one-cell definitions operator_product and
@@ -28,16 +29,16 @@ import pytest
 from resposet.kleene_twist import build_restricted_twist, \
     check_kleene_twist, check_restricted_closure, classify_escape
 from resposet.order import _lu_identity_failure, antichain, bits, chain, \
-    is_antitone_involution, is_pseudo_kleene, lowest, mask_of, matrix_side, \
-    pack, poset_from_covers, poset_from_leq, row_bytes, transpose_packed
+    is_antitone_involution, is_pseudo_kleene, lowest, mask_of, \
+    poset_from_covers, poset_from_leq
 from resposet.report import CheckItem
 from resposet.residuation import condition_holds, structure
 from resposet.search import enumerate_posets, enumerate_structures, \
     residuable_columns
 from resposet.structfile import load
 from resposet.twist import OperatorStructure, build_operator_twist, \
-    check_operator_residuated, full_twist, operator_rows, projection, \
-    twist_operations
+    _adjunction_failure, check_operator_residuated, full_twist, \
+    operator_rows, projection, twist_operations
 
 
 def _leq(p, dual):
@@ -478,6 +479,31 @@ def test_adjunction_matches_reference_on_residuated_pairs_and_lifts():
     assert checked > 12000 and failed > 500
 
 
+def _singleton_images(table):
+    return tuple(tuple(1 << v for v in row) for row in table)
+
+
+def test_operator_adjunction_matches_condition_3_on_one_element_images():
+    # the audit's adjunction item read on the images {x*y} and {y->z} is
+    # condition (3), witness for witness
+    rng = random.Random(317)
+    checked = failed = 0
+    for n in (1, 2, 3):
+        for s in enumerate_structures(n, "residuated-pair"):
+            for t in (s, *_lifts(s)):
+                cases = [t]
+                if n > 1:
+                    cases.append(_perturbed(rng, t, rng.randrange(2)))
+                for u in cases:
+                    want = condition_holds(u, 3)[1]
+                    assert _adjunction_failure(
+                        u.poset, _singleton_images(u.mul),
+                        _singleton_images(u.imp)) == want, (u.mul, u.imp)
+                    checked += 1
+                    failed += want is not None
+    assert checked > 30000 and failed > 10000
+
+
 def _chain_structure(n, mul, imp):
     top = n - 1
     return structure(chain(n), [[mul(x, y, top) for y in range(n)]
@@ -762,27 +788,3 @@ def test_audit_matches_reference_on_perturbed_commutative_example1_twist():
         assert _lines(check_operator_residuated(mutated)) == want
         failed += any("FAIL" in line for line in want)
     assert failed == 4
-
-
-def reference_transposed(rows, width):
-    """Column j < width of the bit matrix with entry (i, j) = bit j of
-    rows[i], as a mask over i."""
-    return [sum(1 << i for i, r in enumerate(rows) if r >> j & 1)
-            for j in range(width)]
-
-
-def test_transposed_matches_reference():
-    # sizes cross the 8/16/32/64 padding steps; one row in four is drawn
-    # 9 bits wider than width, which fills padding columns up to the side
-    # w, and every one of the w rows of the transpose is compared
-    rng = random.Random(64)
-    sizes = [(k, w) for k in (1, 7, 8, 9, 16, 17, 33, 64, 65, 70)
-             for w in (1, 8, 9, 31, 64, 70)]
-    sizes += [(rng.randint(1, 70), rng.randint(1, 70)) for _ in range(40)]
-    for k, width in sizes:
-        w = matrix_side(k, width)
-        rows = [rng.getrandbits(width + 9 * (i % 4 == 3)) & ((1 << w) - 1)
-                for i in range(k)]
-        m = transpose_packed(pack(row_bytes(r, w) for r in rows), w)
-        assert [m >> j * w & ((1 << w) - 1) for j in range(w)] == \
-            reference_transposed(rows, w), (k, width)

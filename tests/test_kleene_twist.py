@@ -1,14 +1,16 @@
 import pytest
 
+from resposet import kleene_twist
 from resposet.kleene_twist import (build_restricted_operators,
                                    build_restricted_twist, check_kleene_twist,
                                    check_involution_membership,
                                    check_restricted_closure,
                                    check_restriction_assumptions,
                                    pair_in_carrier)
+from resposet.order import chain
 from resposet.report import CheckItem, all_pass
 from resposet.residuation import StructureError, check_condition, \
-    condition_holds
+    condition_holds, structure
 from resposet.structfile import emit_tables
 
 CHAIN3_CARRIER = ("0a", "01", "a0", "aa", "a1", "10", "1a")
@@ -187,6 +189,28 @@ def test_involution_membership_fails_without_unit_law(chain3):
     assert check_involution_membership(s, rt) == CheckItem(
         "involution-membership", False, (("p", "0a"),))
     assert check_involution_membership(chain3, rt).passed
+
+
+@pytest.mark.parametrize("mul, imp, escape", [
+    # the first escaping cell, p = q = 02, has odot {00} and oimp {00,10}:
+    # both images escape, and odot is read first
+    (((0, 2, 0), (1, 0, 1), (1, 1, 2)), ((1, 0, 0), (1, 0, 1), (1, 2, 0)),
+     ("odot", (0, 2), (0, 2), (0, 0))),
+    # its odot {22} stays; its oimp {01,11} has two members outside the
+    # carrier, and the lowest is reported
+    (((2, 1, 1), (2, 0, 2), (0, 1, 0)), ((0, 0, 2), (2, 0, 1), (2, 0, 1)),
+     ("oimp", (0, 2), (0, 2), (0, 1))),
+], ids=["odot-first", "lowest-member"])
+def test_escape_scan_order(monkeypatch, mul, imp, escape):
+    # build_restricted_operators checks no premise, so these tables need
+    # not be residuated; the stand-in for classify_escape returns what it
+    # was given
+    monkeypatch.setattr(kleene_twist, "classify_escape",
+                        lambda s, a, *found: (a, *found))
+    s = structure(chain(3), mul, imp, one=2, zero=0)
+    rt = build_restricted_twist(s.poset, 2)
+    assert rt.members == ((0, 2), (1, 2), (2, 0), (2, 1), (2, 2))
+    assert build_restricted_operators(s, rt) == (2, *escape)
 
 
 def _restricted_reference(p, a):

@@ -18,3 +18,21 @@ def test_runtime_imports_only_the_standard_library():
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, (
                     path.name, module)
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports to re-export; every other module must use each
+    # name it imports
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in used, (path.name, name)
