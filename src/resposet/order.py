@@ -39,10 +39,6 @@ def lowest(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def popcount(mask):
-    return mask.bit_count()
-
-
 class Poset(NamedTuple):
     """A finite poset given by its name tuple and up/down cone tables.
 
@@ -312,11 +308,11 @@ def is_lattice(p):
         for y in range(x + 1, p.n):
             ub = p.up[x] & p.up[y]
             mubs = minimal_elements(p, ub)
-            if popcount(mubs) != 1:
+            if mubs.bit_count() != 1:
                 return LatticeVerdict(False, "join", x, y, mubs)
             lb = p.down[x] & p.down[y]
             mlbs = maximal_elements(p, lb)
-            if popcount(mlbs) != 1:
+            if mlbs.bit_count() != 1:
                 return LatticeVerdict(False, "meet", x, y, mlbs)
     return LatticeVerdict(True)
 

@@ -19,7 +19,7 @@ import functools
 from typing import NamedTuple
 
 from .order import (_monotone_failure, adjunction_failure, bits, bounds,
-                    mask_of, maximal_elements, popcount)
+                    lowest, mask_of, maximal_elements)
 from .report import CheckItem
 
 
@@ -52,9 +52,11 @@ class ResStructure(NamedTuple):
 
 
 def structure(poset, mul=None, imp=None, one=None, zero=None, designated=None):
-    """Validating constructor.  A declared zero must be the least element
-    and then the unit must be the greatest (bounded means bounded by the
-    two constants, not merely that bounds happen to exist)."""
+    """Validating constructor for input from outside the package (the
+    parser, library callers); the records the package builds itself are
+    valid by construction and taken as given.  A declared zero must be the
+    least element and then the unit must be the greatest (bounded means
+    bounded by the two constants, not merely that bounds happen to exist)."""
     n = poset.n
     if one is None or not 0 <= one < n:
         raise StructureError("unit element required")
@@ -193,9 +195,9 @@ def _associativity_failure(s):
 
 
 def _unit_top_failure(s):
-    # the first element not below the unit: the lowest set bit
+    # the first element not below the unit
     above = s.poset.full & ~s.poset.down[s.one]
-    return ((above & -above).bit_length() - 1,) if above else None
+    return (lowest(above),) if above else None
 
 
 def _idempotence_failure(s):
@@ -330,7 +332,7 @@ def residuum_row(p, col):
         if not sol:
             return None, ("empty", z, 0)
         tops = maximal_elements(p, sol)
-        if popcount(tops) != 1:
+        if tops.bit_count() != 1:
             return None, ("no-maximum", z, tops)
         top = next(bits(tops))
         if sol != p.down[top]:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 from .order import (Poset, _lu_identity_failure, bits, bounds,
                     is_distributive, is_kleene, is_pseudo_kleene)
-from .residuation import (LAWS, condition_holds, evaluate_law, residuum_row,
-                          structure, synthesize_residuum)
+from .residuation import (LAWS, ResStructure, condition_holds, evaluate_law,
+                          residuum_row, synthesize_residuum)
 from .twist import (build_operator_twist, check_embeddings,
                     check_operator_residuated, check_twist_lifting,
                     cone_product_failure, full_twist, projection)
@@ -91,20 +91,15 @@ def residuable_columns(p):
     return out
 
 
-def _assemble(p, chosen_cols, one, zero=None):
-    n = p.n
-    colmap = residuable_columns(p)
-    mul = tuple(tuple(chosen_cols[y][x] for y in range(n)) for x in range(n))
-    imp = tuple(colmap[chosen_cols[y]] for y in range(n))
-    return structure(p, mul, imp, one=one, zero=zero)
-
-
 def _residuated_pairs(n):
+    # combo[y] is column y of mul; the units of a poset share its tables
     for p in enumerate_posets(n):
-        cols = tuple(residuable_columns(p))
+        colmap = residuable_columns(p)
+        tables = [(tuple(zip(*combo)), tuple(map(colmap.__getitem__, combo)))
+                  for combo in itertools.product(colmap, repeat=n)]
         for one in range(n):
-            for combo in itertools.product(cols, repeat=n):
-                yield _assemble(p, combo, one)
+            for mul, imp in tables:
+                yield ResStructure(p, mul, imp, one)
 
 
 def _lrgs(n):
@@ -145,7 +140,7 @@ def _unital_groupoids(n):
     for p in enumerate_posets(n):
         for one in range(n):
             for mul in _tables(n, {(x, one): x for x in range(n)}):
-                yield structure(p, mul, None, one=one)
+                yield ResStructure(p, mul, None, one)
 
 
 def _unital_implications(n):
@@ -154,7 +149,7 @@ def _unital_implications(n):
     for p in enumerate_posets(n):
         for one in range(n):
             for imp in _tables(n, {(one, x): x for x in range(n)}):
-                yield structure(p, None, imp, one=one)
+                yield ResStructure(p, None, imp, one)
 
 
 _KINDS = {
@@ -274,8 +269,15 @@ def _law_check(law):
 
 
 def _synthesis(s):
+    # the recovered residuum is s's, and (3) holds by the scan that shares
+    # no code with the recovery (residuum_row)
     r = synthesize_residuum(s.poset, s.mul)
-    yield None if r.ok and r.imp == s.imp else "synthesized residuum mismatch"
+    if not r.ok or r.imp != s.imp:
+        yield "synthesized residuum mismatch"
+        return
+    ok, w = condition_holds(s._replace(imp=r.imp), 3)
+    yield None if ok else (
+        "synthesized residuum fails condition 3 at " + _witness_names(s, w))
 
 
 def _lifting_check(first_projection):

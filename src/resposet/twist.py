@@ -25,8 +25,9 @@ from typing import NamedTuple
 from .order import (ConeMemo, Poset, adjunction_failure, bits, bounds,
                     lower_cone, maximal_elements, upper_cone)
 from .report import CheckItem
-from .residuation import (StructureError, classify, commutativity_failure,
-                          condition_holds, named_witness, structure)
+from .residuation import (ResStructure, StructureError, classify,
+                          commutativity_failure, condition_holds,
+                          named_witness)
 
 
 def pair_name(base, pair, long=False):
@@ -137,19 +138,13 @@ def _lift(s, f, g):
     lift = memo.get(key)
     if lift is None:
         n, mul, imp = base.n, s.mul, s.imp
-        omul = [[0] * (n * n) for _ in range(n * n)]
-        oimp = [[0] * (n * n) for _ in range(n * n)]
-        for x in range(n):
-            for y in range(n):
-                p, fp, gp = x * n + y, f[x][y], g[x][y]
-                for z in range(n):
-                    for v in range(n):
-                        q = z * n + v
-                        omul[p][q] = mul[x][f[z][v]] * n + imp[g[z][v]][y]
-                        oimp[p][q] = imp[fp][z] * n + mul[v][gp]
-        omul, oimp = ([rows.setdefault(r, r) for r in map(tuple, t)]
-                      for t in (omul, oimp))
-        ts = structure(full_twist(base), omul, oimp, one=0)
+        pairs = [(x, y) for x in range(n) for y in range(n)]
+        omul = (tuple(mul[x][f[z][v]] * n + imp[g[z][v]][y] for z, v in pairs)
+                for x, y in pairs)
+        oimp = (tuple(imp[f[x][y]][z] * n + mul[v][g[x][y]] for z, v in pairs)
+                for x, y in pairs)
+        ts = ResStructure(full_twist(base), *(
+            tuple(rows.setdefault(r, r) for r in t) for t in (omul, oimp)), 0)
         lift = memo[key] = (ts, condition_holds(s, 3)[0],
                             condition_holds(ts, 3)[0])
     return lift
@@ -164,7 +159,8 @@ def twist_operations(s, f, g, const):
 
     with the pair const of element indices as unit.  f and g must be
     surjective and send const to the base unit.  The lifted tables come
-    from the memo of validated unit-free lifts (_lift).
+    from the memo of unit-free lifts (_lift), built from s's tables
+    through the checked pair maps and not validated again.
     """
     if s.mul is None or s.imp is None:
         raise StructureError("twist lifting needs both operation tables")

@@ -1,9 +1,11 @@
 import pytest
 
-from resposet import search
+from resposet import residuation, search
 from resposet.kleene_twist import build_restricted_twist
-from resposet.order import InvolutionVerdict
-from resposet.residuation import LAWS, classify, condition_holds, evaluate_law
+from resposet.order import (InvolutionVerdict, lowest, mask_of,
+                            maximal_elements)
+from resposet.residuation import (LAWS, classify, condition_holds, evaluate_law,
+                                  structure)
 from resposet.search import (POSET_CAP, STRUCTURE_CAP, EnumerationError,
                              PROPERTIES, STRUCTURE_KINDS, check_universal,
                              describe_poset, describe_structure,
@@ -63,6 +65,16 @@ def test_enumerated_bcrms_classify():
     for s in enumerate_structures(3, "bounded-commutative-residuated-monoid"):
         flags = classify(s)
         assert flags.bcrm
+
+
+@pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+def test_generated_records_pass_the_validating_constructor(kind):
+    # the enumerations build their records directly; each must be the
+    # record structure() builds from its own fields
+    for n in (1, 2, 3):
+        for s in enumerate_structures(n, kind):
+            assert s == structure(s.poset, s.mul, s.imp, one=s.one,
+                                  zero=s.zero)
 
 
 def test_residuable_columns_satisfy_adjunction():
@@ -234,3 +246,44 @@ def test_operator_audit_reports_first_cardinality_failure(monkeypatch):
     assert not result.ok
     assert result.witness == describe_structure(target) + (
         " :: implication image cardinality law fails at 00, 00")
+
+
+def _residuum_row_without_principal_test(p, col):
+    # residuation.residuum_row that keeps a unique maximal solution even
+    # when the solution set is not its whole down-set
+    row = []
+    for z in range(p.n):
+        sol = mask_of(x for x in range(p.n) if p.down[z] >> col[x] & 1)
+        tops = maximal_elements(p, sol)
+        if tops.bit_count() != 1:
+            return None, ("no-maximum", z, tops)
+        row.append(lowest(tops))
+    return tuple(row), None
+
+
+@pytest.fixture
+def fresh_enumerations():
+    caches = (residuable_columns, enumerate_structures)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_synthesis_sweep_runs_the_adjunction_scan(monkeypatch,
+                                                  fresh_enumerations):
+    # the residuated pairs take their implications from residuum_row, and
+    # synthesize_residuum recovers them the same way, so a faulty recovery
+    # agrees with itself: only the (3) scan can catch it
+    real = {p: set(residuable_columns(p)) for p in enumerate_posets(2)}
+    residuable_columns.cache_clear()
+    for module in (residuation, search):
+        monkeypatch.setattr(module, "residuum_row",
+                            _residuum_row_without_principal_test)
+    extra = sum(len(set(residuable_columns(p)) - real[p])
+                for p in enumerate_posets(2))
+    assert extra == 2
+    result = check_universal("synthesis-adjunction", (2,))
+    assert not result.ok
+    assert " :: synthesized residuum fails condition 3 at " in result.witness

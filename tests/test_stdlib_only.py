@@ -36,3 +36,19 @@ def test_every_imported_name_is_used():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     assert name in used, (path.name, name)
+
+
+def test_only_the_parser_calls_the_validating_constructor():
+    # residuation.structure() checks input from outside the package; the
+    # package's own builders construct ResStructure records directly
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else \
+                    getattr(fn, "id", None)
+                if name == "structure":
+                    callers.add(path.name)
+    assert callers == {"structfile.py"}

@@ -240,6 +240,18 @@ def test_lift_memo_exact_on_projections_of_a_sample_at_3():
             _assert_lift_exact(s, f, g, (s.one, s.one))
 
 
+def test_every_lift_at_3_passes_the_validating_constructor():
+    # the lift builds its record directly; it must be the record
+    # structure() builds from its tables
+    for n in (1, 2, 3):
+        first, second = projection(n, "proj1"), projection(n, "proj2")
+        for s in enumerate_structures(n, "residuated-pair"):
+            for f, g in ((first, second), (second, first)):
+                t = twist_operations(s, f, g, (s.one, s.one))
+                assert t == structure(full_twist(s.poset), t.mul, t.imp,
+                                      one=t.one)
+
+
 def test_lift_memo_follows_the_base_poset(chain3):
     # the same tables over another order (A, B, A): a lift kept from the
     # other base would carry the wrong pair order and adjunction verdict
