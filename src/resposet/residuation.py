@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .order import (_monotone_failure, adjunction_failure, bits, bounds,
-                    lowest, mask_of, maximal_elements)
+from .order import (Poset, _monotone_failure, adjunction_failure, bits,
+                    bounds, check_names, lowest, mask_of, maximal_elements)
 from .report import CheckItem
 
 
@@ -58,8 +58,12 @@ def structure(poset, mul=None, imp=None, one=None, zero=None, designated=None):
     least element and then the unit must be the greatest (bounded means
     bounded by the two constants, not merely that bounds happen to exist)."""
     n = poset.n
+    check_names(poset.names)
     if one is None or not 0 <= one < n:
         raise StructureError("unit element required")
+    for label, v in (("zero", zero), ("designated", designated)):
+        if v is not None and not 0 <= v < n:
+            raise StructureError("%s element out of range" % label)
     mul = None if mul is None else _as_table(mul, n)
     imp = None if imp is None else _as_table(imp, n)
     if zero is not None:
@@ -70,8 +74,6 @@ def structure(poset, mul=None, imp=None, one=None, zero=None, designated=None):
         if top != one:
             raise StructureError(
                 "unit %s is not the greatest element" % poset.names[one])
-    if designated is not None and not 0 <= designated < n:
-        raise StructureError("designated element out of range")
     return ResStructure(poset, mul, imp, one, zero, designated)
 
 

@@ -7,13 +7,13 @@ from columns, or from free cells, in lexicographic order, so re-running
 any sweep reproduces the identical sequence.
 
 Residuated pairs, unital groupoids and unital implications are generated
-from the posets.  Left-residuated groupoids are the cached residuated
-pairs whose unit column is the identity, commutative residuated monoids
-are filtered from the cached left-residuated groupoids, and bounded ones
-from the cached commutative monoids.  check_universal alone enumerates a
-sweep's items and prefixes its witness with the item's description.
-Every kind comes poset by poset: all units of one poset form one block,
-which the one-poset lift memo of twist.twist_operations relies on.
+from the posets; left-residuated groupoids are filtered from the residuated
+pairs, commutative residuated monoids from those, and bounded ones from
+the commutative monoids, each filter reading its base kind's generator.
+Only posets and residuable columns are cached: check_universal alone
+enumerates a sweep's items, streaming them, and prefixes its witness with
+the item's description.  Every kind comes poset by poset: all units of
+one poset form one block, which twist.twist_operations' lift memo needs.
 """
 
 from __future__ import annotations
@@ -103,20 +103,20 @@ def _residuated_pairs(n):
 
 
 def _lrgs(n):
-    for s in enumerate_structures(n, "residuated-pair"):
+    for s in _residuated_pairs(n):
         if condition_holds(s, 6)[0]:        # x*1 = x: the unit column
             yield s
 
 
 def _crms(n):
-    for s in enumerate_structures(n, "left-residuated-groupoid"):
+    for s in _lrgs(n):
         if (condition_holds(s, "commutative")[0]
                 and condition_holds(s, "associative")[0]):
             yield s
 
 
 def _bcrms(n):
-    for s in enumerate_structures(n, "commutative-residuated-monoid"):
+    for s in _crms(n):
         bot, top = bounds(s.poset)
         if bot is not None and top == s.one:
             yield s._replace(zero=bot)
@@ -127,7 +127,7 @@ def _tables(n, fixed):
     to values, with the free cells running lexicographically in row-major
     order."""
     # product keeps each row's choices in one pool, so the tables share
-    # their row tuples (the cached sweeps hold tens of thousands of tables)
+    # their row tuples (enumerate_structures returns tens of thousands)
     return itertools.product(*(
         itertools.product(*((fixed[x, y],) if (x, y) in fixed else range(n)
                             for y in range(n)))
@@ -164,8 +164,8 @@ _KINDS = {
 STRUCTURE_KINDS = tuple(_KINDS)
 
 
-@functools.lru_cache(maxsize=None)
-def enumerate_structures(n, kind="left-residuated-groupoid"):
+def _structures(n, kind):
+    """Check kind and n, then return the generator of kind's structures."""
     if kind not in _KINDS:
         raise EnumerationError("unknown structure kind %r" % (kind,))
     if n < 1:
@@ -173,7 +173,11 @@ def enumerate_structures(n, kind="left-residuated-groupoid"):
     if n > STRUCTURE_CAP:
         raise EnumerationError("structure size %d above cap %d"
                                % (n, STRUCTURE_CAP))
-    return tuple(_KINDS[kind](n))
+    return _KINDS[kind](n)
+
+
+def enumerate_structures(n, kind="left-residuated-groupoid"):
+    return tuple(_structures(n, kind))
 
 
 def describe_poset(p):
@@ -224,9 +228,9 @@ class UniversalResult(NamedTuple):
 def check_universal(name, sizes=None):
     """Run one registered property over every item of its kind at each
     size, stopping at the first failing case; its witness is the item's
-    description followed by the failure reason.  Items come in enumeration
-    order, all units of one poset in one block, so the lifting sweeps use
-    each poset's lifts before moving on (twist.twist_operations)."""
+    description followed by the failure reason.  Items are streamed in
+    enumeration order, all units of one poset in one block, so the lifting
+    sweeps use each poset's lifts before moving on (twist_operations)."""
     if name not in PROPERTIES:
         raise EnumerationError("unknown property %r" % (name,))
     prop = PROPERTIES[name]
@@ -235,8 +239,7 @@ def check_universal(name, sizes=None):
         if prop.kind == "poset":
             items, describe = enumerate_posets(n), describe_poset
         else:
-            items = enumerate_structures(n, prop.kind)
-            describe = describe_structure
+            items, describe = _structures(n, prop.kind), describe_structure
         for item in items:
             for failure in prop.check(item):
                 cases += 1

@@ -2,8 +2,13 @@
 equality and hash pinned, so that a change in how the records are
 declared leaves what they print and how they compare as it was."""
 
+import importlib
+import pkgutil
+import typing
+
 import pytest
 
+import resposet
 from resposet import (PROPERTIES, build_operator_twist,
                       build_restricted_twist, check_kleene_twist,
                       check_restriction_assumptions, check_universal,
@@ -176,3 +181,17 @@ def test_defaults_are_pinned():
         "StructureFile(structure=None, operators=None, pairmaps=None)",
     ]
 
+
+def test_every_record_type_hint_resolves():
+    # the hints are strings (postponed evaluation), resolved against the
+    # globals of the record's own module
+    records = {}
+    for info in pkgutil.iter_modules(resposet.__path__):
+        module = importlib.import_module("resposet." + info.name)
+        records.update((name, cls) for name, cls in vars(module).items()
+                       if isinstance(cls, type) and issubclass(cls, tuple)
+                       and hasattr(cls, "_fields")
+                       and cls.__module__ == module.__name__)
+    assert set(FIELDS) < set(records)
+    for name, cls in records.items():
+        assert tuple(typing.get_type_hints(cls)) == cls._fields, name

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from resposet.order import antichain, chain, poset_from_covers
+from resposet.order import (OrderError, Poset, antichain, chain,
+                            poset_from_covers)
 from resposet.residuation import (CONDITION_IDS, StructureError,
                                   check_condition, check_derived_laws,
                                   classify, condition_applicable,
@@ -91,6 +92,20 @@ def test_structure_validates_bounds():
         structure(p, mul=((0, 0), (0, 1)), imp=None, one=1, zero=1)
     with pytest.raises(StructureError, match="unit 0 is not the greatest"):
         structure(p, mul=((0, 0), (0, 1)), imp=None, one=0, zero=0)
+
+
+def test_structure_checks_the_zero_range_first():
+    # an out-of-range zero must not index the names or pass as a bound
+    for zero in (7, -1):
+        with pytest.raises(StructureError, match="zero element out of range"):
+            structure(chain(3), one=2, zero=zero)
+
+
+def test_structure_checks_the_element_names():
+    # a Poset built directly skips the poset_from_* constructors' check
+    p = Poset(("covers", "b"), (3, 2), (1, 3))
+    with pytest.raises(OrderError, match="'covers' is empty, a section word"):
+        structure(p, one=1)
 
 
 def test_synthesis_reproduces_example1(example1):

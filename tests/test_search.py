@@ -46,13 +46,38 @@ def test_lrg_condition_failure_counts():
 
 
 def test_enumeration_is_deterministic():
-    first = [describe_structure(s)
-             for s in enumerate_structures(2, "left-residuated-groupoid")]
-    enumerate_structures.cache_clear()
+    # each call builds its structures afresh: nothing is cached to agree
+    first = enumerate_structures(2, "left-residuated-groupoid")
     enumerate_posets.cache_clear()
-    second = [describe_structure(s)
-              for s in enumerate_structures(2, "left-residuated-groupoid")]
-    assert first == second
+    second = enumerate_structures(2, "left-residuated-groupoid")
+    assert first is not second
+    assert [describe_structure(s) for s in first] == [
+        describe_structure(s) for s in second]
+
+
+def test_check_universal_streams_its_structures(monkeypatch):
+    # the sweep draws each structure just before checking it, so the
+    # generator never runs more than one item ahead of the checks
+    name, kind = "law-7-from-comm-1-6-top", "unital-groupoid"
+    prop, real = PROPERTIES[name], search._KINDS[kind]
+    drawn, checked = [], []
+
+    def generator(n):
+        for s in real(n):
+            drawn.append(s)
+            yield s
+
+    def check(s):
+        assert drawn[-1] is s and len(drawn) == len(checked) + 1
+        checked.append(s)
+        yield from prop.check(s)
+
+    monkeypatch.setitem(search._KINDS, kind, generator)
+    monkeypatch.setitem(PROPERTIES, name, prop._replace(check=check))
+    result = check_universal(name, (1, 2))
+    assert result.ok
+    # one table at n = 1; 3 posets x 2 units x 2 ** 2 tables at n = 2
+    assert result.cases == len(checked) == len(drawn) == 1 + 3 * 2 * 2 ** 2
 
 
 def test_boolean_structure_is_enumerated(bool2):
@@ -262,17 +287,15 @@ def _residuum_row_without_principal_test(p, col):
 
 
 @pytest.fixture
-def fresh_enumerations():
-    caches = (residuable_columns, enumerate_structures)
-    for cache in caches:
-        cache.cache_clear()
+def fresh_columns():
+    # the structure enumerations hold nothing; only the columns are cached
+    residuable_columns.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    residuable_columns.cache_clear()
 
 
 def test_synthesis_sweep_runs_the_adjunction_scan(monkeypatch,
-                                                  fresh_enumerations):
+                                                  fresh_columns):
     # the residuated pairs take their implications from residuum_row, and
     # synthesize_residuum recovers them the same way, so a faulty recovery
     # agrees with itself: only the (3) scan can catch it

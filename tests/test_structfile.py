@@ -417,10 +417,13 @@ def test_unwritable_element_names_are_rejected(names, parse_error):
     # unparseable; "x,y" loaded, but could not be written in an optable
     # cell, a pairmap pair or twist --const, which split on ','
     from resposet.order import chain
-    from resposet.residuation import structure
+    from resposet.residuation import ResStructure
     p = chain(2)
     p = type(p)(names, p.up, p.down)
-    s = structure(p, mul=((0, 0), (0, 1)), imp=None, one=1)
+    with pytest.raises(OrderError, match="element name"):
+        structure(p, mul=((0, 0), (0, 1)), imp=None, one=1)
+    # a record built directly skips that check; emitting it still fails
+    s = ResStructure(p, ((0, 0), (0, 1)), None, 1)
     with pytest.raises(ParseError, match="element name"):
         emit_structure(s)
     text = ("elements {0} {1}\ncovers\n{0} < {1}\n"
