@@ -17,10 +17,11 @@ report holds the assumption items and nothing else.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
-from .order import (Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of,
-                    set_leq)
+from .order import Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of
 from .report import CheckItem, all_pass
 from .residuation import StructureError, check_condition, classify
 from .twist import OperatorStructure, check_embedding, \
@@ -40,27 +41,38 @@ class RestrictedTwist(NamedTuple):
 
 
 def pair_in_carrier(base, a, x, y):
-    lo = base.down[x] & base.down[y]
-    hi = base.up[x] & base.up[y]
-    return set_leq(base, lo, 1 << a) and set_leq(base, 1 << a, hi)
+    """L(x,y) <= a <= U(x,y): L(x,y) inside down[a] and U(x,y) inside
+    up[a]."""
+    return not (base.down[x] & base.down[y] & ~base.down[a]
+                or base.up[x] & base.up[y] & ~base.up[a])
 
 
 def build_restricted_twist(base, a):
     """Collect the carrier in row-major pair order and restrict the full
-    twist's names, cones and the swap involution to it."""
+    twist's names, cones and the swap involution to it.
+
+    The full twist's cones are products of base cones, up[x] x down[y] for
+    (x, y), and so are their restrictions: with F[u] (S[u]) the mask of
+    the carrier indices whose pair has first (second) coordinate u, the
+    restricted up-cone of (x, y) is the OR of F over up[x] ANDed with the
+    OR of S over down[y], and the down-cone is dual."""
     n = base.n
     members = tuple((x, y) for x in range(n) for y in range(n)
                     if pair_in_carrier(base, a, x, y))
     index = {x * n + y: i for i, (x, y) in enumerate(members)}
-    carrier = mask_of(index)
-    twist = full_twist(base)
-
-    def restrict(cones):
-        return tuple(mask_of(index[v] for v in bits(cones[u] & carrier))
-                     for u in index)
-
-    poset = Poset(tuple(map(twist.names.__getitem__, index)),
-                  restrict(twist.up), restrict(twist.down))
+    first, second = [0] * n, [0] * n
+    for i, (x, y) in enumerate(members):
+        first[x] |= 1 << i
+        second[y] |= 1 << i
+    # the OR of first (second) over each base up-cone, then down-cone
+    fu, fd, su, sd = ([reduce(or_, map(by.__getitem__, bits(c)), 0)
+                       for c in cones]
+                      for by in (first, second)
+                      for cones in (base.up, base.down))
+    names = full_twist(base).names
+    poset = Poset(tuple(map(names.__getitem__, index)),
+                  tuple(fu[x] & sd[y] for x, y in members),
+                  tuple(fd[x] & su[y] for x, y in members))
     swap = tuple(index[y * n + x] for x, y in members)
     return RestrictedTwist(base, a, members, poset, swap, index)
 

@@ -339,15 +339,21 @@ def _lu_identity_failure(p, dual):
     L(U(x,y) u {z}) = L(U(L(x,z) u L(y,z))) fails, or None; with dual the
     same identity in the order-dual poset.
 
-    Since U(A u B) = U(A) & U(B), the right side is L(UL[x][z] & UL[y][z])
-    with UL[x][z] = U(L(x,z)), and the left side is L(U(x,y)) & down[z];
-    both sides are compared for all z at once.  Both sides are symmetric
-    in x and y, so a failure at (x, y, z) with y < x is preceded by one at
-    (y, x, z).  And the identity holds at every comparable pair: for
-    x <= y, U(x,y) is the up-cone of y, so the left side is L(y,z), and
-    L(x,z) is inside L(y,z), so the right side is LUL(y,z) = L(y,z)
-    (dually for y <= x).  So scanning only the y > x incomparable with x
-    finds the same first triple.
+    Both sides are symmetric in x and y, and equal at comparable pairs:
+    for x <= y, U(x,y) is the up-cone of y, so the left side is L(y,z),
+    and L(x,z) is inside L(y,z), so the right side is LUL(y,z) = L(y,z)
+    (dually for y <= x).  So only the y > x incomparable with x are
+    scanned, and the first failing triple is the same.
+
+    The right side lies inside the left, as each member of L(x,z) u L(y,z)
+    is below z and below all of U(x,y); and it grows with z, as L(x,z) and
+    L(y,z) do.  So the identity holds at every z exactly when each w of
+    L(U(x,y)) is in the right side at w (a w <= z of the left side at z is
+    then in the right side at w, inside the one at z): U(L(x,w)) &
+    U(L(y,w)) inside up[w], two up-cone lookups.  That holds outright when
+    w <= x (L(x,w) = down[w]) or w <= y, so only the other w are tested.
+    Both sides are built, for all z at once, only for the first failing
+    pair, to name its first z.
     """
     if dual:
         p = Poset(p.names, p.down, p.up)
@@ -355,18 +361,16 @@ def _lu_identity_failure(p, dual):
     up, down = p.up, p.down
     upper = ConeMemo(upper_cone, p)
     lower = ConeMemo(lower_cone, p)
-    # UL[u] for each u incomparable with some element: no other u is
-    # scanned
-    ul = [list(map(upper.__getitem__, map(du.__and__, down)))
-          if uu | du != full else None for uu, du in zip(up, down)]
     for x in range(n):
-        for y in bits((full ^ (up[x] | down[x])) >> x << x):
+        dx = down[x]
+        for y in bits((full ^ (up[x] | dx)) >> x << x):
+            dy = down[y]
             outer = lower[up[x] & up[y]]
-            lhs = list(map(outer.__and__, down))
-            rhs = list(map(lower.__getitem__, map(int.__and__, ul[x], ul[y])))
-            if lhs != rhs:
-                z = next(z for z in range(n) if lhs[z] != rhs[z])
-                return (x, y, z)
+            if any(upper[dx & down[w]] & upper[dy & down[w]] & ~up[w]
+                   for w in bits(outer & ~(dx | dy))):
+                lhs = list(map(outer.__and__, down))
+                rhs = [lower[upper[dx & dz] & upper[dy & dz]] for dz in down]
+                return x, y, next(z for z in range(n) if lhs[z] != rhs[z])
     return None
 
 
@@ -398,14 +402,16 @@ def is_pseudo_kleene(p, mapping):
     if not base.ok:
         return InvolutionVerdict(False, "not an antitone involution: " + base.reason,
                                  base.witness)
-    # every element of lo[x] below every element of hi[y] means
-    # lo[x] is inside L(hi[y])
+    # every element of lo[x] below every element of hi[y] means lo[x] is
+    # inside L(hi[y]), for all (x, y) at once when the union of the lo is
+    # inside the meet of the below_hi; a failure is then named by a scan
     lo = [p.down[x] & p.down[mapping[x]] for x in range(p.n)]
     below_hi = [lower_cone(p, p.up[y] & p.up[mapping[y]]) for y in range(p.n)]
-    for x in range(p.n):
-        for y in range(p.n):
-            if lo[x] & ~below_hi[y]:
-                return InvolutionVerdict(False, "normality fails", (x, y))
+    if functools.reduce(int.__or__, lo, 0) & \
+            ~functools.reduce(int.__and__, below_hi, p.full):
+        return InvolutionVerdict(False, "normality fails", next(
+            (x, y) for x in range(p.n) for y in range(p.n)
+            if lo[x] & ~below_hi[y]))
     return InvolutionVerdict(True)
 
 

@@ -13,7 +13,7 @@ the commutative monoids, each filter reading its base kind's generator.
 Only posets and residuable columns are cached: check_universal alone
 enumerates a sweep's items, streaming them, and prefixes its witness with
 the item's description.  Every kind comes poset by poset: all units of
-one poset form one block, which twist.twist_operations' lift memo needs.
+one poset form one block, which the twist lift memo (twist._lift) needs.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def check_universal(name, sizes=None):
     size, stopping at the first failing case; its witness is the item's
     description followed by the failure reason.  Items are streamed in
     enumeration order, all units of one poset in one block, so the lifting
-    sweeps use each poset's lifts before moving on (twist_operations)."""
+    sweeps use each poset's lifts before moving on (twist._lift)."""
     if name not in PROPERTIES:
         raise EnumerationError("unknown property %r" % (name,))
     prop = PROPERTIES[name]

@@ -50,52 +50,51 @@ def pair_names(base):
     return tuple(pair_name(base, pair, long=True) for pair in pairs)
 
 
-def _product_mask(n, amask, bmask):
-    # bitmask of {(a, b) : a in A, b in B} under index a*n + b
-    out = 0
-    for a in bits(amask):
-        out |= bmask << (a * n)
-    return out
+def _spread(n, amask):
+    """The sum of 2^(a*n) over the members a of A.  A product of masks is
+    a product of ints: for B < 2^n, B * _spread(n, A) is the mask of
+    {(a, b) : a in A, b in B} under index a*n + b, one copy of B in each
+    block a of n bits, and no carries."""
+    return sum(1 << a * n for a in bits(amask))
 
 
 @functools.lru_cache(maxsize=None)
 def full_twist(base):
     """The pair poset: (x,y) <= (z,v) when x <= z and v <= y, with the
-    pair (x, y) at index x*n + y.
+    pair (x, y) at index x*n + y.  Its up-cone is up[x] x down[y] and its
+    down-cone down[x] x up[y], each from one spread per base cone.
 
     Its cones factor as products of base cones; that law is checked by
     cone_product_failure in the cone-product-law sweep, not on each build.
     """
-    n = base.n
-    up = []
-    down = []
-    for x in range(n):
-        for y in range(n):
-            up.append(_product_mask(n, base.up[x], base.down[y]))
-            down.append(_product_mask(n, base.down[x], base.up[y]))
-    return Poset(pair_names(base), tuple(up), tuple(down))
+    n, up, down = base.n, base.up, base.down
+    ups, downs = ([_spread(n, c) for c in cones] for cones in (up, down))
+    return Poset(pair_names(base), tuple(d * s for s in ups for d in down),
+                 tuple(u * s for s in downs for u in up))
 
 
 def cone_product_failure(base):
     """The cone product law of the pair poset, for p=(x,y) and q=(z,v):
     L({p,q}) = L(x,z) x U(y,v) and U({p,q}) = U(x,z) x L(y,v).  Returns
-    the first (p, q) in row-major order where it fails, or None."""
-    n = base.n
+    the first (p, q) in row-major order where it fails, or None.  Each
+    p's row over q is compared in one list comparison, its products from
+    the spreads of L(x,z) and U(x,z), made once per (x, z)."""
+    n, up, down = base.n, base.up, base.down
     twist = full_twist(base)
+    cones = list(zip(twist.down, twist.up))
+    # U(y,v) and L(y,v) for each y, a row over v
+    rows = [[(uy & uv, dy & dv) for uv, dv in zip(up, down)]
+            for uy, dy in zip(up, down)]
     for x in range(n):
-        for y in range(n):
+        spreads = [(_spread(n, down[x] & dz), _spread(n, up[x] & uz))
+                   for uz, dz in zip(up, down)]
+        for y, row in enumerate(rows):
             p = x * n + y
-            for z in range(n):
-                for v in range(n):
-                    q = z * n + v
-                    lo = twist.down[p] & twist.down[q]
-                    hi = twist.up[p] & twist.up[q]
-                    want_lo = _product_mask(
-                        n, base.down[x] & base.down[z], base.up[y] & base.up[v])
-                    want_hi = _product_mask(
-                        n, base.up[x] & base.up[z], base.down[y] & base.down[v])
-                    if lo != want_lo or hi != want_hi:
-                        return p, q
+            lo, hi = cones[p]
+            got = [(lo & dq, hi & uq) for dq, uq in cones]
+            want = [(a * slo, b * shi) for slo, shi in spreads for a, b in row]
+            if got != want:
+                return p, next(q for q in range(n * n) if got[q] != want[q])
     return None
 
 
@@ -162,6 +161,12 @@ def twist_operations(s, f, g, const):
     from the memo of unit-free lifts (_lift), built from s's tables
     through the checked pair maps and not validated again.
     """
+    return _checked_lift(s, f, g, const)[0]
+
+
+def _checked_lift(s, f, g, const):
+    # _lift(s, f, g), read once, with the lifted unit const, after the
+    # checks twist_operations documents
     if s.mul is None or s.imp is None:
         raise StructureError("twist lifting needs both operation tables")
     base = s.poset
@@ -169,7 +174,8 @@ def twist_operations(s, f, g, const):
         raise StructureError("unit element required")
     _validate_pairmap(f, "f", base, const, s.one)
     _validate_pairmap(g, "g", base, const, s.one)
-    return _lift(s, f, g)[0]._replace(one=const[0] * base.n + const[1])
+    ts, base3, twist3 = _lift(s, f, g)
+    return ts._replace(one=const[0] * base.n + const[1]), base3, twist3
 
 
 def check_twist_lifting(s, f, g, const):
@@ -178,8 +184,7 @@ def check_twist_lifting(s, f, g, const):
     transfers behind it: adjunction transfers on its own, and the lifted
     unit law holds exactly when the base satisfies both unit laws
     (x*1 = x and 1->x = x)."""
-    ts = twist_operations(s, f, g, const)
-    _, base3, twist3 = _lift(s, f, g)
+    ts, base3, twist3 = _checked_lift(s, f, g, const)
     base6 = condition_holds(s, 6)[0]
     base9 = condition_holds(s, 9)[0]
     twist6 = condition_holds(ts, 6)[0]

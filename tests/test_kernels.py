@@ -10,7 +10,15 @@ the sets of their members).  Condition (3) and the audit's adjunction
 item are one scan, order.adjunction_failure, seeded two ways, so on
 one-element images the two must report the same witness.  The LU
 identity must hold at every comparable pair of every small poset, which
-is why the distributivity scan may skip those pairs.
+is why the distributivity scan may skip those pairs, and at an
+incomparable pair it must hold at every z exactly when the scan's one
+test per pair passes (reduced_lu_test_passes).
+
+The full twist must have the order of its definition, and the restricted
+twist must be the definition's carrier under the full twist's order
+(reference_restricted_twist).  Since the cone product law holds on every
+full twist, cone_product_failure's witness is checked on twists broken
+by one flipped bit.
 
 The operator images have one definition in the program,
 twist.operator_rows.  The one-cell definitions operator_product and
@@ -26,6 +34,7 @@ import random
 
 import pytest
 
+from resposet import twist as twist_module
 from resposet.kleene_twist import build_restricted_twist, \
     check_kleene_twist, check_restricted_closure, classify_escape
 from resposet.order import _lu_identity_failure, antichain, bits, chain, \
@@ -37,8 +46,8 @@ from resposet.search import enumerate_posets, enumerate_structures, \
     residuable_columns
 from resposet.structfile import load
 from resposet.twist import OperatorStructure, build_operator_twist, \
-    _adjunction_failure, check_operator_residuated, full_twist, \
-    operator_rows, projection, twist_operations
+    _adjunction_failure, check_operator_residuated, cone_product_failure, \
+    full_twist, operator_rows, projection, twist_operations
 
 
 def _leq(p, dual):
@@ -289,12 +298,148 @@ def test_lu_identity_holds_at_comparable_pairs():
     assert checked == 721646
 
 
+def reduced_lu_test_passes(leq, lower, upper, x, y):
+    """The one test per pair that _lu_identity_failure runs: U(L(x,w)) and
+    U(L(y,w)) meet inside the up-set of w, at each w of L(U(x,y)) below
+    neither x nor y."""
+    return all(upper(lower(frozenset((x, w))))
+               & upper(lower(frozenset((y, w)))) <= upper(frozenset((w,)))
+               for w in lower(upper(frozenset((x, y))))
+               if not leq(w, x) and not leq(w, y))
+
+
+def test_lu_identity_reduces_to_one_test_per_pair():
+    # the reduction behind the scan: at an incomparable pair the identity
+    # holds at every z exactly when the reduced test passes (both sides
+    # are symmetric in x and y, so each unordered pair is tried once)
+    checked = failed = 0
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            for dual in (False, True):
+                lower, upper = cone_operators(p, dual)
+                for x, y in itertools.combinations(range(n), 2):
+                    if p.leq(x, y) or p.leq(y, x):
+                        continue
+                    holds = all(lu_identity_holds(lower, upper, x, y, z)
+                                for z in range(n))
+                    assert holds == reduced_lu_test_passes(
+                        _leq(p, dual), lower, upper, x, y), \
+                        (p.names, p.up, dual, x, y)
+                    checked += 1
+                    failed += not holds
+    assert (checked, failed) == (36748, 23826)
+
+
+def test_distributivity_matches_reference_on_random_posets():
+    # six to nine elements, past the exhaustive sizes; most of these
+    # posets fail, so the witness path is exercised
+    rng = random.Random(20)
+    failed = 0
+    for _ in range(60):
+        p = _random_poset(rng, rng.randint(6, 9))
+        for dual in (False, True):
+            want = reference_lu_failure(p, dual)
+            assert _lu_identity_failure(p, dual) == want, (p.up, dual)
+            failed += want is not None
+    assert 60 < failed < 120
+
+
 @pytest.mark.parametrize("base, a", [("godel8", a) for a in range(8)]
                          + [("godel10", 5), ("lukasiewicz10", 1)])
 def test_distributivity_matches_reference_on_restricted_carriers(base, a):
     # the carriers whose distributivity pa decides
     p = build_restricted_twist(_base(base).poset, a).poset
     assert _lu_identity_failure(p, False) == reference_lu_failure(p, False)
+
+
+def reference_restricted_twist(base, a):
+    """The restricted twist from the definitions: the pairs (x, y),
+    row-major, whose common lower bounds are all below a and whose common
+    upper bounds are all above it, read from base.leq; full_twist's order
+    on them, pair by pair; and the swap (x, y) -> (y, x)."""
+    n, leq = base.n, base.leq
+    members = [(x, y) for x in range(n) for y in range(n)
+               if all(leq(w, a) for w in range(n) if leq(w, x) and leq(w, y))
+               and all(leq(a, w) for w in range(n) if leq(x, w) and leq(y, w))]
+    twist = full_twist(base)
+    pairs = [x * n + y for x, y in members]
+    poset = poset_from_leq([twist.names[u] for u in pairs],
+                           [[twist.leq(u, v) for v in pairs] for u in pairs])
+    swap = tuple(members.index((y, x)) for x, y in members)
+    return tuple(members), poset, swap, {u: i for i, u in enumerate(pairs)}
+
+
+def _restricted_twist_cases():
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            yield from ((p, a) for a in range(n))
+    rng = random.Random(20)
+    for name in ("godel8", "godel10", "lukasiewicz10", "example1"):
+        p = _relabel(_base(name), rng).poset
+        yield from ((p, a) for a in range(p.n))
+
+
+def test_restricted_twist_matches_reference():
+    sizes = []
+    for base, a in _restricted_twist_cases():
+        rt = build_restricted_twist(base, a)
+        assert (rt.members, rt.poset, rt.swap, rt.index) == \
+            reference_restricted_twist(base, a), (base.names, base.up, a)
+        sizes.append(rt.poset.n)
+    assert (len(sizes), sum(sizes)) == (978, 10280)
+
+
+def test_full_twist_matches_definition_on_all_small_posets():
+    # (x,y) <= (z,v) when x <= z and v <= y, the pair (x, y) at x*n + y
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            pairs = list(itertools.product(range(n), repeat=2))
+            want = [[p.leq(x, z) and p.leq(v, y) for z, v in pairs]
+                    for x, y in pairs]
+            twist = full_twist(p)
+            assert [[twist.leq(u, w) for w in range(n * n)]
+                    for u in range(n * n)] == want, (p.names, p.up)
+
+
+def reference_cone_product_failure(base, twist):
+    """The first (p, q), row-major, where L({p,q}) or U({p,q}) in twist
+    differs from the product of base cones, each side a set of pairs."""
+    n = base.n
+    lower, upper = cone_operators(base, False)
+    pairs = list(itertools.product(range(n), repeat=2))
+    for (x, y), (z, v) in itertools.product(pairs, repeat=2):
+        p, q = x * n + y, z * n + v
+        lo = {divmod(u, n) for u in range(n * n)
+              if twist.leq(u, p) and twist.leq(u, q)}
+        hi = {divmod(u, n) for u in range(n * n)
+              if twist.leq(p, u) and twist.leq(q, u)}
+        if lo != set(itertools.product(lower(frozenset((x, z))),
+                                       upper(frozenset((y, v))))) or \
+                hi != set(itertools.product(upper(frozenset((x, z))),
+                                            lower(frozenset((y, v))))):
+            return p, q
+    return None
+
+
+def test_cone_product_witness_matches_reference(monkeypatch):
+    # the law holds on every full twist, so each twist is broken by one
+    # flipped up-cone bit (and its down-cone partner) to reach a witness
+    rng = random.Random(20)
+    for n in (2, 3, 4):
+        posets = enumerate_posets(n)
+        for base in rng.sample(posets, min(6, len(posets))):
+            twist = full_twist(base)
+            u, w = rng.sample(range(n * n), 2)
+            up, down = list(twist.up), list(twist.down)
+            up[u] ^= 1 << w
+            down[w] ^= 1 << u
+            broken = twist._replace(up=tuple(up), down=tuple(down))
+            monkeypatch.setattr(twist_module, "full_twist", lambda b: broken)
+            want = reference_cone_product_failure(base, broken)
+            assert want is not None
+            assert cone_product_failure(base) == want, (base.up, u, w)
+            monkeypatch.undo()
+            assert cone_product_failure(base) is None
 
 
 def _bcrms():

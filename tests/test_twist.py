@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from resposet import twist
 from resposet.order import antichain, bits, chain, poset_from_covers
 from resposet.residuation import StructureError, condition_holds, structure
 from resposet.search import enumerate_structures
@@ -263,6 +264,18 @@ def test_lift_memo_follows_the_base_poset(chain3):
     assert seen[0] == seen[2] != seen[1]
     assert twist_operations(other, f, g, const).poset == \
         full_twist(antichain(3))
+
+
+def test_lifting_case_reads_the_lift_once(monkeypatch, chain3):
+    # one memo lookup per case: each builds the pair-map key anew
+    calls = []
+    real = twist._lift
+    monkeypatch.setattr(twist, "_lift",
+                        lambda *args: calls.append(args) or real(*args))
+    f, g = projection(3, "proj1"), projection(3, "proj2")
+    ts, _ = check_twist_lifting(chain3, f, g, (chain3.one, chain3.one))
+    assert len(calls) == 1
+    assert ts == twist_operations(chain3, f, g, (chain3.one, chain3.one))
 
 
 def test_lift_memo_takes_list_pair_maps(example1):
