@@ -8,10 +8,10 @@ from .order import (OrderError, Poset, antichain, bits, chain,
                     set_leq, upper_cone)
 from .report import CheckItem, all_pass, exit_code, render
 from .residuation import (CONDITION_IDS, Classification, ResStructure,
-                          StructureError, check_condition, check_derived_laws,
-                          classify, condition_applicable, condition_holds,
-                          is_associative, is_commutative, structure,
-                          synthesize_residuum)
+                          StructureError, Verdicts, check_condition,
+                          check_derived_laws, classify, condition_applicable,
+                          condition_holds, is_associative, is_commutative,
+                          structure, synthesize_residuum)
 from .twist import (OperatorStructure, build_operator_twist, check_embedding,
                     check_operator_residuated, check_twist_lifting,
                     full_twist, operator_rows, pair_names, projection,

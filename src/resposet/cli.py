@@ -14,9 +14,9 @@ import types
 from .kleene_twist import EscapeCaseError, check_kleene_twist
 from .order import OrderError, is_distributive, is_lattice
 from .report import CheckItem, all_pass, exit_code, render
-from .residuation import (CONDITION_IDS, StructureError, check_condition,
-                          check_derived_laws, classify, condition_applicable,
-                          named_witness)
+from .residuation import (CONDITION_IDS, Classification, StructureError,
+                          Verdicts, check_condition, check_derived_laws,
+                          condition_applicable, named_witness)
 from .search import (EnumerationError, check_universal, enumerate_posets,
                      enumerate_structures, suite_properties, STRUCTURE_KINDS)
 from .structfile import ParseError, emit_tables, load
@@ -44,16 +44,18 @@ def _cmd_check(args):
     s = sf.structure
     if s.mul is None or s.imp is None:
         raise StructureError("check needs both a mul and an imp table")
-    flags = classify(s)
+    # one condition table for the listing, the classification and the laws
+    verdicts = Verdicts(s)
+    flags = Classification.of(verdicts)
     print("structure: %d elements" % s.poset.n)
     print("classification: " + flags.summary())
-    items = [_ungated(check_condition(s, k))
+    items = [_ungated(check_condition(s, k, verdicts))
              for k in CONDITION_IDS if condition_applicable(s, k)]
     items.append(CheckItem("left-residuated-groupoid", flags.left_residuated))
     items.append(CheckItem("bounded", flags.bounded, gating=False))
-    items += [_ungated(check_condition(s, k))
+    items += [_ungated(check_condition(s, k, verdicts))
               for k in ("commutative", "associative")]
-    laws = check_derived_laws(s)
+    laws = check_derived_laws(s, verdicts)
     refuted = [lv for lv in laws if lv.status == "REFUTED"]
     for lv in laws:
         items.append(CheckItem("law-" + lv.law_id, lv.status != "REFUTED",

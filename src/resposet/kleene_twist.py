@@ -25,7 +25,7 @@ from .order import Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of
 from .report import CheckItem, all_pass
 from .residuation import StructureError, check_condition, classify
 from .twist import OperatorStructure, check_embedding, \
-    check_operator_residuated, full_twist, operator_rows
+    check_operator_residuated, operator_rows, pair_names
 
 
 class RestrictedTwist(NamedTuple):
@@ -55,7 +55,8 @@ def build_restricted_twist(base, a):
     (x, y), and so are their restrictions: with F[u] (S[u]) the mask of
     the carrier indices whose pair has first (second) coordinate u, the
     restricted up-cone of (x, y) is the OR of F over up[x] ANDed with the
-    OR of S over down[y], and the down-cone is dual."""
+    OR of S over down[y], and the down-cone is dual.  The names are the
+    full twist's (twist.pair_names), read without building its order."""
     n = base.n
     members = tuple((x, y) for x in range(n) for y in range(n)
                     if pair_in_carrier(base, a, x, y))
@@ -69,7 +70,7 @@ def build_restricted_twist(base, a):
                        for c in cones]
                       for by in (first, second)
                       for cones in (base.up, base.down))
-    names = full_twist(base).names
+    names = pair_names(base)
     poset = Poset(tuple(map(names.__getitem__, index)),
                   tuple(fu[x] & sd[y] for x, y in members),
                   tuple(fd[x] & su[y] for x, y in members))
@@ -127,10 +128,11 @@ def _escape_cases(s, a, b, c, d, e):
 
 
 def _pair_pattern(base, a, pair):
-    # whether the pair is below (a,a), and above it, in the twist order
-    twist = full_twist(base)
-    p, center = pair[0] * base.n + pair[1], a * base.n + a
-    return {"low": twist.leq(p, center), "high": twist.leq(center, p)}
+    # whether the pair (x, y) is below (a,a), and above it, in the twist
+    # order: (x, y) <= (a, a) when x <= a and a <= y
+    x, y = pair
+    return {"low": base.leq(x, a) and base.leq(a, y),
+            "high": base.leq(a, x) and base.leq(y, a)}
 
 
 class EscapeCaseError(Exception):
@@ -146,7 +148,7 @@ def classify_escape(s, a, op, ppair, qpair, member):
     which of conditions (11)/(12) it breaks.  Exactly one row of the case
     table fires under the standing assumptions (else EscapeCaseError)."""
     base = s.poset
-    names, n = full_twist(base).names, base.n
+    names, n = pair_names(base), base.n
     witness = (("op", op), ("p", names[ppair[0] * n + ppair[1]]),
                ("q", names[qpair[0] * n + qpair[1]]),
                ("member", names[member[0] * n + member[1]]))

@@ -80,10 +80,12 @@ class Poset(NamedTuple):
                 for y in bits(ys)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def upper_covers(p):
     """The mask of each element's upper covers: the elements strictly above
-    it, less the strict up-cone of each of them."""
+    it, less the strict up-cone of each of them.  Memoized for the recent
+    posets only: a command reads one poset's covers more than once, while
+    the restricted-pseudo-kleene sweep reads each of its carriers once."""
     strict = [u ^ 1 << x for x, u in enumerate(p.up)]
     outside = [~s for s in strict]
     return tuple(_cone(s, outside, s) for s in strict)
@@ -249,6 +251,20 @@ class ConeMemo(dict):
         return value
 
 
+def principal_cone_memos(p):
+    """ConeMemos of lower_cone and upper_cone over p that hold the cones
+    of the principal sets from the start: L(up[m]) = down[m], as every
+    element below all of up[m] is below m, which is in up[m], and every
+    element below m is below all of up[m]; dually U(down[m]) = up[m].  So
+    the members of a principal set are never scanned.  In a lattice every
+    common up-set up[x] & up[y] is principal (the up-set of the join), and
+    dually every common down-set."""
+    lower, upper = ConeMemo(lower_cone, p), ConeMemo(upper_cone, p)
+    lower.update(zip(p.up, p.down))
+    upper.update(zip(p.down, p.up))
+    return lower, upper
+
+
 def _monotone_failure(p, t, antitone=False):
     """x <= y must give t[z][x] <= t[z][y] for every row z of t
     (t[z][y] <= t[z][x] when antitone).  Conditions (1), (2), (4) and (5)
@@ -353,14 +369,13 @@ def _lu_identity_failure(p, dual):
     U(L(y,w)) inside up[w], two up-cone lookups.  That holds outright when
     w <= x (L(x,w) = down[w]) or w <= y, so only the other w are tested.
     Both sides are built, for all z at once, only for the first failing
-    pair, to name its first z.
+    pair, to name its first z.  The cones come from principal_cone_memos.
     """
     if dual:
         p = Poset(p.names, p.down, p.up)
     n, full = p.n, p.full
     up, down = p.up, p.down
-    upper = ConeMemo(upper_cone, p)
-    lower = ConeMemo(lower_cone, p)
+    lower, upper = principal_cone_memos(p)
     for x in range(n):
         dx = down[x]
         for y in bits((full ^ (up[x] | dx)) >> x << x):
@@ -382,33 +397,50 @@ class InvolutionVerdict(NamedTuple):
 
 def is_antitone_involution(p, mapping):
     """mapping is a tuple sending index to index; checks x'' = x and that
-    x <= y forces y' <= x'."""
+    x <= y forces y' <= x'.
+
+    The antitone law is decided on the Hasse covers (upper_covers): every
+    cover is a comparable pair, and in a finite poset every x < y is a
+    chain of covers x = c0 < c1 < ... < ck = y, whose reversed images
+    c(i+1)' <= c(i)' give y' <= x' by transitivity.  So the law holds
+    exactly when c' <= x' for each upper cover c of each x.  Only when that
+    fails does the scan over every comparable pair (x, y), x ascending,
+    then y, name the first failing pair."""
     mapping = tuple(mapping)
     if len(mapping) != p.n or any(not 0 <= i < p.n for i in mapping):
         return InvolutionVerdict(False, "not a self-map", ())
     for x in range(p.n):
         if mapping[mapping[x]] != x:
             return InvolutionVerdict(False, "not an involution", (x,))
-    w = _monotone_failure(p, (mapping,), antitone=True)
-    if w is not None:
-        return InvolutionVerdict(False, "not antitone", w[:2])
+    down = p.down
+    for x, covers in enumerate(upper_covers(p)):
+        below = down[mapping[x]]
+        for c in bits(covers):
+            if not below >> mapping[c] & 1:
+                w = _monotone_failure(p, (mapping,), antitone=True)
+                return InvolutionVerdict(False, "not antitone", w[:2])
     return InvolutionVerdict(True)
 
 
 def is_pseudo_kleene(p, mapping):
     """Antitone involution whose mixed cones line up: every element of
-    L(x, x') sits below every element of U(y, y')."""
+    L(x, x') sits below every element of U(y, y').
+
+    That is L(x, x') inside L(U(y, y')) for every x and y, so normality
+    holds exactly when the union of the L(x, x') lies inside the meet of
+    the L(U(y, y')), which is one lower cone: L(A u B) = L(A) & L(B), so
+    the meet is L of the union of the U(y, y').  Only when that fails are
+    the cones built per y, to name the first failing (x, y), row-major."""
     base = is_antitone_involution(p, mapping)
     if not base.ok:
         return InvolutionVerdict(False, "not an antitone involution: " + base.reason,
                                  base.witness)
-    # every element of lo[x] below every element of hi[y] means lo[x] is
-    # inside L(hi[y]), for all (x, y) at once when the union of the lo is
-    # inside the meet of the below_hi; a failure is then named by a scan
-    lo = [p.down[x] & p.down[mapping[x]] for x in range(p.n)]
-    below_hi = [lower_cone(p, p.up[y] & p.up[mapping[y]]) for y in range(p.n)]
+    up, down = p.up, p.down
+    lo = [down[x] & down[x2] for x, x2 in enumerate(mapping)]
+    hi = [up[y] & up[y2] for y, y2 in enumerate(mapping)]
     if functools.reduce(int.__or__, lo, 0) & \
-            ~functools.reduce(int.__and__, below_hi, p.full):
+            ~lower_cone(p, functools.reduce(int.__or__, hi, 0)):
+        below_hi = [lower_cone(p, h) for h in hi]
         return InvolutionVerdict(False, "normality fails", next(
             (x, y) for x in range(p.n) for y in range(p.n)
             if lo[x] & ~below_hi[y]))

@@ -247,6 +247,21 @@ def condition_holds(s, k):
     return w is None, w
 
 
+class Verdicts(dict):
+    """The condition table of one structure s: verdicts[k] is
+    condition_holds(s, k), evaluated when row k is first read.  A command
+    holds one for its structure and drops it with the structure; nothing
+    is memoized on the ResStructure record."""
+
+    def __init__(self, s):
+        super().__init__()
+        self.s = s
+
+    def __missing__(self, k):
+        value = self[k] = condition_holds(self.s, k)
+        return value
+
+
 def named_witness(names, varnames, w):
     """Witness indices as (variable, element name) pairs; () for none."""
     if w is None:
@@ -254,8 +269,9 @@ def named_witness(names, varnames, w):
     return tuple((v, names[i]) for v, i in zip(varnames, w))
 
 
-def check_condition(s, k):
-    ok, w = condition_holds(s, k)
+def check_condition(s, k, verdicts=None):
+    """Row k as a check item, read from verdicts (s's Verdicts) if given."""
+    ok, w = condition_holds(s, k) if verdicts is None else verdicts[k]
     return CheckItem(str(k), ok, named_witness(s.names, _CONDITIONS[k][1], w))
 
 
@@ -285,6 +301,16 @@ class Classification(NamedTuple):
     def bcrm(self):
         return self.crm and self.bounded
 
+    @classmethod
+    def of(cls, verdicts):
+        """The flags of verdicts.s, read from its condition table."""
+        return cls(
+            left_residuated=verdicts[3][0] and verdicts[6][0],
+            bounded=verdicts.s.zero is not None,
+            commutative=verdicts["commutative"][0],
+            associative=verdicts["associative"][0],
+        )
+
     def summary(self):
         if self.bcrm:
             return "bounded commutative residuated monoid"
@@ -298,13 +324,7 @@ class Classification(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def classify(s):
     """Structure flags; left-residuated means (3) and (6) both hold."""
-    lrg = condition_holds(s, 3)[0] and condition_holds(s, 6)[0]
-    return Classification(
-        left_residuated=lrg,
-        bounded=s.zero is not None,
-        commutative=is_commutative(s)[0],
-        associative=is_associative(s)[0],
-    )
+    return Classification.of(Verdicts(s))
 
 
 class SynthesisResult(NamedTuple):
@@ -397,29 +417,36 @@ LAWS = (
 )
 
 
-def evaluate_law(s, law):
+def evaluate_law(s, law, verdicts=None):
     """One entry of LAWS on one structure that has its ingredients:
     ("VACUOUS", None) when a premise fails, else ("CONFIRMED", None) or
-    ("REFUTED", first witness of the conclusion)."""
+    ("REFUTED", first witness of the conclusion).  The rows are read from
+    verdicts, s's Verdicts, when given."""
+    holds = condition_holds if verdicts is None else \
+        lambda s, k: verdicts[k]
     for prem in law.premises:
-        if not condition_holds(s, prem)[0]:
+        if not holds(s, prem)[0]:
             return "VACUOUS", None
-    ok, w = condition_holds(s, law.conclusion)
+    ok, w = holds(s, law.conclusion)
     return ("CONFIRMED", None) if ok else ("REFUTED", w)
 
 
-def check_derived_laws(s):
-    """Evaluate every applicable implication law on this one structure.
+def check_derived_laws(s, verdicts=None):
+    """Evaluate every applicable implication law on this one structure,
+    each row of the condition table once: from verdicts, s's Verdicts, or
+    a table of its own.
 
     A law whose premises fail here is VACUOUS; with premises satisfied the
     conclusion must hold (CONFIRMED) or the law is REFUTED with the
     conclusion's witness.  REFUTED should never happen; callers treat it
     as an alarm, not a routine failure.
     """
+    if verdicts is None:
+        verdicts = Verdicts(s)
     out = []
     for law in LAWS:
         if _missing(s, law.needs) is None:
-            status, w = evaluate_law(s, law)
+            status, w = evaluate_law(s, law, verdicts)
             out.append(LawVerdict(law.law_id, status, named_witness(
                 s.names, _CONDITIONS[law.conclusion][1], w)))
     return out

@@ -38,11 +38,14 @@ def pair_name(base, pair, long=False):
     return base.names[x] + base.names[y]
 
 
+@functools.lru_cache(maxsize=256)
 def pair_names(base):
     """The names of all pairs, row-major: concatenated, or all "(x,y)"
     when concatenation would give two pairs the same name.  These are the
     pair names everywhere (full_twist(base).names): the restricted carrier
-    and every witness read them."""
+    and every witness read them.  Memoized for the recent bases, as the
+    restricted twists of one base come one designated element at a
+    time."""
     pairs = [(x, y) for x in range(base.n) for y in range(base.n)]
     short = tuple(pair_name(base, pair) for pair in pairs)
     if len(set(short)) == len(short):
@@ -106,18 +109,17 @@ def projection(n, kind):
     return tuple(tuple(x if first else y for y in range(n)) for x in range(n))
 
 
-def _validate_pairmap(table, label, base, const, one):
-    n = base.n
+@functools.lru_cache(maxsize=256)
+def _validate_pairmap(table, label, n):
+    """StructureError unless the pair map table (a tuple of rows) sends
+    the n x n pairs into the carrier and onto it.  Memoized per distinct
+    map, as a sweep brings the same maps to every case; the unit pair is
+    the caller's check, since it depends on the case."""
     seen = {table[x][y] for x in range(n) for y in range(n)}
     if any(not 0 <= v < n for v in seen):
         raise StructureError("%s maps outside the carrier" % label)
     if len(seen) != n:
         raise StructureError("%s is not surjective" % label)
-    a, b = const
-    if table[a][b] != one:
-        raise StructureError(
-            "%s does not send the unit pair (%s,%s) to %s"
-            % (label, base.names[a], base.names[b], base.names[one]))
 
 
 _lifts = {}     # {base poset: (lifts, rows)} for one base at a time
@@ -126,14 +128,15 @@ _lifts = {}     # {base poset: (lifts, rows)} for one base at a time
 def _lift(s, f, g):
     """Every unit-free fact of the lift of s through f and g: the lifted
     structure with unit 0, and condition (3) in the base and in the lift.
-    Memoized by (mul, imp, f, g) for the last base poset only (the sweeps
-    bring all units of a poset in one block); equal rows are shared."""
+    Memoized by (mul, imp, f, g), f and g as tuples of rows, for the last
+    base poset only (the sweeps bring all units of a poset in one block);
+    equal rows are shared."""
     base = s.poset
     if base not in _lifts:
         _lifts.clear()
         _lifts[base] = {}, {}
     memo, rows = _lifts[base]
-    key = (s.mul, s.imp, tuple(map(tuple, f)), tuple(map(tuple, g)))
+    key = (s.mul, s.imp, f, g)
     lift = memo.get(key)
     if lift is None:
         n, mul, imp = base.n, s.mul, s.imp
@@ -172,8 +175,14 @@ def _checked_lift(s, f, g, const):
     base = s.poset
     if not all(0 <= c < base.n for c in const):
         raise StructureError("unit element required")
-    _validate_pairmap(f, "f", base, const, s.one)
-    _validate_pairmap(g, "g", base, const, s.one)
+    f, g = (tuple(map(tuple, t)) for t in (f, g))
+    a, b = const
+    for table, label in ((f, "f"), (g, "g")):
+        _validate_pairmap(table, label, base.n)
+        if table[a][b] != s.one:
+            raise StructureError(
+                "%s does not send the unit pair (%s,%s) to %s"
+                % (label, base.names[a], base.names[b], base.names[s.one]))
     ts, base3, twist3 = _lift(s, f, g)
     return ts._replace(one=const[0] * base.n + const[1]), base3, twist3
 

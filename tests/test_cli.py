@@ -1,10 +1,11 @@
+import collections
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from resposet import cli, kleene_twist
+from resposet import cli, kleene_twist, residuation, twist
 from resposet.cli import run
 from resposet.structfile import emit_structure
 
@@ -18,6 +19,20 @@ def test_check_example1(capsys):
     assert "CHECK (lattice) FAIL witness kind=join x=b y=c mub={e,f}" in out
     assert "CHECK (distributive) FAIL" in out
     assert "laws: 7 confirmed, 0 vacuous, 0 refuted" in out
+
+
+def test_check_evaluates_each_condition_once(monkeypatch, capsys):
+    # the listing, the classification and the law premises read one
+    # verdict table per command
+    counts = collections.Counter()
+    real = residuation.condition_holds
+    monkeypatch.setattr(residuation, "condition_holds",
+                        lambda s, k: counts.update([k]) or real(s, k))
+    for fixture in ("example1", "chain3"):
+        counts.clear()
+        assert run(["check", fixture]) == 0
+        assert len(counts) == 13 and set(counts.values()) == {1}, counts
+    capsys.readouterr()
 
 
 def test_check_gates_on_groupoid_failure(tmp_path, capsys):
@@ -116,6 +131,40 @@ def test_pa_witnesses_use_the_full_twist_pair_names(tmp_path, capsys):
     assert "carrier: (b,a) (aa,a) (a,b) (a,aa) (a,a)\n" in out
     assert "CHECK (closure) FAIL witness op=oimp p=(aa,a) q=(b,a)" \
         " member=(b,aa) pattern=low-low" in out
+
+
+def test_pa_never_builds_the_full_twist(monkeypatch, tmp_path, diamond,
+                                       capsys):
+    # the restricted twist reads the pair names and the base cones, so pa
+    # never builds the n^2-pair twist order; counted in every resposet
+    # namespace that binds full_twist, on carriers that pass, escape
+    # (example1 at 0, the renamed chain3) or fail an assumption (diamond)
+    real, calls = twist.full_twist, []
+
+    def spy(base):
+        calls.append(base)
+        return real(base)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.split(".")[0] == "resposet" and \
+                getattr(module, "full_twist", None) is real:
+            monkeypatch.setattr(module, "full_twist", spy)
+    renamed = tmp_path / "renamed.struct"
+    renamed.write_text("elements b aa a\ncovers\nb < aa\naa < a\n"
+                       "table mul\nb b b\nb aa aa\nb aa a\n"
+                       "table imp\na a a\nb a a\nb aa a\n"
+                       "const one = a\nconst zero = b\n")
+    square = tmp_path / "diamond.struct"
+    square.write_text(emit_structure(diamond))
+    runs = [["pa", "chain3", "--a", a] for a in ("0", "a", "1")]
+    runs += [["pa", "example1", "--a", a] for a in "0abcdefgh1"]
+    runs += [["pa", str(renamed), "--a", "a"], ["pa", str(square), "--a", "x"]]
+    for argv in runs:
+        assert run(argv) in (0, 1)
+    capsys.readouterr()
+    assert calls == []
+    run(["optwist", "chain3"])
+    assert calls
 
 
 def test_pa_example1_failures(capsys):

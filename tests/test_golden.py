@@ -9,13 +9,17 @@ every enumerated residuated pair with at most three elements, so any
 change to a scan's loop order shows up here.  The twist digest covers the
 exit code and stdout of `pa --tables` at every element, `optwist --tables`
 and `twist --tables` in both projection orders on every bounded
-commutative residuated monoid with at most three elements.
+commutative residuated monoid with at most three elements.  The pa digest
+covers the exit code and stdout of `pa` at every element of Goedel 8,
+Goedel 10, Lukasiewicz 10, example1 and a copy of Goedel 10 with its index
+order shuffled: the carriers whose order tests decide the larger reports.
 """
 
 import contextlib
 import hashlib
 import io
 import pathlib
+import random
 
 import pytest
 
@@ -24,6 +28,7 @@ from resposet.residuation import condition_holds
 from resposet.search import (STRUCTURE_KINDS, describe_structure,
                              enumerate_posets, enumerate_structures)
 from resposet.structfile import emit_structure, load
+from test_kernels import _base, _relabel
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -103,6 +108,19 @@ def twist_digest(directory):
     return h.hexdigest()
 
 
+def pa_digest(directory):
+    h = hashlib.sha256()
+    bases = [_base(name) for name in
+             ("godel8", "godel10", "lukasiewicz10", "example1")]
+    bases.append(_relabel(bases[1], random.Random(21)))
+    for k, s in enumerate(bases):
+        path = directory / ("base%d.struct" % k)
+        path.write_text(emit_structure(s), encoding="utf-8")
+        for name in s.poset.names:
+            h.update(captured(["pa", str(path), "--a", name]).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=golden_name)
 def test_cli_output_is_pinned(argv):
     want = (GOLDEN / golden_name(argv)).read_text(encoding="utf-8")
@@ -123,6 +141,11 @@ def test_condition_witnesses_are_pinned():
 def test_twist_outputs_are_pinned(tmp_path):
     want = (GOLDEN / "twist_outputs.sha256").read_text(encoding="utf-8").strip()
     assert twist_digest(tmp_path) == want
+
+
+def test_pa_outputs_are_pinned(tmp_path):
+    want = (GOLDEN / "pa_outputs.sha256").read_text(encoding="utf-8").strip()
+    assert pa_digest(tmp_path) == want
 
 
 def test_enumeration_order_is_pinned():

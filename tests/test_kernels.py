@@ -1,7 +1,9 @@
 """The bitmask kernels against loops written from the definitions.
 
 Cone distributivity (order._lu_identity_failure, both orientations), the
-normality test of order.is_pseudo_kleene, the adjunction scan of
+pseudo-Kleene test order.is_pseudo_kleene (antitone decided on the covers,
+normality on one lower cone), the principal cones that
+order.principal_cone_memos holds from the start, the adjunction scan of
 condition (3) and the five-point operator audit
 (twist.check_operator_residuated) must give the same verdicts and the
 same first witnesses, row-major in (x, y, z), as the plain loops below,
@@ -28,6 +30,7 @@ match them cell by cell, and the restricted operators must be the full
 tables restricted to the carrier (restricted_from_full).
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -37,9 +40,9 @@ import pytest
 from resposet import twist as twist_module
 from resposet.kleene_twist import build_restricted_twist, \
     check_kleene_twist, check_restricted_closure, classify_escape
-from resposet.order import _lu_identity_failure, antichain, bits, chain, \
-    is_antitone_involution, is_pseudo_kleene, lowest, mask_of, \
-    poset_from_covers, poset_from_leq
+from resposet.order import _cone, _lu_identity_failure, antichain, bits, \
+    chain, is_antitone_involution, is_pseudo_kleene, lowest, mask_of, \
+    poset_from_covers, poset_from_leq, principal_cone_memos
 from resposet.report import CheckItem
 from resposet.residuation import condition_holds, structure
 from resposet.search import enumerate_posets, enumerate_structures, \
@@ -88,11 +91,12 @@ def reference_normality_failure(p, mapping):
     """First (x, y) with some member of L(x,x') not below some member of
     U(y,y')."""
     leq, n = p.leq, p.n
+    lo = [_lower(leq, n, {x, mapping[x]}) for x in range(n)]
+    hi = [_upper(leq, n, {y, mapping[y]}) for y in range(n)]
+    above = [_upper(leq, n, {a}) for a in range(n)]
     for x in range(n):
         for y in range(n):
-            lo = _lower(leq, n, {x, mapping[x]})
-            hi = _upper(leq, n, {y, mapping[y]})
-            if not all(leq(a, b) for a in lo for b in hi):
+            if not all(hi[y] <= above[a] for a in lo[x]):
                 return (x, y)
     return None
 
@@ -104,6 +108,26 @@ def reference_antitone_failure(p, mapping):
             if p.leq(x, y) and not p.leq(mapping[y], mapping[x]):
                 return (x, y)
     return None
+
+
+def reference_pseudo_kleene(p, mapping):
+    """is_pseudo_kleene's (ok, reason, witness) for a permutation mapping,
+    from the definitions: an involution, antitone on every comparable pair
+    (reference_antitone_failure), then normal."""
+    x = next((x for x in range(p.n) if mapping[mapping[x]] != x), None)
+    if x is not None:
+        return False, "not an antitone involution: not an involution", (x,)
+    w = reference_antitone_failure(p, mapping)
+    if w is not None:
+        return False, "not an antitone involution: not antitone", w
+    w = reference_normality_failure(p, mapping)
+    if w is not None:
+        return False, "normality fails", w
+    return True, "", ()
+
+
+def _verdict(v):
+    return v.ok, v.reason, v.witness
 
 
 def operator_product(s, x, y, z, v):
@@ -241,35 +265,97 @@ def test_distributivity_matches_reference_on_all_small_posets():
                 reference_lu_failure(p, dual), (p.names, p.up, dual)
 
 
-def test_normality_matches_reference_on_all_small_posets():
-    checked = failed = 0
+def _poset_permutations():
+    # every (poset, permutation) pair with n <= 4: 1 + 3*2 + 19*6 + 219*24
     for n in range(1, 5):
         for p in enumerate_posets(n):
             for perm in itertools.permutations(range(n)):
-                if not is_antitone_involution(p, perm).ok:
-                    continue
-                want = reference_normality_failure(p, perm)
-                v = is_pseudo_kleene(p, perm)
-                assert (v.ok, v.witness) == (want is None, want or ()), \
-                    (p.names, p.up, perm)
-                checked += 1
-                failed += want is not None
-    assert checked > 100 and failed > 10
+                yield p, perm
+
+
+def test_normality_matches_reference_on_all_small_posets():
+    # antitone on the covers and normality on one lower cone give the
+    # verdict and first witness of the definitions on every pair
+    reasons = collections.Counter()
+    for p, perm in _poset_permutations():
+        want = reference_pseudo_kleene(p, perm)
+        assert _verdict(is_pseudo_kleene(p, perm)) == want, \
+            (p.names, p.up, perm)
+        reasons[want[1]] += 1
+    assert reasons == {"": 112, "normality fails": 75,
+                       "not an antitone involution: not antitone": 2086,
+                       "not an antitone involution: not an involution": 3104}
 
 
 def test_antitone_witness_matches_reference_on_all_small_posets():
-    rejected = 0
+    rejected = checked = 0
+    for p, perm in _poset_permutations():
+        v = is_antitone_involution(p, perm)
+        want = reference_antitone_failure(p, perm)
+        if v.reason == "not antitone":
+            assert v.witness == want, (p.names, p.up, perm)
+            rejected += 1
+        elif v.ok:
+            assert want is None, (p.names, p.up, perm)
+        checked += 1
+    assert (checked, rejected) == (5377, 2086)
+
+
+def _carriers():
+    # the restricted twist at every element of the pa bases: 38 carriers
+    rng = random.Random(21)
+    for name in ("godel8", "godel10", "lukasiewicz10", "example1"):
+        base = _relabel(_base(name), rng).poset
+        yield from (build_restricted_twist(base, a) for a in range(base.n))
+
+
+def _repaired(rng, swap):
+    # swap with two of its 2-cycles (i j) (k l) re-paired as (i k) (j l):
+    # still an involution, and an antitone one only by chance
+    cycles = sorted({tuple(sorted((i, j))) for i, j in enumerate(swap)
+                     if i != j})
+    (i, j), (k, l) = rng.sample(cycles, 2)
+    mapping = list(swap)
+    mapping[i], mapping[k], mapping[j], mapping[l] = k, i, l, j
+    return tuple(mapping)
+
+
+def test_pseudo_kleene_matches_reference_on_restricted_carriers():
+    rng = random.Random("carriers")
+    reasons = collections.Counter()
+    carriers = list(_carriers())
+    assert len(carriers) == 38
+    for rt in carriers:
+        p = rt.poset
+        assert _verdict(is_pseudo_kleene(p, rt.swap)) == (True, "", ())
+        if p.n < 4:
+            continue
+        for _ in range(3):
+            mapping = _repaired(rng, rt.swap)
+            want = reference_pseudo_kleene(p, mapping)
+            assert _verdict(is_pseudo_kleene(p, mapping)) == want, \
+                (p.names, mapping)
+            reasons[want[1]] += 1
+    assert reasons["not an antitone involution: not antitone"] > 50, reasons
+
+
+def test_principal_cones_match_the_cone_scan():
+    # principal_cone_memos answers L(up[m]) and U(down[m]) by lookup; it
+    # must give _cone's answer on every mask of every poset with n <= 4,
+    # and on the principal masks and their pairwise meets on the carriers
+    def check(p, masks):
+        lower, upper = principal_cone_memos(p)
+        for mask in masks:
+            assert lower[mask] == _cone(p.full, p.down, mask), (p.up, mask)
+            assert upper[mask] == _cone(p.full, p.up, mask), (p.up, mask)
+
     for n in range(1, 5):
         for p in enumerate_posets(n):
-            for perm in itertools.permutations(range(n)):
-                v = is_antitone_involution(p, perm)
-                want = reference_antitone_failure(p, perm)
-                if v.reason == "not antitone":
-                    assert v.witness == want, (p.names, p.up, perm)
-                    rejected += 1
-                elif v.ok:
-                    assert want is None, (p.names, p.up, perm)
-    assert rejected > 100
+            check(p, range(1 << n))
+    for rt in _carriers():
+        p = rt.poset
+        check(p, {u & v for cones in (p.up, p.down)
+                  for u in cones for v in cones})
 
 
 @pytest.mark.parametrize("base", [chain(2), chain(3), antichain(2)],

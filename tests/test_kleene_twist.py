@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from resposet import kleene_twist
@@ -248,3 +250,21 @@ def test_restricted_order_matches_definition():
                 assert rt.swap == swap
                 checked += 1
     assert checked == 1 + 2 * 3 + 3 * 19 + 4 * 219
+
+
+def test_pair_pattern_is_the_full_twist_order():
+    # the escape pattern compares a pair with (a,a) on base cones; it must
+    # be the full twist's order: (x,y) <= (z,v) when x <= z and v <= y
+    from resposet.search import enumerate_posets
+    from resposet.twist import full_twist
+    checked = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            twist = full_twist(p)
+            for a, x, y in itertools.product(range(n), repeat=3):
+                pair, center = x * n + y, a * n + a
+                assert kleene_twist._pair_pattern(p, a, (x, y)) == {
+                    "low": twist.leq(pair, center),
+                    "high": twist.leq(center, pair)}, (p.up, a, x, y)
+                checked += 1
+    assert checked == 1 + 3 * 8 + 19 * 27 + 219 * 64

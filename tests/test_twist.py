@@ -1,12 +1,14 @@
+import collections
 import itertools
 import random
+import re
 
 import pytest
 
 from resposet import twist
 from resposet.order import antichain, bits, chain, poset_from_covers
 from resposet.residuation import StructureError, condition_holds, structure
-from resposet.search import enumerate_structures
+from resposet.search import check_universal, enumerate_structures
 from resposet.twist import (build_operator_twist, check_embedding,
                             check_operator_residuated, check_twist_lifting,
                             full_twist, pair_names, projection,
@@ -298,6 +300,55 @@ def test_lift_memo_keeps_the_bad_unit_error(bool2):
     twist_operations(bool2, proj2, proj2, (1, 1))
     with pytest.raises(StructureError, match="^unit element required$"):
         check_twist_lifting(bool2, proj2, proj2, (-2, 1))
+
+
+def reference_pairmap_error(s, f, g, const):
+    """The first pair-map error of a lift: f before g, and for each map
+    its range, then surjectivity, then the unit pair; None when none."""
+    n, names = s.poset.n, s.poset.names
+    for table, label in ((f, "f"), (g, "g")):
+        values = {table[x][y] for x in range(n) for y in range(n)}
+        if not values <= set(range(n)):
+            return label + " maps outside the carrier"
+        if values != set(range(n)):
+            return label + " is not surjective"
+        a, b = const
+        if table[a][b] != s.one:
+            return "%s does not send the unit pair (%s,%s) to %s" % (
+                label, names[a], names[b], names[s.one])
+    return None
+
+
+def test_pair_map_errors_come_in_the_reference_order(bool2):
+    # every map on two elements (2 constant, 14 onto) and 8 with a value
+    # outside the carrier, under every unit pair
+    rng = random.Random(21)
+    tables = [(cells[:2], cells[2:]) for cells in itertools.chain(
+        itertools.product(range(2), repeat=4),
+        (rng.sample((-1, 0, 1, 2), 4) for _ in range(8)))]
+    errors = collections.Counter()
+    for f, g in itertools.product(tables, repeat=2):
+        for const in itertools.product(range(2), repeat=2):
+            want = reference_pairmap_error(bool2, f, g, const)
+            errors[want and want[:15]] += 1
+            if want is None:
+                check_twist_lifting(bool2, f, g, const)
+                continue
+            for check in (twist_operations, check_twist_lifting):
+                with pytest.raises(StructureError,
+                                   match="^%s$" % re.escape(want)):
+                    check(bool2, f, g, const)
+    assert len(errors) == 7 and min(errors.values()) > 10, errors
+
+
+def test_pair_maps_are_validated_once_per_distinct_map():
+    # a lifting sweep brings the two projections to every case: range and
+    # surjectivity are checked once per map, label and size (one map at
+    # n = 1, as both projections are the same table there)
+    twist._validate_pairmap.cache_clear()
+    result = check_universal("twist-lifting-first-projections")
+    info = twist._validate_pairmap.cache_info()
+    assert (info.misses, info.hits) == (6, 2 * result.cases - 6)
 
 
 @pytest.mark.parametrize("const", [(3, 0), (2, -1)])
