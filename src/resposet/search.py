@@ -6,20 +6,25 @@ recursion that grows their cone masks, operation tables are assembled
 from columns, or from free cells, in lexicographic order, so re-running
 any sweep reproduces the identical sequence.
 
-Residuated pairs, unital groupoids and unital implications are generated
-from the posets; left-residuated groupoids are filtered from the residuated
-pairs, commutative residuated monoids from those, and bounded ones from
-the commutative monoids, each filter reading its base kind's generator.
-Only posets and residuable columns are cached: check_universal alone
-enumerates a sweep's items, streaming them, and prefixes its witness with
-the item's description.  Every kind comes poset by poset: all units of
-one poset form one block, which the twist lift memo (twist._lift) needs.
+Each kind's generator takes the posets to enumerate from, all of one
+size, rather than the size: residuated pairs, unital groupoids and unital
+implications are generated from the posets; left-residuated groupoids are
+filtered from the residuated pairs, commutative residuated monoids from
+those, and bounded ones from the commutative monoids, each filter reading
+its base kind's generator.  enumerate_structures(n, kind) passes all
+posets of size n; a share of a universal sweep passes its own slice of
+them.  Only posets and residuable columns are cached: check_universal
+alone enumerates a sweep's items, streaming them, and prefixes its
+witness with the item's description.  Every kind comes poset by poset:
+all units of one poset form one block, which the twist lift memo
+(twist._lift) needs.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 from typing import NamedTuple
 
 from .order import (Poset, _lu_identity_failure, bits, bounds,
@@ -91,10 +96,10 @@ def residuable_columns(p):
     return out
 
 
-def _residuated_pairs(n):
+def _residuated_pairs(posets):
     # combo[y] is column y of mul; the units of a poset share its tables
-    for p in enumerate_posets(n):
-        colmap = residuable_columns(p)
+    for p in posets:
+        n, colmap = p.n, residuable_columns(p)
         tables = [(tuple(zip(*combo)), tuple(map(colmap.__getitem__, combo)))
                   for combo in itertools.product(colmap, repeat=n)]
         for one in range(n):
@@ -102,21 +107,21 @@ def _residuated_pairs(n):
                 yield ResStructure(p, mul, imp, one)
 
 
-def _lrgs(n):
-    for s in _residuated_pairs(n):
+def _lrgs(posets):
+    for s in _residuated_pairs(posets):
         if condition_holds(s, 6)[0]:        # x*1 = x: the unit column
             yield s
 
 
-def _crms(n):
-    for s in _lrgs(n):
+def _crms(posets):
+    for s in _lrgs(posets):
         if (condition_holds(s, "commutative")[0]
                 and condition_holds(s, "associative")[0]):
             yield s
 
 
-def _bcrms(n):
-    for s in _crms(n):
+def _bcrms(posets):
+    for s in _crms(posets):
         bot, top = bounds(s.poset)
         if bot is not None and top == s.one:
             yield s._replace(zero=bot)
@@ -134,19 +139,21 @@ def _tables(n, fixed):
         for x in range(n)))
 
 
-def _unital_groupoids(n):
+def _unital_groupoids(posets):
     """All (poset, unit, mul) with the unit column forced to the
     identity; no implication table."""
-    for p in enumerate_posets(n):
+    for p in posets:
+        n = p.n
         for one in range(n):
             for mul in _tables(n, {(x, one): x for x in range(n)}):
                 yield ResStructure(p, mul, None, one)
 
 
-def _unital_implications(n):
+def _unital_implications(posets):
     """All (poset, unit, imp) with the unit row forced to the identity;
     no product table."""
-    for p in enumerate_posets(n):
+    for p in posets:
+        n = p.n
         for one in range(n):
             for imp in _tables(n, {(one, x): x for x in range(n)}):
                 yield ResStructure(p, None, imp, one)
@@ -164,8 +171,8 @@ _KINDS = {
 STRUCTURE_KINDS = tuple(_KINDS)
 
 
-def _structures(n, kind):
-    """Check kind and n, then return the generator of kind's structures."""
+def _check_structures(n, kind):
+    """Raise unless kind is a structure kind and n a size it enumerates."""
     if kind not in _KINDS:
         raise EnumerationError("unknown structure kind %r" % (kind,))
     if n < 1:
@@ -173,11 +180,11 @@ def _structures(n, kind):
     if n > STRUCTURE_CAP:
         raise EnumerationError("structure size %d above cap %d"
                                % (n, STRUCTURE_CAP))
-    return _KINDS[kind](n)
 
 
 def enumerate_structures(n, kind="left-residuated-groupoid"):
-    return tuple(_structures(n, kind))
+    _check_structures(n, kind)
+    return tuple(_KINDS[kind](enumerate_posets(n)))
 
 
 def describe_poset(p):
@@ -228,25 +235,121 @@ class UniversalResult(NamedTuple):
 def check_universal(name, sizes=None):
     """Run one registered property over every item of its kind at each
     size, stopping at the first failing case; its witness is the item's
-    description followed by the failure reason.  Items are streamed in
-    enumeration order, all units of one poset in one block, so the lifting
-    sweeps use each poset's lifts before moving on (twist._lift)."""
+    description followed by the failure reason.
+
+    The range is split into W shares: W is the number of CPUs this
+    process may use (1 where os.fork is missing), capped by the largest
+    number of posets at any one size.  Share k holds the items of
+    posets[k::W] at every size, so all units of a poset stay in one share
+    (twist._lift).  The sizes are checked and their posets enumerated
+    before anything forks: a size error raises here, and the workers
+    inherit the posets.  This process runs share 0 and a forked worker
+    runs each other share (_split).  A worker only computes, writes its
+    report to a pipe and leaves by os._exit, which flushes none of the
+    stdio buffers it inherited.
+
+    When every share passes, the result is PASS with the shares' case
+    counts summed.  On any failure, exception or missing report, the
+    workers are stopped and the property runs again in this process over
+    the whole range in enumeration order (_sweep).  That gives the exact
+    first witness and case count, or raises the exception a one-process
+    sweep raises.  Every worker is reaped before the call returns."""
     if name not in PROPERTIES:
         raise EnumerationError("unknown property %r" % (name,))
     prop = PROPERTIES[name]
+    sizes = prop.sizes if sizes is None else tuple(sizes)
+    widest = 0
+    for n in sizes:
+        if prop.kind != "poset":
+            _check_structures(n, prop.kind)
+        widest = max(widest, len(enumerate_posets(n)))
+    shares = min(_cpus(), widest)
+    if shares > 1:
+        cases = _split(prop, sizes, shares)
+        if cases is not None:
+            return UniversalResult(name, cases, None)
+    return _sweep(prop, sizes)
+
+
+def _cpus():
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep(prop, sizes, share=0, shares=1):
+    """Run prop over its items from posets[share::shares] at each size,
+    in enumeration order, stopping at the first failing case; by default
+    over the whole range.  Items are streamed, all units of one poset in
+    one block, so the lifting sweeps use each poset's lifts before moving
+    on (twist._lift)."""
     cases = 0
-    for n in (prop.sizes if sizes is None else sizes):
+    for n in sizes:
+        posets = enumerate_posets(n)[share::shares]
         if prop.kind == "poset":
-            items, describe = enumerate_posets(n), describe_poset
+            items, describe = posets, describe_poset
         else:
-            items, describe = _structures(n, prop.kind), describe_structure
+            items, describe = _KINDS[prop.kind](posets), describe_structure
         for item in items:
             for failure in prop.check(item):
                 cases += 1
                 if failure is not None:
                     return UniversalResult(
-                        name, cases, describe(item) + " :: " + failure)
-    return UniversalResult(name, cases, None)
+                        prop.name, cases, describe(item) + " :: " + failure)
+    return UniversalResult(prop.name, cases, None)
+
+
+def _split(prop, sizes, shares):
+    """Run share 0 of prop here and shares 1.. in forked workers; return
+    the summed case count when every share passes, else None."""
+    import signal       # here, as every command imports this module
+    workers = []                        # (pid, read end of its pipe)
+    try:
+        for k in range(1, shares):
+            workers.append(_fork_share(prop, sizes, k, shares))
+        result = _sweep(prop, sizes, 0, shares)
+        if not result.ok:
+            return None
+        cases = result.cases
+        for _, fd in workers:
+            with open(fd, "rb", closefd=False) as pipe:
+                report = pipe.read().split()
+            if report[1:] != [b"1"]:    # a failure, or no report
+                return None
+            cases += int(report[0])
+        return cases
+    except Exception:
+        # the one-process sweep raises the first exception in enumeration
+        # order, or finds an earlier failure in another share
+        return None
+    finally:
+        for pid, fd in workers:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)    # one that reported is exiting
+            os.waitpid(pid, 0)
+
+
+def _fork_share(prop, sizes, share, shares):
+    """Fork a worker that runs one share and writes "cases ok" to a pipe;
+    return its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:                        # the worker
+        try:
+            result = _sweep(prop, sizes, share, shares)
+            os.write(write, b"%d %d" % (result.cases, result.ok))
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, read
 
 
 def _at(p, a, reason):

@@ -20,9 +20,12 @@ import hashlib
 import io
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import resposet
 from resposet.cli import run
 from resposet.residuation import condition_holds
 from resposet.search import (STRUCTURE_KINDS, describe_structure,
@@ -125,6 +128,22 @@ def pa_digest(directory):
 def test_cli_output_is_pinned(argv):
     want = (GOLDEN / golden_name(argv)).read_text(encoding="utf-8")
     assert captured(argv) == want
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "theorems"])
+def test_piped_verify_prints_each_line_once(suite):
+    # piped stdout is block-buffered, so the CHECK lines printed before a
+    # sweep forks its workers are still in the buffer they inherit; a
+    # worker that flushed it would print them twice.  Three shares make
+    # the sweeps fork on any machine.
+    argv = ["verify", "--suite", suite, "--max-size", "2"]
+    code = ("import sys; sys.path.insert(0, %r); import resposet.cli; "
+            "resposet.search._cpus = lambda: 3; resposet.cli.main()"
+            % str(pathlib.Path(resposet.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-I", "-c", code, *argv],
+                          stdout=subprocess.PIPE, text=True)
+    want = (GOLDEN / golden_name(argv)).read_text(encoding="utf-8")
+    assert "exit %d\n%s" % (proc.returncode, proc.stdout) == want
 
 
 def test_failing_audit_witnesses_are_pinned():

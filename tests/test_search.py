@@ -1,3 +1,6 @@
+import os
+import re
+
 import pytest
 
 from resposet import residuation, search
@@ -57,13 +60,15 @@ def test_enumeration_is_deterministic():
 
 def test_check_universal_streams_its_structures(monkeypatch):
     # the sweep draws each structure just before checking it, so the
-    # generator never runs more than one item ahead of the checks
+    # generator never runs more than one item ahead of the checks; the
+    # one-process share loop runs the whole range, as check_universal's
+    # share 0 and workers run their slices, so the lists see every case
     name, kind = "law-7-from-comm-1-6-top", "unital-groupoid"
     prop, real = PROPERTIES[name], search._KINDS[kind]
     drawn, checked = [], []
 
-    def generator(n):
-        for s in real(n):
+    def generator(posets):
+        for s in real(posets):
             drawn.append(s)
             yield s
 
@@ -73,8 +78,7 @@ def test_check_universal_streams_its_structures(monkeypatch):
         yield from prop.check(s)
 
     monkeypatch.setitem(search._KINDS, kind, generator)
-    monkeypatch.setitem(PROPERTIES, name, prop._replace(check=check))
-    result = check_universal(name, (1, 2))
+    result = search._sweep(prop._replace(check=check), (1, 2))
     assert result.ok
     # one table at n = 1; 3 posets x 2 units x 2 ** 2 tables at n = 2
     assert result.cases == len(checked) == len(drawn) == 1 + 3 * 2 * 2 ** 2
@@ -189,6 +193,110 @@ def test_check_universal_size_override():
     result = check_universal("law-5-from-1-3", sizes=(1, 2))
     assert result.ok
     assert result.cases == 25
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_CASES))
+def test_share_counts_sum_to_the_sweep(name):
+    # a 3-way split, each share run in this process: the shares partition
+    # the cases, and each share passes
+    prop = PROPERTIES[name]
+    results = [search._sweep(prop, prop.sizes, k, 3) for k in range(3)]
+    assert all(r.ok for r in results)
+    assert sum(r.cases for r in results) == EXPECTED_CASES[name]
+
+
+# enumerate_posets(3)[4] is in share 1 of a 3-way split, run by a worker
+FORKED = enumerate_posets(3)[4]
+
+
+def _raise_in_forked_share(real, log):
+    def fake(p):
+        if p == FORKED:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("%d\n" % os.getpid())
+            raise ValueError("forced at " + describe_poset(p))
+        return real(p)
+    return fake
+
+
+@pytest.fixture
+def three_shares(monkeypatch):
+    # three shares on any machine, so two of them run in forked workers
+    monkeypatch.setattr(search, "_cpus", lambda: 3)
+
+
+def test_exception_in_a_forked_share_reaches_the_caller(monkeypatch, tmp_path,
+                                                        three_shares):
+    log = tmp_path / "pids"
+    monkeypatch.setattr(search, "cone_product_failure", _raise_in_forked_share(
+        search.cone_product_failure, log))
+    with pytest.raises(ValueError, match="^forced at %s$"
+                       % re.escape(describe_poset(FORKED))):
+        check_universal("cone-product-law")
+    # a worker raised first, then the one-process sweep raised here
+    worker, caller = map(int, log.read_text(encoding="utf-8").split())
+    assert worker != os.getpid() == caller
+
+
+def test_failure_in_a_forked_share_gives_the_one_process_witness(
+        monkeypatch, three_shares):
+    real = search.cone_product_failure
+    monkeypatch.setattr(search, "cone_product_failure",
+                        lambda p: (0, 1) if p == FORKED else real(p))
+    prop = PROPERTIES["cone-product-law"]
+    result = check_universal(prop.name)
+    assert not result.ok
+    assert result == search._sweep(prop, prop.sizes)
+    assert result.witness.startswith(describe_poset(FORKED) + " :: ")
+
+
+@pytest.mark.parametrize("outcome", ["pass", "fail", "raise"])
+def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path, three_shares,
+                                      outcome):
+    real = search.cone_product_failure
+    if outcome == "fail":
+        monkeypatch.setattr(search, "cone_product_failure",
+                            lambda p: (0, 1) if p == FORKED else real(p))
+    if outcome == "raise":
+        monkeypatch.setattr(search, "cone_product_failure",
+                            _raise_in_forked_share(real, tmp_path / "pids"))
+    try:
+        result = check_universal("cone-product-law")
+        assert result.ok == (outcome == "pass")
+    except ValueError:
+        assert outcome == "raise"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_cpu_runs_without_forking(monkeypatch):
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("forked on one CPU")
+
+    monkeypatch.setattr(search, "_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", fork)
+    result = check_universal("cone-product-law")
+    assert result.ok and result.cases == EXPECTED_CASES["cone-product-law"]
+    assert forks == []
+
+
+def test_no_fork_means_one_share(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert search._cpus() == 1
+
+
+def test_size_errors_raise_before_any_sweep(monkeypatch):
+    # a bad size late in the range raises before the first case runs
+    def check(s):
+        raise AssertionError("swept before the sizes were checked")
+
+    monkeypatch.setitem(PROPERTIES, "law-5-from-1-3", PROPERTIES[
+        "law-5-from-1-3"]._replace(check=check))
+    with pytest.raises(EnumerationError, match="^structure size 4 above cap"):
+        check_universal("law-5-from-1-3", (1, 2, 4))
 
 
 CHAIN3 = enumerate_posets(3)[18]        # 0 < 1 < 2

@@ -5,10 +5,10 @@ import re
 
 import pytest
 
-from resposet import twist
+from resposet import search, twist
 from resposet.order import antichain, bits, chain, poset_from_covers
 from resposet.residuation import StructureError, condition_holds, structure
-from resposet.search import check_universal, enumerate_structures
+from resposet.search import enumerate_structures
 from resposet.twist import (build_operator_twist, check_embedding,
                             check_operator_residuated, check_twist_lifting,
                             full_twist, pair_names, projection,
@@ -344,9 +344,11 @@ def test_pair_map_errors_come_in_the_reference_order(bool2):
 def test_pair_maps_are_validated_once_per_distinct_map():
     # a lifting sweep brings the two projections to every case: range and
     # surjectivity are checked once per map, label and size (one map at
-    # n = 1, as both projections are the same table there)
+    # n = 1, as both projections are the same table there); the
+    # one-process share loop runs the whole range, so this cache sees it
+    prop = search.PROPERTIES["twist-lifting-first-projections"]
     twist._validate_pairmap.cache_clear()
-    result = check_universal("twist-lifting-first-projections")
+    result = search._sweep(prop, prop.sizes)
     info = twist._validate_pairmap.cache_info()
     assert (info.misses, info.hits) == (6, 2 * result.cases - 6)
 
