@@ -49,11 +49,11 @@ def _cmd_check(args):
     flags = Classification.of(verdicts)
     print("structure: %d elements" % s.poset.n)
     print("classification: " + flags.summary())
-    items = [_ungated(check_condition(s, k, verdicts))
+    items = [check_condition(s, k, verdicts)._replace(gating=False)
              for k in CONDITION_IDS if condition_applicable(s, k)]
     items.append(CheckItem("left-residuated-groupoid", flags.left_residuated))
     items.append(CheckItem("bounded", flags.bounded, gating=False))
-    items += [_ungated(check_condition(s, k, verdicts))
+    items += [check_condition(s, k, verdicts)._replace(gating=False)
               for k in ("commutative", "associative")]
     laws = check_derived_laws(s, verdicts)
     refuted = [lv for lv in laws if lv.status == "REFUTED"]
@@ -80,10 +80,6 @@ def _cmd_check(args):
     if refuted:
         print("DERIVED LAW REFUTED: " + ", ".join(lv.law_id for lv in refuted))
     return exit_code(items)
-
-
-def _ungated(item):
-    return CheckItem(item.check_id, item.passed, item.witness, gating=False)
 
 
 def _pairmap_arg(value, sf, label):
@@ -341,6 +337,11 @@ def run(argv=None):
 
 
 def main():
+    # a reader that closes the pipe early (resposet ... | head) ends the
+    # command as it ends other filters, not as an input error
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .order import Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of
 from .report import CheckItem, all_pass
-from .residuation import StructureError, check_condition, classify
+from .residuation import check_condition, require_bcrm
 from .twist import OperatorStructure, check_embedding, \
     check_operator_residuated, operator_rows, pair_names
 
@@ -244,11 +244,7 @@ def check_kleene_twist(s, a):
     The biconditional is checked over every small monoid by the
     restricted-twist-biconditional sweep.
     """
-    flags = classify(s)
-    if not flags.bcrm:
-        raise StructureError(
-            "restricted twist needs a bounded commutative residuated monoid"
-            " (structure is %s)" % flags.summary())
+    require_bcrm(s, "restricted twist")
     rt = build_restricted_twist(s.poset, a)
     assumptions, closure_item, ops = check_restricted_closure(s, rt)
     if closure_item is None:

@@ -327,6 +327,18 @@ def classify(s):
     return Classification.of(Verdicts(s))
 
 
+def require_bcrm(s, construction):
+    """StructureError unless s is a bounded commutative residuated monoid,
+    naming the first property it lacks, as in "operator twist needs a
+    bounded commutative residuated monoid: base is not commutative"."""
+    flags = classify(s)
+    for name, ok in zip(flags._fields, flags):
+        if not ok:
+            raise StructureError(
+                "%s needs a bounded commutative residuated monoid: base is "
+                "not %s" % (construction, name.replace("_", "-")))
+
+
 class SynthesisResult(NamedTuple):
     ok: bool
     imp: tuple[tuple[int, ...], ...] | None = None

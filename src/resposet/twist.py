@@ -25,9 +25,9 @@ from typing import NamedTuple
 from .order import (ConeMemo, Poset, adjunction_failure, bits, bounds,
                     lower_cone, maximal_elements, upper_cone)
 from .report import CheckItem
-from .residuation import (ResStructure, StructureError, classify,
+from .residuation import (ResStructure, StructureError,
                           commutativity_failure, condition_holds,
-                          named_witness)
+                          named_witness, require_bcrm)
 
 
 def pair_name(base, pair, long=False):
@@ -245,24 +245,19 @@ def operator_rows(s, rows, cols):
     n = s.poset.n
     mul, imp = s.mul, s.imp
     bit = [1 << i for i in range(n * n)].__getitem__  # bit(i) is 1 << i
-    zc, vc = [q // n for q in cols], [q % n for q in cols]
-    # (x*z, z->y) depends on z alone and (v->y, x*v) on v alone: each row
-    # builds them once per distinct z (v) of cols, zs (vs), and reads them
-    # for each column at its position zat (vat) there
-    zs, vs = list(dict.fromkeys(zc)), list(dict.fromkeys(vc))
-    zat, vat = ([us.index(u) for u in col] for us, col in ((zs, zc), (vs, vc)))
+    zv = [divmod(q, n) for q in cols]
     last = None
     for x, y in map(divmod, rows, repeat(n)):
         if x != last:
             last, mx, ix = x, mul[x], imp[x]
             # the member of each image that does not depend on y:
             # (x*z, x->v) for the product, (x->z, x*v) for the implication
-            dot_x = [bit(mx[z] * n + ix[v]) for z, v in zip(zc, vc)]
-            imp_x = [bit(ix[z] * n + mx[v]) for z, v in zip(zc, vc)]
-        by_z = [bit(mx[z] * n + imp[z][y]) for z in zs]
-        by_v = [bit(imp[v][y] * n + mx[v]) for v in vs]
-        yield (tuple(map(int.__or__, dot_x, map(by_z.__getitem__, zat))),
-               tuple(map(int.__or__, imp_x, map(by_v.__getitem__, vat))))
+            dot_x = [bit(mx[z] * n + ix[v]) for z, v in zv]
+            imp_x = [bit(ix[z] * n + mx[v]) for z, v in zv]
+        yield (tuple([m | bit(mx[z] * n + imp[z][y])
+                      for m, (z, _) in zip(dot_x, zv)]),
+               tuple([m | bit(imp[v][y] * n + mx[v])
+                      for m, (_, v) in zip(imp_x, zv)]))
 
 
 def build_operator_twist(s):
@@ -270,16 +265,7 @@ def build_operator_twist(s):
     residuated monoid over the full pair carrier, with constants (0,1)
     and (1,0).
     """
-    flags = classify(s)
-    if not flags.bcrm:
-        for attr, label in (("left_residuated", "not left-residuated"),
-                            ("bounded", "not bounded"),
-                            ("commutative", "not commutative"),
-                            ("associative", "not associative")):
-            if not getattr(flags, attr):
-                raise StructureError(
-                    "operator twist needs a bounded commutative residuated "
-                    "monoid: base is %s" % label)
+    require_bcrm(s, "operator twist")
     n = s.poset.n
     odot, oimp = zip(*operator_rows(s, range(n * n), range(n * n)))
     return OperatorStructure(full_twist(s.poset), odot, oimp,

@@ -1,4 +1,5 @@
 import collections
+import os
 import pathlib
 import subprocess
 import sys
@@ -387,3 +388,22 @@ def test_command_does_not_import_argparse():
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_closed_stdout_is_not_an_input_error():
+    # the tables run past the pipe's buffer, so the command is still
+    # writing when its reader stops after one line
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "resposet.cli", "optwist", "example1",
+         "--tables"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    try:
+        assert proc.stdout.readline() == b"CHECK (op-bounded) PASS\n"
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1].decode()
+    finally:
+        proc.kill()
+    assert proc.returncode != 2
+    assert "error:" not in err

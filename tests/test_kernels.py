@@ -895,13 +895,15 @@ def test_operator_twist_matches_cell_definitions(base):
 @pytest.mark.parametrize("base", ["bcrms", "godel10", "example1"])
 def test_operator_rows_match_cell_definitions(base):
     # seeded row subsets, in ascending or shuffled order, over all
-    # columns, one column, no column and an arbitrary column list
+    # columns, one column, no column, an arbitrary column list, a list
+    # that repeats every column it holds and all columns descending
     rng = random.Random(16)
     for s in _bcrms() if base == "bcrms" else [_base(base)]:
         n = s.poset.n
         pairs = range(n * n)
         for cols in (list(pairs), [rng.randrange(n * n)], [],
-                     rng.sample(pairs, rng.randint(1, n * n))):
+                     rng.sample(pairs, rng.randint(1, n * n)),
+                     rng.choices(pairs, k=n * n) * 2, list(pairs)[::-1]):
             rows = rng.sample(pairs, rng.randint(1, n * n))
             if rng.random() < 0.5:
                 rows.sort()

@@ -6,8 +6,10 @@ import re
 import pytest
 
 from resposet import search, twist
-from resposet.order import antichain, bits, chain, poset_from_covers
-from resposet.residuation import StructureError, condition_holds, structure
+from resposet.kleene_twist import check_kleene_twist
+from resposet.order import antichain, bits, bounds, chain, poset_from_covers
+from resposet.residuation import (StructureError, classify, condition_holds,
+                                  structure, synthesize_residuum)
 from resposet.search import enumerate_structures
 from resposet.twist import (build_operator_twist, check_embedding,
                             check_operator_residuated, check_twist_lifting,
@@ -149,6 +151,45 @@ def test_operator_twist_needs_bcrm():
     s = structure(p, mul=((0, 1), (1, 1)), imp=((1, 1), (0, 1)), one=1)
     with pytest.raises(StructureError):
         build_operator_twist(s)
+
+
+def _bases_lacking():
+    """(base, the first BCRM property it lacks) for each property: a
+    residuated pair that breaks x*1 = x, an enumerated commutative
+    residuated monoid (no zero declared) and a left-residuated groupoid
+    with its bounds declared, from the n <= 2 enumerations.  No bounded
+    commutative left-residuated groupoid of at most 3 elements is
+    non-associative, so the last base is the chain 0 < a < b < 1 with
+    a*a = 0 and a*b = b*b = a: (a*b)*b = a but a*(b*b) = 0."""
+    yield next(s for s in enumerate_structures(2, "residuated-pair")
+               if not classify(s).left_residuated), "left-residuated"
+    yield enumerate_structures(2, "commutative-residuated-monoid")[0], \
+        "bounded"
+    for s in enumerate_structures(2, "left-residuated-groupoid"):
+        bot, top = bounds(s.poset)
+        if bot is not None and top == s.one:
+            s = structure(s.poset, s.mul, s.imp, s.one, zero=bot)
+            if not classify(s).commutative:
+                yield s, "commutative"
+                break
+    p = chain(4)
+    mul = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2, 3))
+    yield structure(p, mul, synthesize_residuum(p, mul).imp, 3, 0), \
+        "associative"
+
+
+def test_twists_name_the_first_missing_bcrm_property():
+    bases = list(_bases_lacking())
+    assert [label for _, label in bases] == [
+        "left-residuated", "bounded", "commutative", "associative"]
+    for s, label in bases:
+        for construction, build in (
+                ("operator twist", build_operator_twist),
+                ("restricted twist", lambda s: check_kleene_twist(s, s.one))):
+            with pytest.raises(StructureError, match=re.escape(
+                    "%s needs a bounded commutative residuated monoid: "
+                    "base is not %s" % (construction, label)) + "$"):
+                build(s)
 
 
 def test_singleton_collapse(chain3):
