@@ -120,9 +120,6 @@ def _cmd_optwist(args):
         ops = sf.operators
         items = check_operator_residuated(ops)
     else:
-        if sf.structure is None:
-            raise StructureError(
-                "%s does not define operation tables" % args.file)
         s = sf.structure
         ops = build_operator_twist(s)
         items = check_operator_residuated(ops) + [check_embeddings(s.poset)]

@@ -91,11 +91,12 @@ def upper_covers(p):
     return tuple(_cone(s, outside, s) for s in strict)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def cover_walk(p):
     """Each (x, c) with c an upper cover of x, x in ascending up-cone mask
     order: a proper subset is a smaller int, so the pairs of c all come
-    before those of x."""
+    before those of x.  Memoized for the recent posets only, as
+    upper_covers is."""
     covers = upper_covers(p)
     return tuple((x, c) for x in sorted(range(p.n), key=p.up.__getitem__)
                  for c in bits(covers[x]))

@@ -303,10 +303,12 @@ class Classification(NamedTuple):
 
     @classmethod
     def of(cls, verdicts):
-        """The flags of verdicts.s, read from its condition table."""
+        """The flags of verdicts.s, read from its condition table;
+        bounded means its zero and unit are the bottom and the top."""
+        s = verdicts.s
         return cls(
             left_residuated=verdicts[3][0] and verdicts[6][0],
-            bounded=verdicts.s.zero is not None,
+            bounded=s.zero is not None and (s.zero, s.one) == bounds(s.poset),
             commutative=verdicts["commutative"][0],
             associative=verdicts["associative"][0],
         )

@@ -122,20 +122,20 @@ def _validate_pairmap(table, label, n):
         raise StructureError("%s is not surjective" % label)
 
 
-_lifts = {}     # {base poset: (lifts, rows)} for one base at a time
+@functools.lru_cache(maxsize=1)
+def _lift_memo(base):
+    """({(mul, imp, f, g): lift}, {row: row}) over the last base poset
+    only: the sweeps bring all units of a poset in one block."""
+    return {}, {}
 
 
 def _lift(s, f, g):
     """Every unit-free fact of the lift of s through f and g: the lifted
     structure with unit 0, and condition (3) in the base and in the lift.
-    Memoized by (mul, imp, f, g), f and g as tuples of rows, for the last
-    base poset only (the sweeps bring all units of a poset in one block);
-    equal rows are shared."""
+    Memoized by (mul, imp, f, g), f and g as tuples of rows, in the base
+    poset's _lift_memo; equal rows are shared."""
     base = s.poset
-    if base not in _lifts:
-        _lifts.clear()
-        _lifts[base] = {}, {}
-    memo, rows = _lifts[base]
+    memo, rows = _lift_memo(base)
     key = (s.mul, s.imp, f, g)
     lift = memo.get(key)
     if lift is None:
@@ -160,16 +160,20 @@ def twist_operations(s, f, g, const):
         (x,y) -> (z,v) = (f(x,y) -> z, v * g(x,y))
 
     with the pair const of element indices as unit.  f and g must be
-    surjective and send const to the base unit.  The lifted tables come
-    from the memo of unit-free lifts (_lift), built from s's tables
-    through the checked pair maps and not validated again.
+    surjective and send const to the base unit.  Returns the lifted
+    structure of check_twist_lifting, which makes those checks.
     """
-    return _checked_lift(s, f, g, const)[0]
+    return check_twist_lifting(s, f, g, const)[0]
 
 
-def _checked_lift(s, f, g, const):
-    # _lift(s, f, g), read once, with the lifted unit const, after the
-    # checks twist_operations documents
+def check_twist_lifting(s, f, g, const):
+    """The lifted structure of twist_operations, after its checks, with
+    the lifting biconditional: the base is a left-residuated groupoid
+    exactly when the lifted pair structure is.  Also checks the two exact
+    transfers behind it: adjunction transfers on its own, and the lifted
+    unit law holds exactly when the base satisfies both unit laws
+    (x*1 = x and 1->x = x).  The lifted tables come from the memo
+    (_lift) through the checked pair maps and are not validated again."""
     if s.mul is None or s.imp is None:
         raise StructureError("twist lifting needs both operation tables")
     base = s.poset
@@ -184,16 +188,7 @@ def _checked_lift(s, f, g, const):
                 "%s does not send the unit pair (%s,%s) to %s"
                 % (label, base.names[a], base.names[b], base.names[s.one]))
     ts, base3, twist3 = _lift(s, f, g)
-    return ts._replace(one=const[0] * base.n + const[1]), base3, twist3
-
-
-def check_twist_lifting(s, f, g, const):
-    """The lifting biconditional: the base is a left-residuated groupoid
-    exactly when the lifted pair structure is.  Also checks the two exact
-    transfers behind it: adjunction transfers on its own, and the lifted
-    unit law holds exactly when the base satisfies both unit laws
-    (x*1 = x and 1->x = x)."""
-    ts, base3, twist3 = _checked_lift(s, f, g, const)
+    ts = ts._replace(one=a * base.n + b)
     base6 = condition_holds(s, 6)[0]
     base9 = condition_holds(s, 9)[0]
     twist6 = condition_holds(ts, 6)[0]

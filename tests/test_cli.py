@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from resposet import cli, kleene_twist, residuation, twist
+from resposet import cli, kleene_twist, residuation, search, twist
 from resposet.cli import run
 from resposet.structfile import emit_structure
 
@@ -89,6 +89,12 @@ def test_twist_rejects_unknown_map(capsys):
     assert "proj1 or proj2" in capsys.readouterr().err
 
 
+def test_twist_const_needs_two_names(capsys):
+    assert run(["twist", "chain3", "--const", "a"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --const wants two comma-separated names\n"
+
+
 def test_optwist_structure(capsys):
     assert run(["optwist", "chain3", "--tables"]) == 0
     out = capsys.readouterr().out
@@ -105,6 +111,14 @@ def test_optwist_rejects_non_bcrm(tmp_path, capsys):
                  "table mul\n0 1\n1 1\ntable imp\n1 1\n0 1\n"
                  "const one = 1\nconst zero = 0\n")
     assert run(["optwist", str(f)]) == 2
+
+
+def test_optwist_needs_tables_or_optables(tmp_path, capsys):
+    f = tmp_path / "order.struct"
+    f.write_text("elements 0 1\ncovers\n0 < 1\nconst one = 1\n")
+    assert run(["optwist", str(f)]) == 2
+    assert capsys.readouterr().err == \
+        "error: condition needs a product table\n"
 
 
 def test_pa_chain3(capsys):
@@ -228,6 +242,23 @@ def test_verify_small(capsys):
     out = capsys.readouterr().out
     assert "CHECK (law-5-from-1-3) PASS" in out
     assert "all passed" in out
+
+
+def test_verify_stops_at_the_first_refuted_property(monkeypatch, capsys):
+    # the cone product law forced to fail on the chain 0 < 1
+    real = search.cone_product_failure
+    monkeypatch.setattr(search, "cone_product_failure", lambda p: (
+        (0, 1) if search.describe_poset(p) == "elements=01;covers=0<1"
+        else real(p)))
+    assert run(["verify", "--suite", "theorems", "--max-size", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "CHECK (twist-lifting-first-projections) PASS\n"
+        "CHECK (twist-lifting-second-projections) PASS\n"
+        "CHECK (operator-twist-audit) PASS\n"
+        "CHECK (restricted-twist-biconditional) PASS\n"
+        "CHECK (cone-product-law) FAIL\n"
+        "UNIVERSAL PROPERTY REFUTED: cone-product-law\n"
+        "  elements=01;covers=0<1 :: cone product law broken at 00, 01\n")
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])

@@ -146,6 +146,22 @@ def test_piped_verify_prints_each_line_once(suite):
     assert "exit %d\n%s" % (proc.returncode, proc.stdout) == want
 
 
+@pytest.mark.parametrize("extra, options, pinned", [
+    ("designated = a\n", [], ["pa", "chain3", "--a", "a"]),
+    ("pairmap f\nproj2\npairmap g\nproj1\n", ["--tables"],
+     ["twist", "chain3", "--f", "proj2", "--g", "proj1", "--tables"]),
+])
+def test_file_declarations_stand_for_the_options(tmp_path, extra, options,
+                                                 pinned):
+    # without --a, pa reads the designated element from the file, and
+    # without --f and --g, twist reads the pair maps the file declares
+    path = tmp_path / "chain3.struct"
+    path.write_text(emit_structure(load("chain3").structure) + extra,
+                    encoding="utf-8")
+    want = (GOLDEN / golden_name(pinned)).read_text(encoding="utf-8")
+    assert captured([pinned[0], str(path), *options]) == want
+
+
 def test_failing_audit_witnesses_are_pinned():
     want = (GOLDEN / "optwist_optable_audit_fails.txt").read_text(
         encoding="utf-8")

@@ -105,6 +105,16 @@ def test_example1_not_a_lattice(example1):
     assert p.render_set(v.candidates) == "{e,f}"
 
 
+def test_missing_meet_is_the_witness():
+    # the bowtie c, d < a, b under a top: a and b have the join 1 but two
+    # maximal lower bounds
+    p = poset_from_covers(("a", "b", "c", "d", "1"),
+                          ((2, 0), (2, 1), (3, 0), (3, 1), (0, 4), (1, 4)))
+    v = is_lattice(p)
+    assert (v.is_lattice, v.kind, v.x, v.y) == (False, "meet", 0, 1)
+    assert p.render_set(v.candidates) == "{c,d}"
+
+
 def test_chain_is_lattice():
     assert is_lattice(chain(5)).is_lattice
 
@@ -149,6 +159,14 @@ def test_swap_on_antichain_is_kleene():
     assert v.ok
     k = is_kleene(p, (1, 0))
     assert k.ok
+
+
+def test_kleene_without_a_verdict_rejects_a_non_involution():
+    p = antichain(3)
+    v = is_kleene(p, (1, 2, 0))
+    assert v == is_pseudo_kleene(p, (1, 2, 0))
+    assert (v.ok, v.reason, v.witness) == (
+        False, "not an antitone involution: not an involution", (0,))
 
 
 def test_chain_flip_is_kleene():

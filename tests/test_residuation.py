@@ -33,6 +33,17 @@ def test_chain3_classification(chain3):
     assert classify(chain3).summary() == "bounded commutative residuated monoid"
 
 
+def test_non_commutative_groupoid_classification():
+    # x*y = x on the 2-antichain with unit 0: left-residuated by
+    # y->z = z, but 1*0 = 1 and 0*1 = 0
+    s = structure(antichain(2), mul=((0, 0), (1, 1)), imp=((0, 1), (0, 1)),
+                  one=0)
+    flags = classify(s)
+    assert flags.left_residuated and flags.associative
+    assert not flags.commutative
+    assert flags.summary() == "left-residuated groupoid"
+
+
 def test_condition_ids():
     assert CONDITION_IDS == tuple(range(1, 14))
 
@@ -55,6 +66,17 @@ def test_condition_3_failure_witness():
     ok, witness = condition_holds(s, 3)
     assert not ok
     assert witness == (1, 0, 0)
+
+
+def test_condition_13_failure_witness():
+    # the Lukasiewicz chain 0 < 1 < 2 at a = 1: x = y = 1 are above a,
+    # but x*y = 0 is not
+    p = chain(3)
+    mul = ((0, 0, 0), (0, 0, 1), (0, 1, 2))
+    s = structure(p, mul, synthesize_residuum(p, mul).imp, one=2, zero=0,
+                  designated=1)
+    assert condition_holds(s, 13) == (False, (1, 1))
+    assert check_condition(s, 13).line() == "CHECK (13) FAIL witness x=1 y=1"
 
 
 def test_condition_11_12_13_need_designated(chain3):

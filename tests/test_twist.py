@@ -192,6 +192,40 @@ def test_twists_name_the_first_missing_bcrm_property():
                 build(s)
 
 
+def _unit_below_the_top():
+    # the commutative residuated monoids of at most 3 elements that have
+    # a bottom and whose unit is not the top, with the bottom as zero
+    for n in (1, 2, 3):
+        for s in enumerate_structures(n, "commutative-residuated-monoid"):
+            bot, top = bounds(s.poset)
+            if bot is not None and top != s.one:
+                yield s._replace(zero=bot)
+
+
+def test_bounded_means_zero_and_unit_are_the_bounds():
+    monoids = list(_unit_below_the_top())
+    assert len(monoids) == 6
+    for s in monoids:
+        assert not classify(s).bcrm
+        for construction, build in (
+                ("operator twist", build_operator_twist),
+                *(("restricted twist",
+                   lambda s, a=a: check_kleene_twist(s, a))
+                  for a in range(s.poset.n))):
+            with pytest.raises(StructureError, match=re.escape(
+                    "%s needs a bounded commutative residuated monoid: "
+                    "base is not bounded" % construction) + "$"):
+                build(s)
+    # the rule on every residuated pair of at most 2 elements, each
+    # element or none declared as zero
+    for n in (1, 2):
+        for s in enumerate_structures(n, "residuated-pair"):
+            for zero in (None, *range(n)):
+                t = s._replace(zero=zero)
+                assert classify(t).bounded == (
+                    zero is not None and (zero, s.one) == bounds(s.poset))
+
+
 def test_singleton_collapse(chain3):
     # image is a singleton exactly when both candidate second components
     # coincide
