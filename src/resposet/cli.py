@@ -25,11 +25,13 @@ from .twist import (build_operator_twist, check_embeddings,
                     projection)
 
 
-def _load_structure(path):
-    sf = load(path)
-    if sf.structure is None:
-        raise StructureError("%s does not define operation tables" % path)
-    return sf
+def _tables(sf, path):
+    """The structure of file sf, which must have a mul and an imp table."""
+    s = sf.structure
+    if s is None or s.mul is None or s.imp is None:
+        raise StructureError(
+            "%s does not define both a mul and an imp table" % path)
+    return s
 
 
 def _emit_output(args, text):
@@ -40,10 +42,7 @@ def _emit_output(args, text):
 
 
 def _cmd_check(args):
-    sf = _load_structure(args.file)
-    s = sf.structure
-    if s.mul is None or s.imp is None:
-        raise StructureError("check needs both a mul and an imp table")
+    s = _tables(load(args.file), args.file)
     # one condition table for the listing, the classification and the laws
     verdicts = Verdicts(s)
     flags = Classification.of(verdicts)
@@ -95,8 +94,8 @@ def _pairmap_arg(value, sf, label):
 
 
 def _cmd_twist(args):
-    sf = _load_structure(args.file)
-    s = sf.structure
+    sf = load(args.file)
+    s = _tables(sf, args.file)
     f = _pairmap_arg(args.f, sf, "f")
     g = _pairmap_arg(args.g, sf, "g")
     if args.const:
@@ -120,7 +119,7 @@ def _cmd_optwist(args):
         ops = sf.operators
         items = check_operator_residuated(ops)
     else:
-        s = sf.structure
+        s = _tables(sf, args.file)
         ops = build_operator_twist(s)
         items = check_operator_residuated(ops) + [check_embeddings(s.poset)]
     print(render(items))
@@ -130,7 +129,7 @@ def _cmd_optwist(args):
 
 
 def _cmd_pa(args):
-    s = _load_structure(args.file).structure
+    s = _tables(load(args.file), args.file)
     if args.a is not None:
         a = s.poset.index(args.a)
     elif s.designated is not None:

@@ -22,7 +22,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .order import Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of
-from .report import CheckItem, all_pass
+from .report import CheckItem, agreement, all_pass
 from .residuation import check_condition, require_bcrm
 from .twist import OperatorStructure, check_embedding, \
     check_operator_residuated, operator_rows, pair_names
@@ -270,11 +270,9 @@ def check_kleene_twist(s, a):
              ("breaks", dict(closure_item.witness)["breaks"]))))
 
     residuated = items[-1].passed
-    items.append(CheckItem(
-        "biconditional", conds_hold == residuated,
-        () if conds_hold == residuated else
-        (("conditions-11-12", "PASS" if conds_hold else "FAIL"),
-         ("operator-residuated", "PASS" if residuated else "FAIL"))))
+    items.append(agreement("biconditional", conds_hold == residuated,
+                           (("conditions-11-12", conds_hold),
+                            ("operator-residuated", residuated))))
 
     pk = is_pseudo_kleene(rt.poset, rt.swap)
     items.append(CheckItem(

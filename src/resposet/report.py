@@ -18,10 +18,21 @@ class CheckItem(NamedTuple):
     gating: bool = True
 
     def line(self):
-        out = "CHECK (%s) %s" % (self.check_id, "PASS" if self.passed else "FAIL")
+        out = "CHECK (%s) %s" % (self.check_id, _verdict(self.passed))
         if self.witness:
             out += " witness " + " ".join("%s=%s" % kv for kv in self.witness)
         return out
+
+
+def agreement(check_id, ok, sides, witness=()):
+    """A pass when ok; else a failure witnessed by witness, then by each
+    (name, verdict) of sides, as name=PASS or name=FAIL."""
+    return CheckItem(check_id, ok, () if ok else tuple(witness) + tuple(
+        (name, _verdict(v)) for name, v in sides))
+
+
+def _verdict(passed):
+    return "PASS" if passed else "FAIL"
 
 
 def render(items):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .order import (ConeMemo, Poset, adjunction_failure, bits, bounds,
                     lower_cone, maximal_elements, upper_cone)
-from .report import CheckItem
+from .report import CheckItem, agreement
 from .residuation import (ResStructure, StructureError,
                           commutativity_failure, condition_holds,
                           named_witness, require_bcrm)
@@ -195,22 +195,15 @@ def check_twist_lifting(s, f, g, const):
     base_lrg = base3 and base6
     twist_lrg = twist3 and twist6
 
-    def verdict(v):
-        return "PASS" if v else "FAIL"
-
     items = [
         CheckItem("base-left-residuated-groupoid", base_lrg, gating=False),
         CheckItem("twist-left-residuated-groupoid", twist_lrg, gating=False),
-        CheckItem("adjunction-transfer", twist3 == base3,
-                  () if twist3 == base3 else
-                  (("base-3", verdict(base3)), ("twist-3", verdict(twist3)))),
-        CheckItem("unit-transfer", twist6 == (base6 and base9),
-                  () if twist6 == (base6 and base9) else
-                  (("base-6", verdict(base6)), ("base-9", verdict(base9)),
-                   ("twist-6", verdict(twist6)))),
-        CheckItem("lifting-biconditional", base_lrg == twist_lrg,
-                  () if base_lrg == twist_lrg else
-                  (("base", verdict(base_lrg)), ("twist", verdict(twist_lrg)))),
+        agreement("adjunction-transfer", twist3 == base3,
+                  (("base-3", base3), ("twist-3", twist3))),
+        agreement("unit-transfer", twist6 == (base6 and base9),
+                  (("base-6", base6), ("base-9", base9), ("twist-6", twist6))),
+        agreement("lifting-biconditional", base_lrg == twist_lrg,
+                  (("base", base_lrg), ("twist", twist_lrg))),
     ]
     return ts, items
 
@@ -426,12 +419,9 @@ def check_embedding(base, poset, a0, image):
             base_le = base.leq(x, y)
             twist_le = poset.leq(image[x], image[y])
             if base_le != twist_le:
-                return CheckItem(
-                    "embedding", False,
-                    (("x", base.names[x]), ("y", base.names[y]),
-                     ("a0", base.names[a0]),
-                     ("base", "PASS" if base_le else "FAIL"),
-                     ("twist", "PASS" if twist_le else "FAIL")))
+                sides = (("base", base_le), ("twist", twist_le))
+                return agreement("embedding", False, sides, named_witness(
+                    base.names, ("x", "y", "a0"), (x, y, a0)))
     return CheckItem("embedding", True)
 
 

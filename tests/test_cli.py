@@ -118,7 +118,30 @@ def test_optwist_needs_tables_or_optables(tmp_path, capsys):
     f.write_text("elements 0 1\ncovers\n0 < 1\nconst one = 1\n")
     assert run(["optwist", str(f)]) == 2
     assert capsys.readouterr().err == \
-        "error: condition needs a product table\n"
+        "error: %s does not define both a mul and an imp table\n" % f
+
+
+ORDER = "elements 0 1\ncovers\n0 < 1\nconst one = 1\nconst zero = 0\n"
+PARTIAL_TABLES = {
+    "none": "",
+    "mul": "table mul\n0 0\n0 1\n",
+    "imp": "table imp\n1 1\n0 1\n",
+    "optables": "optable odot\n0 0\n0 1\noptable oimp\n1 1\n0 1\n",
+}
+
+
+@pytest.mark.parametrize("command,tables", [
+    (command, tables) for command in ("check", "twist", "optwist", "pa")
+    for tables in PARTIAL_TABLES
+    if (command, tables) != ("optwist", "optables")])
+def test_structure_commands_need_both_tables(tmp_path, capsys, command,
+                                             tables):
+    # optwist audits a file of optables; the others need mul and imp
+    f = tmp_path / "partial.struct"
+    f.write_text(ORDER + PARTIAL_TABLES[tables])
+    assert run([command, str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: %s does not define both a mul and an imp table\n" % f)
 
 
 def test_pa_chain3(capsys):

@@ -77,6 +77,28 @@ def test_chain3_full_report(chain3):
     assert emit_tables(report.operators) == CHAIN3_TABLES
 
 
+def test_a_failing_audit_item_fails_the_biconditional(monkeypatch, chain3):
+    # closure holds on chain3 at a, so the operator-residuated line takes
+    # the first failing audit item: its axiom, then its own witness
+    real = kleene_twist.check_operator_residuated
+
+    def one_fails(ops):
+        audit = real(ops)
+        audit[1] = audit[1]._replace(passed=False, witness=(("x", "aa"),))
+        return audit
+
+    monkeypatch.setattr(kleene_twist, "check_operator_residuated", one_fails)
+    report = check_kleene_twist(chain3, 1)
+    by_id = {it.check_id: it for it in report.items}
+    assert by_id["closure"].passed and by_id["11"].passed
+    assert by_id["operator-residuated"].line() == \
+        "CHECK (operator-residuated) FAIL witness axiom=%s x=aa" \
+        % report.audit[1].check_id
+    assert by_id["biconditional"].line() == \
+        "CHECK (biconditional) FAIL witness conditions-11-12=PASS " \
+        "operator-residuated=FAIL"
+
+
 def test_chain3_golden_tables(chain3):
     rt = build_restricted_twist(chain3.poset, 1)
     ops = build_restricted_operators(chain3, rt)

@@ -123,6 +123,12 @@ def test_structure_checks_the_zero_range_first():
             structure(chain(3), one=2, zero=zero)
 
 
+@pytest.mark.parametrize("one", [None, 3, -1])
+def test_structure_requires_a_unit_in_range(one):
+    with pytest.raises(StructureError, match="^unit element required$"):
+        structure(chain(3), one=one)
+
+
 def test_structure_checks_the_element_names():
     # a Poset built directly skips the poset_from_* constructors' check
     p = Poset(("covers", "b"), (3, 2), (1, 3))

@@ -209,9 +209,9 @@ def test_share_counts_sum_to_the_sweep(name):
 FORKED = enumerate_posets(3)[4]
 
 
-def _raise_in_forked_share(real, log):
+def _raise_at(poset, real, log):
     def fake(p):
-        if p == FORKED:
+        if p == poset:
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write("%d\n" % os.getpid())
             raise ValueError("forced at " + describe_poset(p))
@@ -228,14 +228,31 @@ def three_shares(monkeypatch):
 def test_exception_in_a_forked_share_reaches_the_caller(monkeypatch, tmp_path,
                                                         three_shares):
     log = tmp_path / "pids"
-    monkeypatch.setattr(search, "cone_product_failure", _raise_in_forked_share(
-        search.cone_product_failure, log))
+    monkeypatch.setattr(search, "cone_product_failure", _raise_at(
+        FORKED, search.cone_product_failure, log))
     with pytest.raises(ValueError, match="^forced at %s$"
                        % re.escape(describe_poset(FORKED))):
         check_universal("cone-product-law")
     # a worker raised first, then the one-process sweep raised here
     worker, caller = map(int, log.read_text(encoding="utf-8").split())
     assert worker != os.getpid() == caller
+
+
+def test_exception_in_the_calling_share_reaches_the_caller(
+        monkeypatch, tmp_path, three_shares):
+    # enumerate_posets(3)[0] is in share 0, which this process runs: it
+    # raises there, the workers are stopped and reaped, and the
+    # one-process sweep raises it again here
+    first = enumerate_posets(3)[0]
+    log = tmp_path / "pids"
+    monkeypatch.setattr(search, "cone_product_failure", _raise_at(
+        first, search.cone_product_failure, log))
+    with pytest.raises(ValueError, match="^forced at %s$"
+                       % re.escape(describe_poset(first))):
+        check_universal("cone-product-law")
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_failure_in_a_forked_share_gives_the_one_process_witness(
@@ -259,7 +276,7 @@ def test_no_worker_outlives_the_sweep(monkeypatch, tmp_path, three_shares,
                             lambda p: (0, 1) if p == FORKED else real(p))
     if outcome == "raise":
         monkeypatch.setattr(search, "cone_product_failure",
-                            _raise_in_forked_share(real, tmp_path / "pids"))
+                            _raise_at(FORKED, real, tmp_path / "pids"))
     try:
         result = check_universal("cone-product-law")
         assert result.ok == (outcome == "pass")

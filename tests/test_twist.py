@@ -258,6 +258,41 @@ def test_embedding_detects_corruption():
     assert not item.passed
 
 
+def test_embedding_witness_names_the_pair_then_each_side(chain3):
+    # x maps to (2-x, a): order is reversed, so (0, a) is the first pair
+    # whose base order the image does not keep
+    n = chain3.poset.n
+    item = check_embedding(chain3.poset, full_twist(chain3.poset), 1,
+                           [(2 - x) * n + 1 for x in range(n)])
+    assert item.line() == \
+        "CHECK (embedding) FAIL witness x=0 y=a a0=a base=PASS twist=FAIL"
+
+
+@pytest.mark.parametrize("missing", ["mul", "imp"])
+def test_lift_needs_both_tables(chain3, missing):
+    f, g = projection(3, "proj1"), projection(3, "proj2")
+    s = chain3._replace(**{missing: None})
+    for check in (twist_operations, check_twist_lifting):
+        with pytest.raises(StructureError,
+                           match="^twist lifting needs both operation tables$"):
+            check(s, f, g, (s.one, s.one))
+
+
+def test_lifting_witnesses_give_each_side(monkeypatch, chain3):
+    # the base made to fail (6): the unit transfer and the biconditional
+    # fail, and each witness lists its sides' verdicts in order
+    real = twist.condition_holds
+    monkeypatch.setattr(twist, "condition_holds", lambda s, k: (
+        (False, None) if s is chain3 and k == 6 else real(s, k)))
+    _, items = check_twist_lifting(chain3, projection(3, "proj1"),
+                                   projection(3, "proj2"), (2, 2))
+    assert [it.line() for it in items[2:]] == [
+        "CHECK (adjunction-transfer) PASS",
+        "CHECK (unit-transfer) FAIL witness base-6=FAIL base-9=PASS "
+        "twist-6=PASS",
+        "CHECK (lifting-biconditional) FAIL witness base=FAIL twist=PASS"]
+
+
 # The lift memo against the lift written from its definition: the tables
 # of (x,y)*(z,v) = (x*f(z,v), g(z,v)->y) and
 # (x,y)->(z,v) = (f(x,y)->z, v*g(x,y)), and the five lifting items from
