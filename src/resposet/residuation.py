@@ -78,7 +78,8 @@ def structure(poset, mul=None, imp=None, one=None, zero=None, designated=None):
 
 
 _INGREDIENTS = {"mul": "a product table", "imp": "an implication table",
-                "zero": "a zero", "designated": "a designated element"}
+                "one": "a unit", "zero": "a zero",
+                "designated": "a designated element"}
 
 
 def _missing(s, needs):
@@ -207,6 +208,11 @@ def _idempotence_failure(s):
     return None if s.mul[a][a] == a else (a,)
 
 
+# Each row: its failure function, its witness variables, and the
+# ingredients it reads, in the order of _INGREDIENTS.  Only 6, 9 and
+# "unit-top" read the unit ("one"), so every other row has one verdict
+# for a poset and its tables whatever the unit, and "unit-top", which
+# reads nothing else, one for a poset and its unit whatever the tables.
 _CONDITIONS = {
     1: (lambda s: _monotone_failure(s.poset, s.mul),
         ("x", "y", "z"), ("mul",)),
@@ -217,10 +223,10 @@ _CONDITIONS = {
         ("x", "y", "z"), ("imp",)),
     5: (lambda s: _monotone_failure(s.poset, _transpose(s.imp), True),
         ("x", "y", "z"), ("imp",)),
-    6: (_cond6, ("x",), ("mul",)),
+    6: (_cond6, ("x",), ("mul", "one")),
     7: (_cond7, ("x", "y"), ("mul",)),
     8: (_cond8, ("x", "y", "z"), ("mul", "imp")),
-    9: (_cond9, ("x",), ("imp",)),
+    9: (_cond9, ("x",), ("imp", "one")),
     10: (_cond10, ("x", "y"), ("imp",)),
     11: (_cond11, ("x",), ("mul", "zero", "designated")),
     12: (_cond12, ("x",), ("imp", "designated")),
@@ -228,12 +234,18 @@ _CONDITIONS = {
     "commutative": (lambda s: commutativity_failure(s.mul), ("x", "y"),
                     ("mul",)),
     "associative": (_associativity_failure, ("x", "y", "z"), ("mul",)),
-    "unit-top": (_unit_top_failure, ("x",), ()),
+    "unit-top": (_unit_top_failure, ("x",), ("one",)),
     "idempotent": (_idempotence_failure, ("a",),
                    ("mul", "designated")),
 }
 
 CONDITION_IDS = tuple(range(1, 14))
+
+
+def condition_needs(k):
+    """The ingredients row k of the condition table reads, in the order of
+    _INGREDIENTS; "one" when it reads the unit."""
+    return _CONDITIONS[k][2]
 
 
 def condition_holds(s, k):
@@ -409,8 +421,9 @@ class Law(NamedTuple):
     @property
     @functools.lru_cache(maxsize=None)
     def needs(self):
-        """The ingredients of its rows, in the order of _INGREDIENTS."""
-        rows = [_CONDITIONS[k][2] for k in (*self.premises, self.conclusion)]
+        """The ingredients of its rows, in the order of _INGREDIENTS: a law
+        without "one" reads no unit."""
+        rows = [condition_needs(k) for k in (*self.premises, self.conclusion)]
         return tuple(k for k in _INGREDIENTS if any(k in r for r in rows))
 
 

@@ -7,17 +7,28 @@ from columns, or from free cells, in lexicographic order, so re-running
 any sweep reproduces the identical sequence.
 
 Each kind's generator takes the posets to enumerate from, all of one
-size, rather than the size: residuated pairs, unital groupoids and unital
-implications are generated from the posets; left-residuated groupoids are
-filtered from the residuated pairs, commutative residuated monoids from
-those, and bounded ones from the commutative monoids, each filter reading
-its base kind's generator.  enumerate_structures(n, kind) passes all
+size, rather than the size, and yields its structures in blocks, one per
+(poset, unit) in enumeration order: a block is (base, tables), base the
+structure with the block's poset, unit and zero and no tables, and
+tables the (mul, imp) pairs of its structures in order.  Residuated
+pairs, unital groupoids and unital implications are generated from the
+posets, the units of a residuated pair's poset sharing one list of
+tables; left-residuated groupoids are filtered from the residuated
+pairs, commutative residuated monoids from those, and bounded ones from
+the commutative monoids of the posets with both bounds, each filter
+reading its base kind's blocks.  enumerate_structures(n, kind) passes all
 posets of size n; a share of a universal sweep passes its own slice of
 them.  Only posets and residuable columns are cached: check_universal
 alone enumerates a sweep's items, streaming them, and prefixes its
-witness with the item's description.  Every kind comes poset by poset:
-all units of one poset form one block, which the twist lift memo
-(twist._lift) needs.
+witness with the item's description.
+
+A sweep decides each part of a case's work once per distinct input it
+reads.  A law premise that reads only the poset and the unit ("unit-top")
+is decided once per block, and a block where it fails counts its cases
+as vacuous passes without building its structures (Property).
+A check that reads no unit runs once per table of a poset, its yields
+replayed for the poset's other units (_per_table); the twist lift memo
+(twist._lift) likewise holds the lifts of the current poset only.
 """
 
 from __future__ import annotations
@@ -29,8 +40,9 @@ from typing import NamedTuple
 
 from .order import (Poset, _lu_identity_failure, bits, bounds,
                     is_distributive, is_kleene, is_pseudo_kleene)
-from .residuation import (LAWS, ResStructure, condition_holds, evaluate_law,
-                          residuum_row, synthesize_residuum)
+from .residuation import (LAWS, ResStructure, condition_holds,
+                          condition_needs, evaluate_law, residuum_row,
+                          synthesize_residuum)
 from .twist import (build_operator_twist, check_embeddings,
                     check_operator_residuated, check_twist_lifting,
                     cone_product_failure, full_twist, projection)
@@ -96,6 +108,13 @@ def residuable_columns(p):
     return out
 
 
+def _structures(base, tables):
+    """The structures of one block: base, with the block's poset, unit
+    and zero, given each (mul, imp) of tables in turn."""
+    p, _, _, one, zero, _ = base
+    return (ResStructure(p, mul, imp, one, zero) for mul, imp in tables)
+
+
 def _residuated_pairs(posets):
     # combo[y] is column y of mul; the units of a poset share its tables
     for p in posets:
@@ -103,28 +122,37 @@ def _residuated_pairs(posets):
         tables = [(tuple(zip(*combo)), tuple(map(colmap.__getitem__, combo)))
                   for combo in itertools.product(colmap, repeat=n)]
         for one in range(n):
-            for mul, imp in tables:
-                yield ResStructure(p, mul, imp, one)
+            yield ResStructure(p, None, None, one), tables
+
+
+def _kept(base, tables, rows):
+    """The tables of a block whose structures satisfy every row of rows."""
+    p, _, _, one, zero, _ = base
+    for mul, imp in tables:
+        s = ResStructure(p, mul, imp, one, zero)
+        for k in rows:
+            if not condition_holds(s, k)[0]:
+                break
+        else:
+            yield mul, imp
 
 
 def _lrgs(posets):
-    for s in _residuated_pairs(posets):
-        if condition_holds(s, 6)[0]:        # x*1 = x: the unit column
-            yield s
+    for base, tables in _residuated_pairs(posets):
+        yield base, _kept(base, tables, (6,))   # x*1 = x: the unit column
 
 
 def _crms(posets):
-    for s in _lrgs(posets):
-        if (condition_holds(s, "commutative")[0]
-                and condition_holds(s, "associative")[0]):
-            yield s
+    for base, tables in _lrgs(posets):
+        yield base, _kept(base, tables, ("commutative", "associative"))
 
 
 def _bcrms(posets):
-    for s in _crms(posets):
-        bot, top = bounds(s.poset)
-        if bot is not None and top == s.one:
-            yield s._replace(zero=bot)
+    # a BCRM's zero and unit are the bottom and top of its poset
+    for base, tables in _crms([p for p in posets if None not in bounds(p)]):
+        bot, top = bounds(base.poset)
+        if base.one == top:
+            yield base._replace(zero=bot), tables
 
 
 def _tables(n, fixed):
@@ -145,8 +173,9 @@ def _unital_groupoids(posets):
     for p in posets:
         n = p.n
         for one in range(n):
-            for mul in _tables(n, {(x, one): x for x in range(n)}):
-                yield ResStructure(p, mul, None, one)
+            yield ResStructure(p, None, None, one), zip(
+                _tables(n, {(x, one): x for x in range(n)}),
+                itertools.repeat(None))
 
 
 def _unital_implications(posets):
@@ -155,8 +184,9 @@ def _unital_implications(posets):
     for p in posets:
         n = p.n
         for one in range(n):
-            for imp in _tables(n, {(one, x): x for x in range(n)}):
-                yield ResStructure(p, None, imp, one)
+            yield ResStructure(p, None, None, one), zip(
+                itertools.repeat(None),
+                _tables(n, {(one, x): x for x in range(n)}))
 
 
 _KINDS = {
@@ -184,7 +214,8 @@ def _check_structures(n, kind):
 
 def enumerate_structures(n, kind="left-residuated-groupoid"):
     _check_structures(n, kind)
-    return tuple(_KINDS[kind](enumerate_posets(n)))
+    return tuple(s for block in _KINDS[kind](enumerate_posets(n))
+                 for s in _structures(*block))
 
 
 def describe_poset(p):
@@ -214,7 +245,10 @@ def _witness_names(s, w):
 class Property(NamedTuple):
     """A universal sweep: check(item) yields one failure reason, or None,
     per case of each item of kind (a structure kind, or "poset") over
-    sizes."""
+    sizes.  A structure check may carry a vacuous(base) attribute that
+    decides a premise reading only the poset and the unit: the number of
+    passing cases each structure of base's block counts without being
+    built, or 0 when they must be checked."""
     name: str
     suite: str
     sizes: tuple[int, ...]
@@ -237,16 +271,23 @@ def check_universal(name, sizes=None):
     size, stopping at the first failing case; its witness is the item's
     description followed by the failure reason.
 
+    Each (poset, unit) block of a structure kind is swept as a whole
+    (_sweep): a premise about the unit alone is decided once per block,
+    and a check that reads no unit runs once per table of a poset, its
+    yields replayed for the poset's other units (_per_table).
+
     The range is split into W shares: W is the number of CPUs this
     process may use (1 where os.fork is missing), capped by the largest
     number of posets at any one size.  Share k holds the items of
     posets[k::W] at every size, so all units of a poset stay in one share
-    (twist._lift).  The sizes are checked and their posets enumerated
-    before anything forks: a size error raises here, and the workers
-    inherit the posets.  This process runs share 0 and a forked worker
-    runs each other share (_split).  A worker only computes, writes its
-    report to a pipe and leaves by os._exit, which flushes none of the
-    stdio buffers it inherited.
+    (twist._lift, _per_table).  The sizes are checked and their posets
+    enumerated before anything forks, with the residuable columns of
+    each poset for the kinds built from residuated pairs: a size error
+    raises here, and the workers inherit the posets and columns.  This
+    process runs share 0 and a forked worker runs each other share
+    (_split).  A worker only computes, writes its report to a pipe and
+    leaves by os._exit, which flushes none of the stdio buffers it
+    inherited.
 
     When every share passes, the result is PASS with the shares' case
     counts summed.  On any failure, exception or missing report, the
@@ -262,7 +303,11 @@ def check_universal(name, sizes=None):
     for n in sizes:
         if prop.kind != "poset":
             _check_structures(n, prop.kind)
-        widest = max(widest, len(enumerate_posets(n)))
+        posets = enumerate_posets(n)
+        widest = max(widest, len(posets))
+        if prop.kind in _FROM_PAIRS:
+            for p in posets:
+                residuable_columns(p)
     shares = min(_cpus(), widest)
     if shares > 1:
         cases = _split(prop, sizes, shares)
@@ -283,23 +328,42 @@ def _cpus():
 def _sweep(prop, sizes, share=0, shares=1):
     """Run prop over its items from posets[share::shares] at each size,
     in enumeration order, stopping at the first failing case; by default
-    over the whole range.  Items are streamed, all units of one poset in
-    one block, so the lifting sweeps use each poset's lifts before moving
-    on (twist._lift)."""
+    over the whole range.  Items are streamed a (poset, unit) block at a
+    time (_blocks), so the lifting sweeps use each poset's lifts, and the
+    checks that read no unit its tables' yields, before moving on
+    (twist._lift, _per_table)."""
+    _table_memo.cache_clear()       # no yields from an earlier sweep
     cases = 0
     for n in sizes:
         posets = enumerate_posets(n)[share::shares]
         if prop.kind == "poset":
-            items, describe = posets, describe_poset
+            blocks, describe = [(0, posets)], describe_poset
         else:
-            items, describe = _KINDS[prop.kind](posets), describe_structure
-        for item in items:
-            for failure in prop.check(item):
-                cases += 1
-                if failure is not None:
-                    return UniversalResult(
-                        prop.name, cases, describe(item) + " :: " + failure)
+            blocks, describe = _blocks(prop, posets), describe_structure
+        for vacuous, items in blocks:
+            cases += vacuous
+            for item in items:
+                for failure in prop.check(item):
+                    cases += 1
+                    if failure is not None:
+                        return UniversalResult(prop.name, cases,
+                                               describe(item) + " :: "
+                                               + failure)
     return UniversalResult(prop.name, cases, None)
+
+
+def _blocks(prop, posets):
+    """The (poset, unit) blocks of prop's kind over posets, each as
+    (vacuous cases, structures): a block whose premise about the unit
+    fails (the check's vacuous, see Property) counts its cases as passes
+    and builds none of its structures."""
+    vacuous = getattr(prop.check, "vacuous", None)
+    for base, tables in _KINDS[prop.kind](posets):
+        each = vacuous(base) if vacuous else 0
+        if each:
+            yield each * sum(1 for _ in tables), ()
+        else:
+            yield 0, _structures(base, tables)
 
 
 def _split(prop, sizes, shares):
@@ -357,8 +421,35 @@ def _at(p, a, reason):
     return "a=%s :: %s" % (p.names[a], reason)
 
 
+@functools.lru_cache(maxsize=1)
+def _table_memo(p):
+    """{(check, mul, imp): yields} over the last poset only, as
+    twist._lift_memo: the sweeps bring the blocks of a poset's units one
+    after another."""
+    return {}
+
+
+def _per_table(check):
+    """check, for a check that reads no unit: its yields on each table of
+    a poset are computed at the first unit that brings the table and
+    replayed, in order, at the others."""
+    def replay(s):
+        memo = _table_memo(s.poset)
+        key = (check, s.mul, s.imp)
+        yields = memo.get(key)
+        if yields is None:
+            yields = memo[key] = tuple(check(s))
+        return yields
+    return replay
+
+
 def _law_check(law):
+    """The check of law's sweep: a law whose rows read no unit is checked
+    once per table (_per_table), and premises that read only the unit
+    are decided once per block (its vacuous, see Property)."""
     designated = "designated" in law.needs
+    unit_only = [k for k in law.premises
+                 if set(condition_needs(k)) <= {"one"}]
 
     def check(s):
         # a law about a designated element is checked at each element
@@ -371,6 +462,16 @@ def _law_check(law):
             reason = "condition %s fails at %s" % (law.conclusion,
                                                   _witness_names(s, w))
             yield reason if a is None else _at(s.poset, a, reason)
+
+    def vacuous(base):
+        if all(condition_holds(base, k)[0] for k in unit_only):
+            return 0
+        return base.poset.n if designated else 1    # the cases of one item
+
+    if "one" not in law.needs:
+        return _per_table(check)
+    if unit_only:
+        check.vacuous = vacuous
     return check
 
 
@@ -484,11 +585,16 @@ def _distributivity_agreement(p):
 
 _BCRM = "bounded-commutative-residuated-monoid"
 
+# the kinds built from residuated pairs, whose residuable columns
+# check_universal computes before it forks
+_FROM_PAIRS = ("residuated-pair", "left-residuated-groupoid",
+               "commutative-residuated-monoid", _BCRM)
+
 PROPERTIES: dict[str, Property] = {prop.name: prop for prop in (
     *(Property("law-" + law.law_id, "lemmas", (1, 2, 3), law.kind,
                _law_check(law)) for law in LAWS),
     Property("synthesis-adjunction", "lemmas", (1, 2, 3), "residuated-pair",
-             _synthesis),
+             _per_table(_synthesis)),
     Property("twist-lifting-first-projections", "theorems", (1, 2, 3),
              "residuated-pair", _lifting_check(True)),
     Property("twist-lifting-second-projections", "theorems", (1, 2, 3),

@@ -125,7 +125,8 @@ def _validate_pairmap(table, label, n):
 @functools.lru_cache(maxsize=1)
 def _lift_memo(base):
     """({(mul, imp, f, g): lift}, {row: row}) over the last base poset
-    only: the sweeps bring all units of a poset in one block."""
+    only: the sweeps bring the blocks of a poset's units one after
+    another."""
     return {}, {}
 
 

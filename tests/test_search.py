@@ -7,8 +7,9 @@ from resposet import residuation, search
 from resposet.kleene_twist import build_restricted_twist
 from resposet.order import (InvolutionVerdict, lowest, mask_of,
                             maximal_elements)
-from resposet.residuation import (LAWS, classify, condition_holds, evaluate_law,
-                                  structure)
+from resposet.residuation import (LAWS, classify, condition_applicable,
+                                  condition_holds, condition_needs,
+                                  evaluate_law, structure)
 from resposet.search import (POSET_CAP, STRUCTURE_CAP, EnumerationError,
                              PROPERTIES, STRUCTURE_KINDS, check_universal,
                              describe_poset, describe_structure,
@@ -59,21 +60,28 @@ def test_enumeration_is_deterministic():
 
 
 def test_check_universal_streams_its_structures(monkeypatch):
-    # the sweep draws each structure just before checking it, so the
-    # generator never runs more than one item ahead of the checks; the
-    # one-process share loop runs the whole range, as check_universal's
-    # share 0 and workers run their slices, so the lists see every case
+    # the sweep draws each table of a block just before checking its
+    # structure, so the generator never runs more than one item ahead of
+    # the checks; the one-process share loop runs the whole range, as
+    # check_universal's share 0 and workers run their slices, so the
+    # lists see every case.  The check carries no vacuous hook, so no
+    # block is skipped.
     name, kind = "law-7-from-comm-1-6-top", "unital-groupoid"
     prop, real = PROPERTIES[name], search._KINDS[kind]
     drawn, checked = [], []
 
+    def drawing(tables):
+        for t in tables:
+            drawn.append(t)
+            yield t
+
     def generator(posets):
-        for s in real(posets):
-            drawn.append(s)
-            yield s
+        for base, tables in real(posets):
+            yield base, drawing(tables)
 
     def check(s):
-        assert drawn[-1] is s and len(drawn) == len(checked) + 1
+        assert drawn[-1] == (s.mul, s.imp)
+        assert len(drawn) == len(checked) + 1
         checked.append(s)
         yield from prop.check(s)
 
@@ -435,3 +443,128 @@ def test_synthesis_sweep_runs_the_adjunction_scan(monkeypatch,
     result = check_universal("synthesis-adjunction", (2,))
     assert not result.ok
     assert " :: synthesized residuum fails condition 3 at " in result.witness
+
+
+# The condition table records which rows read the unit ("one" among a
+# row's ingredients); the sweeps rely on it to decide a row once per
+# table of a poset, or once per (poset, unit) block.
+
+UNIT_FREE_ROWS = [k for k in residuation._CONDITIONS
+                  if "one" not in condition_needs(k)]
+UNIT_ONLY_ROWS = [k for k in residuation._CONDITIONS
+                  if set(condition_needs(k)) <= {"one"}]
+
+
+def test_the_rows_that_read_the_unit():
+    assert [k for k in residuation._CONDITIONS
+            if k not in UNIT_FREE_ROWS] == [6, 9, "unit-top"]
+    assert UNIT_ONLY_ROWS == ["unit-top"]
+    assert [law.law_id for law in LAWS if "one" not in law.needs] == [
+        "5-from-1-3", "8-from-assoc-2-3", "13-from-idempotent"]
+
+
+@pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+def test_rows_without_the_unit_give_one_verdict_for_every_unit(kind):
+    # every structure of kind at n <= 3 under every unit, and at every
+    # designation for the rows that read one; a poset's tables come once,
+    # whichever unit brings them.  The structures of a kind share their
+    # ingredients, so the rows that apply to one apply to all; they run
+    # bare, as condition_holds adds only that ingredient check.
+    first = enumerate_structures(1, kind)[0]._replace(designated=0)
+    rows = [(residuation._CONDITIONS[k][0], "designated" in condition_needs(k))
+            for k in UNIT_FREE_ROWS if condition_applicable(first, k)]
+    seen = set()
+    for n in range(1, STRUCTURE_CAP + 1):
+        for s in enumerate_structures(n, kind):
+            if (s.poset, s.mul, s.imp) in seen:
+                continue
+            seen.add((s.poset, s.mul, s.imp))
+            units = [s._replace(one=u) for u in range(n)]
+            at = [[t._replace(designated=a) for t in units] for a in range(n)]
+            for row, designated in rows:
+                for variants in at if designated else (units,):
+                    assert len({row(t) for t in variants}) == 1, (
+                        row, describe_structure(variants[0]))
+
+
+@pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+def test_rows_of_the_unit_alone_give_one_verdict_per_block(kind):
+    for n in range(1, STRUCTURE_CAP + 1):
+        for base, tables in search._KINDS[kind](enumerate_posets(n)):
+            want = {k: condition_holds(base, k) for k in UNIT_ONLY_ROWS}
+            for s in search._structures(base, tables):
+                for k in UNIT_ONLY_ROWS:
+                    assert condition_holds(s, k) == want[k], (
+                        k, describe_structure(s))
+
+
+@pytest.mark.parametrize("name, row", [
+    ("law-5-from-1-3", 5), ("law-8-from-assoc-2-3", 8),
+    ("synthesis-adjunction", 3)])
+def test_a_failure_on_a_shared_table_names_its_unit_0_case(
+        monkeypatch, three_shares, name, row):
+    # a row that reads no unit fails on one table of the last 3-element
+    # poset, whichever unit brings it; the sweeps replay a table's yields
+    # at the poset's other units, yet the witness and count are those of
+    # a per-item scan, which meets the table first at unit 0.  The same
+    # tables come with an earlier poset, where the row holds, so a replay
+    # across posets would miss the failure.
+    prop = PROPERTIES[name]
+    law = next((law for law in LAWS if "law-" + law.law_id == name), None)
+    stream = enumerate_structures(3, prop.kind)
+    first_poset = {}
+    for s in stream:
+        first_poset.setdefault(s[1:3], s.poset)
+    target = [s for s in stream if s.one == 2
+              and first_poset[s[1:3]] != s.poset
+              and all(condition_holds(s, k)[0]
+                      for k in (law.premises if law else ()))][-1]
+    assert target.poset == enumerate_posets(3)[-1]
+    real, names = residuation._CONDITIONS[row][:2]
+
+    def fake(s):
+        return (0,) * len(names) if s[:3] == target[:3] else real(s)
+
+    monkeypatch.setitem(residuation._CONDITIONS, row,
+                        (fake,) + residuation._CONDITIONS[row][1:])
+    scan = [s for n in prop.sizes for s in enumerate_structures(n, prop.kind)]
+    first = next(i for i, s in enumerate(scan) if s[:3] == target[:3])
+    assert scan[first] == target._replace(one=0)
+    reason = ("synthesized residuum fails condition 3 at 0,0,0" if law is None
+              else "condition %d fails at 0,0,0" % row)
+    assert check_universal(name) == (
+        name, first + 1, describe_structure(scan[first]) + " :: " + reason)
+
+
+@pytest.mark.parametrize("name", ["law-7-from-comm-1-6-top",
+                                  "law-10-from-5-9-top"])
+def test_a_vacuous_block_builds_no_structures(monkeypatch, name):
+    # unit-top fails on every (poset, unit) block whose unit is not the
+    # top: the sweep counts those cases as passes and builds only the
+    # structures of the other blocks, in enumeration order
+    prop = PROPERTIES[name]
+    checked = [s for n in prop.sizes
+               for s in enumerate_structures(n, prop.kind)
+               if condition_holds(s, "unit-top")[0]]
+    built, real = [], search.ResStructure
+
+    def recording(*fields):
+        s = real(*fields)
+        if s.mul is not None or s.imp is not None:
+            built.append(s)
+        return s
+
+    monkeypatch.setattr(search, "ResStructure", recording)
+    assert search._sweep(prop, prop.sizes) == (name, EXPECTED_CASES[name],
+                                               None)
+    # the 9 posets with a top at n = 3, 2 at n = 2 and 1 at n = 1, each
+    # with the free cells of one table
+    assert built == checked and len(checked) == 9 * 3 ** 6 + 2 * 2 ** 2 + 1
+
+
+def test_columns_are_filled_before_the_sweep_forks(three_shares,
+                                                   fresh_columns):
+    # the workers inherit every poset's columns rather than each
+    # computing its own share's
+    assert check_universal("law-5-from-1-3").ok
+    assert residuable_columns.cache_info().currsize == 1 + 3 + 19
