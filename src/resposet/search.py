@@ -23,12 +23,12 @@ alone enumerates a sweep's items, streaming them, and prefixes its
 witness with the item's description.
 
 A sweep decides each part of a case's work once per distinct input it
-reads.  A law premise that reads only the poset and the unit ("unit-top")
-is decided once per block, and a block where it fails counts its cases
-as vacuous passes without building its structures (Property).
-A check that reads no unit runs once per table of a poset, its yields
-replayed for the poset's other units (_per_table); the twist lift memo
-(twist._lift) likewise holds the lifts of the current poset only.
+reads.  A block whose cases a check's hook decides counts them as passes
+without building its structures (Property): where a law premise that
+reads only the poset and the unit ("unit-top") fails, and, for a check
+that reads no unit, at each later unit of a residuated pair's poset,
+whose tables passed at unit 0.  The twist lift memo (twist._lift) holds
+the unit-free parts of the current poset's lifts.
 """
 
 from __future__ import annotations
@@ -245,10 +245,12 @@ def _witness_names(s, w):
 class Property(NamedTuple):
     """A universal sweep: check(item) yields one failure reason, or None,
     per case of each item of kind (a structure kind, or "poset") over
-    sizes.  A structure check may carry a vacuous(base) attribute that
-    decides a premise reading only the poset and the unit: the number of
-    passing cases each structure of base's block counts without being
-    built, or 0 when they must be checked."""
+    sizes.  A structure check may carry a decided(base) attribute: the
+    number of passing cases each structure of base's block counts without
+    being built, or 0 when they must be checked.  A block is decided where
+    a premise reading only the poset and the unit fails, or, for a check
+    that reads no unit, where it is a later unit of a residuated pair's
+    poset: the tables are unit 0's, and the sweep stops at a failure."""
     name: str
     suite: str
     sizes: tuple[int, ...]
@@ -272,22 +274,20 @@ def check_universal(name, sizes=None):
     description followed by the failure reason.
 
     Each (poset, unit) block of a structure kind is swept as a whole
-    (_sweep): a premise about the unit alone is decided once per block,
-    and a check that reads no unit runs once per table of a poset, its
-    yields replayed for the poset's other units (_per_table).
+    (_sweep): the check's decided hook (see Property) counts the cases
+    of a block it settles as passes without building its structures.
 
     The range is split into W shares: W is the number of CPUs this
     process may use (1 where os.fork is missing), capped by the largest
     number of posets at any one size.  Share k holds the items of
     posets[k::W] at every size, so all units of a poset stay in one share
-    (twist._lift, _per_table).  The sizes are checked and their posets
+    (twist._lift, Property).  The sizes are checked and their posets
     enumerated before anything forks, with the residuable columns of
-    each poset for the kinds built from residuated pairs: a size error
-    raises here, and the workers inherit the posets and columns.  This
-    process runs share 0 and a forked worker runs each other share
-    (_split).  A worker only computes, writes its report to a pipe and
-    leaves by os._exit, which flushes none of the stdio buffers it
-    inherited.
+    each poset for a structure kind: a size error raises here, and the
+    workers inherit the posets and columns.  This process runs share 0
+    and a forked worker runs each other share (_split).  A worker only
+    computes, writes its report to a pipe and leaves by os._exit, which
+    flushes none of the stdio buffers it inherited.
 
     When every share passes, the result is PASS with the shares' case
     counts summed.  On any failure, exception or missing report, the
@@ -303,11 +303,9 @@ def check_universal(name, sizes=None):
     for n in sizes:
         if prop.kind != "poset":
             _check_structures(n, prop.kind)
-        posets = enumerate_posets(n)
-        widest = max(widest, len(posets))
-        if prop.kind in _FROM_PAIRS:
-            for p in posets:
+            for p in enumerate_posets(n):
                 residuable_columns(p)
+        widest = max(widest, len(enumerate_posets(n)))
     shares = min(_cpus(), widest)
     if shares > 1:
         cases = _split(prop, sizes, shares)
@@ -329,10 +327,9 @@ def _sweep(prop, sizes, share=0, shares=1):
     """Run prop over its items from posets[share::shares] at each size,
     in enumeration order, stopping at the first failing case; by default
     over the whole range.  Items are streamed a (poset, unit) block at a
-    time (_blocks), so the lifting sweeps use each poset's lifts, and the
-    checks that read no unit its tables' yields, before moving on
-    (twist._lift, _per_table)."""
-    _table_memo.cache_clear()       # no yields from an earlier sweep
+    time (_blocks), so the lifting sweeps use each poset's lifts before
+    moving on (twist._lift), and a check that reads no unit meets a
+    poset's tables at unit 0 first (Property)."""
     cases = 0
     for n in sizes:
         posets = enumerate_posets(n)[share::shares]
@@ -340,8 +337,8 @@ def _sweep(prop, sizes, share=0, shares=1):
             blocks, describe = [(0, posets)], describe_poset
         else:
             blocks, describe = _blocks(prop, posets), describe_structure
-        for vacuous, items in blocks:
-            cases += vacuous
+        for decided, items in blocks:
+            cases += decided
             for item in items:
                 for failure in prop.check(item):
                     cases += 1
@@ -354,12 +351,12 @@ def _sweep(prop, sizes, share=0, shares=1):
 
 def _blocks(prop, posets):
     """The (poset, unit) blocks of prop's kind over posets, each as
-    (vacuous cases, structures): a block whose premise about the unit
-    fails (the check's vacuous, see Property) counts its cases as passes
-    and builds none of its structures."""
-    vacuous = getattr(prop.check, "vacuous", None)
+    (decided cases, structures): a block the check's decided hook
+    settles (see Property) counts its cases as passes and builds none of
+    its structures."""
+    decided = getattr(prop.check, "decided", None)
     for base, tables in _KINDS[prop.kind](posets):
-        each = vacuous(base) if vacuous else 0
+        each = decided(base) if decided else 0
         if each:
             yield each * sum(1 for _ in tables), ()
         else:
@@ -421,35 +418,15 @@ def _at(p, a, reason):
     return "a=%s :: %s" % (p.names[a], reason)
 
 
-@functools.lru_cache(maxsize=1)
-def _table_memo(p):
-    """{(check, mul, imp): yields} over the last poset only, as
-    twist._lift_memo: the sweeps bring the blocks of a poset's units one
-    after another."""
-    return {}
-
-
-def _per_table(check):
-    """check, for a check that reads no unit: its yields on each table of
-    a poset are computed at the first unit that brings the table and
-    replayed, in order, at the others."""
-    def replay(s):
-        memo = _table_memo(s.poset)
-        key = (check, s.mul, s.imp)
-        yields = memo.get(key)
-        if yields is None:
-            yields = memo[key] = tuple(check(s))
-        return yields
-    return replay
-
-
 def _law_check(law):
-    """The check of law's sweep: a law whose rows read no unit is checked
-    once per table (_per_table), and premises that read only the unit
-    are decided once per block (its vacuous, see Property)."""
+    """The check of law's sweep, with its block hook (decided, see
+    Property): a block passes unchecked where a premise that reads only
+    the unit fails, or where law reads no unit and the block is a later
+    unit of a residuated pair's poset."""
     designated = "designated" in law.needs
     unit_only = [k for k in law.premises
                  if set(condition_needs(k)) <= {"one"}]
+    repeats = "one" not in law.needs and law.kind == "residuated-pair"
 
     def check(s):
         # a law about a designated element is checked at each element
@@ -463,15 +440,13 @@ def _law_check(law):
                                                   _witness_names(s, w))
             yield reason if a is None else _at(s.poset, a, reason)
 
-    def vacuous(base):
-        if all(condition_holds(base, k)[0] for k in unit_only):
-            return 0
-        return base.poset.n if designated else 1    # the cases of one item
+    def decided(base):
+        if (repeats and base.one) or not all(
+                condition_holds(base, k)[0] for k in unit_only):
+            return base.poset.n if designated else 1    # the cases of one item
+        return 0
 
-    if "one" not in law.needs:
-        return _per_table(check)
-    if unit_only:
-        check.vacuous = vacuous
+    check.decided = decided
     return check
 
 
@@ -485,6 +460,11 @@ def _synthesis(s):
     ok, w = condition_holds(s._replace(imp=r.imp), 3)
     yield None if ok else (
         "synthesized residuum fails condition 3 at " + _witness_names(s, w))
+
+
+# reads no unit, over residuated pairs: a later unit of a poset brings
+# the tables unit 0 passed (Property)
+_synthesis.decided = lambda base: 1 if base.one else 0
 
 
 def _lifting_check(first_projection):
@@ -585,16 +565,11 @@ def _distributivity_agreement(p):
 
 _BCRM = "bounded-commutative-residuated-monoid"
 
-# the kinds built from residuated pairs, whose residuable columns
-# check_universal computes before it forks
-_FROM_PAIRS = ("residuated-pair", "left-residuated-groupoid",
-               "commutative-residuated-monoid", _BCRM)
-
 PROPERTIES: dict[str, Property] = {prop.name: prop for prop in (
     *(Property("law-" + law.law_id, "lemmas", (1, 2, 3), law.kind,
                _law_check(law)) for law in LAWS),
     Property("synthesis-adjunction", "lemmas", (1, 2, 3), "residuated-pair",
-             _per_table(_synthesis)),
+             _synthesis),
     Property("twist-lifting-first-projections", "theorems", (1, 2, 3),
              "residuated-pair", _lifting_check(True)),
     Property("twist-lifting-second-projections", "theorems", (1, 2, 3),

@@ -124,19 +124,18 @@ def _validate_pairmap(table, label, n):
 
 @functools.lru_cache(maxsize=1)
 def _lift_memo(base):
-    """({(mul, imp, f, g): lift}, {row: row}) over the last base poset
-    only: the sweeps bring the blocks of a poset's units one after
-    another."""
-    return {}, {}
+    """{(mul, imp, f, g): lift} over the last base poset only: the
+    sweeps bring the blocks of a poset's units one after another."""
+    return {}
 
 
 def _lift(s, f, g):
     """Every unit-free fact of the lift of s through f and g: the lifted
     structure with unit 0, and condition (3) in the base and in the lift.
     Memoized by (mul, imp, f, g), f and g as tuples of rows, in the base
-    poset's _lift_memo; equal rows are shared."""
+    poset's _lift_memo."""
     base = s.poset
-    memo, rows = _lift_memo(base)
+    memo = _lift_memo(base)
     key = (s.mul, s.imp, f, g)
     lift = memo.get(key)
     if lift is None:
@@ -146,8 +145,7 @@ def _lift(s, f, g):
                 for x, y in pairs)
         oimp = (tuple(imp[f[x][y]][z] * n + mul[v][g[x][y]] for z, v in pairs)
                 for x, y in pairs)
-        ts = ResStructure(full_twist(base), *(
-            tuple(rows.setdefault(r, r) for r in t) for t in (omul, oimp)), 0)
+        ts = ResStructure(full_twist(base), tuple(omul), tuple(oimp), 0)
         lift = memo[key] = (ts, condition_holds(s, 3)[0],
                             condition_holds(ts, 3)[0])
     return lift

@@ -64,7 +64,7 @@ def test_check_universal_streams_its_structures(monkeypatch):
     # structure, so the generator never runs more than one item ahead of
     # the checks; the one-process share loop runs the whole range, as
     # check_universal's share 0 and workers run their slices, so the
-    # lists see every case.  The check carries no vacuous hook, so no
+    # lists see every case.  The check carries no decided hook, so no
     # block is skipped.
     name, kind = "law-7-from-comm-1-6-top", "unital-groupoid"
     prop, real = PROPERTIES[name], search._KINDS[kind]
@@ -504,11 +504,11 @@ def test_rows_of_the_unit_alone_give_one_verdict_per_block(kind):
 def test_a_failure_on_a_shared_table_names_its_unit_0_case(
         monkeypatch, three_shares, name, row):
     # a row that reads no unit fails on one table of the last 3-element
-    # poset, whichever unit brings it; the sweeps replay a table's yields
-    # at the poset's other units, yet the witness and count are those of
-    # a per-item scan, which meets the table first at unit 0.  The same
-    # tables come with an earlier poset, where the row holds, so a replay
-    # across posets would miss the failure.
+    # poset, whichever unit brings it; the sweeps count the cases of the
+    # poset's later units as passes, yet the witness and count are those
+    # of a per-item scan, which meets the table first at unit 0.  The same
+    # tables come with an earlier poset, where the row holds, so counting
+    # them as passes across posets would miss the failure.
     prop = PROPERTIES[name]
     law = next((law for law in LAWS if "law-" + law.law_id == name), None)
     stream = enumerate_structures(3, prop.kind)
@@ -536,6 +536,23 @@ def test_a_failure_on_a_shared_table_names_its_unit_0_case(
         name, first + 1, describe_structure(scan[first]) + " :: " + reason)
 
 
+def _built_by_passing_sweep(monkeypatch, prop):
+    """The structures with tables that a one-process sweep of prop builds,
+    in order; the sweep passes with its EXPECTED_CASES."""
+    built, real = [], search.ResStructure
+
+    def recording(*fields):
+        s = real(*fields)
+        if s.mul is not None or s.imp is not None:
+            built.append(s)
+        return s
+
+    monkeypatch.setattr(search, "ResStructure", recording)
+    assert search._sweep(prop, prop.sizes) == (
+        prop.name, EXPECTED_CASES[prop.name], None)
+    return built
+
+
 @pytest.mark.parametrize("name", ["law-7-from-comm-1-6-top",
                                   "law-10-from-5-9-top"])
 def test_a_vacuous_block_builds_no_structures(monkeypatch, name):
@@ -546,25 +563,41 @@ def test_a_vacuous_block_builds_no_structures(monkeypatch, name):
     checked = [s for n in prop.sizes
                for s in enumerate_structures(n, prop.kind)
                if condition_holds(s, "unit-top")[0]]
-    built, real = [], search.ResStructure
-
-    def recording(*fields):
-        s = real(*fields)
-        if s.mul is not None or s.imp is not None:
-            built.append(s)
-        return s
-
-    monkeypatch.setattr(search, "ResStructure", recording)
-    assert search._sweep(prop, prop.sizes) == (name, EXPECTED_CASES[name],
-                                               None)
+    built = _built_by_passing_sweep(monkeypatch, prop)
     # the 9 posets with a top at n = 3, 2 at n = 2 and 1 at n = 1, each
     # with the free cells of one table
     assert built == checked and len(checked) == 9 * 3 ** 6 + 2 * 2 ** 2 + 1
 
 
+@pytest.mark.parametrize("name", ["law-5-from-1-3", "law-8-from-assoc-2-3",
+                                  "synthesis-adjunction"])
+def test_a_repeated_block_builds_no_structures(monkeypatch, name):
+    # the check reads no unit, and a residuated pair's poset brings the
+    # same tables at every unit: the sweep builds the structures of unit
+    # 0 only, in enumeration order, and counts the later units' cases as
+    # the passes they were at unit 0
+    prop = PROPERTIES[name]
+    unit_0 = [s for n in prop.sizes
+              for s in enumerate_structures(n, prop.kind) if s.one == 0]
+    assert _built_by_passing_sweep(monkeypatch, prop) == unit_0
+
+
+def test_no_commutative_monoid_table_recurs_across_units():
+    # commutativity makes the unit unique, so law 13's sweep meets each
+    # (poset, mul, imp) at one unit only, and its hook settles no block
+    prop = PROPERTIES["law-13-from-idempotent"]
+    for n in range(1, STRUCTURE_CAP + 1):
+        monoids = enumerate_structures(n, prop.kind)
+        assert len({s[:3] for s in monoids}) == len(monoids)
+        assert not any(prop.check.decided(base) for base, _ in
+                       search._KINDS[prop.kind](enumerate_posets(n)))
+
+
+@pytest.mark.parametrize("name", ["law-5-from-1-3",
+                                  "law-7-from-comm-1-6-top"])
 def test_columns_are_filled_before_the_sweep_forks(three_shares,
-                                                   fresh_columns):
+                                                   fresh_columns, name):
     # the workers inherit every poset's columns rather than each
-    # computing its own share's
-    assert check_universal("law-5-from-1-3").ok
+    # computing its own share's, whatever the structure kind
+    assert check_universal(name).ok
     assert residuable_columns.cache_info().currsize == 1 + 3 + 19
