@@ -110,42 +110,42 @@ def _cond3(s):
 
 
 def _cond6(s):
-    for x in range(s.poset.n):
-        if s.mul[x][s.one] != x:
+    for x, row in enumerate(s.mul):
+        if row[s.one] != x:
             return (x,)
     return None
 
 
 def _cond7(s):
-    p, m = s.poset, s.mul
-    for x in range(p.n):
-        for y in range(p.n):
+    p, m, n = s.poset, s.mul, s.poset.n
+    for x in range(n):
+        for y in range(n):
             if not (p.leq(m[x][y], x) and p.leq(m[x][y], y)):
                 return (x, y)
     return None
 
 
 def _cond8(s):
-    m, i = s.mul, s.imp
-    for x in range(s.poset.n):
-        for y in range(s.poset.n):
-            for z in range(s.poset.n):
+    m, i, n = s.mul, s.imp, s.poset.n
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
                 if i[m[x][y]][z] != i[x][i[y][z]]:
                     return (x, y, z)
     return None
 
 
 def _cond9(s):
-    for x in range(s.poset.n):
-        if s.imp[s.one][x] != x:
+    for x, v in enumerate(s.imp[s.one]):
+        if v != x:
             return (x,)
     return None
 
 
 def _cond10(s):
-    p, i = s.poset, s.imp
-    for x in range(p.n):
-        for y in range(p.n):
+    p, i, n = s.poset, s.imp, s.poset.n
+    for x in range(n):
+        for y in range(n):
             if not p.leq(x, i[y][x]):
                 return (x, y)
     return None
@@ -188,10 +188,10 @@ def commutativity_failure(t):
 
 
 def _associativity_failure(s):
-    m = s.mul
-    for x in range(s.poset.n):
-        for y in range(s.poset.n):
-            for z in range(s.poset.n):
+    m, n = s.mul, s.poset.n
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
                 if m[m[x][y]][z] != m[x][m[y][z]]:
                     return (x, y, z)
     return None

@@ -28,7 +28,8 @@ without building its structures (Property): where a law premise that
 reads only the poset and the unit ("unit-top") fails, and, for a check
 that reads no unit, at each later unit of a residuated pair's poset,
 whose tables passed at unit 0.  The twist lift memo (twist._lift) holds
-the unit-free parts of the current poset's lifts.
+the unit-free parts of the current poset's lifts, and builds and decides
+each distinct lifted column of the poset once.
 """
 
 from __future__ import annotations
@@ -280,14 +281,15 @@ def check_universal(name, sizes=None):
     The range is split into W shares: W is the number of CPUs this
     process may use (1 where os.fork is missing), capped by the largest
     number of posets at any one size.  Share k holds the items of
-    posets[k::W] at every size, so all units of a poset stay in one share
-    (twist._lift, Property).  The sizes are checked and their posets
-    enumerated before anything forks, with the residuable columns of
-    each poset for a structure kind: a size error raises here, and the
-    workers inherit the posets and columns.  This process runs share 0
-    and a forked worker runs each other share (_split).  A worker only
-    computes, writes its report to a pipe and leaves by os._exit, which
-    flushes none of the stdio buffers it inherited.
+    posets[k::W] at every size, so all units of a poset stay in one
+    share, with the poset's lifts and lifted columns (twist._lift,
+    Property).  The sizes are checked and their posets enumerated before
+    anything forks, with the residuable columns of each poset for a
+    structure kind: a size error raises here, and the workers inherit
+    the posets and columns.  This process runs share 0 and a forked
+    worker runs each other share (_split).  A worker only computes,
+    writes its report to a pipe and leaves by os._exit, which flushes
+    none of the stdio buffers it inherited.
 
     When every share passes, the result is PASS with the shares' case
     counts summed.  On any failure, exception or missing report, the
@@ -327,9 +329,9 @@ def _sweep(prop, sizes, share=0, shares=1):
     """Run prop over its items from posets[share::shares] at each size,
     in enumeration order, stopping at the first failing case; by default
     over the whole range.  Items are streamed a (poset, unit) block at a
-    time (_blocks), so the lifting sweeps use each poset's lifts before
-    moving on (twist._lift), and a check that reads no unit meets a
-    poset's tables at unit 0 first (Property)."""
+    time (_blocks), so the lifting sweeps use each poset's lifts and
+    lifted columns before moving on (twist._lift), and a check that
+    reads no unit meets a poset's tables at unit 0 first (Property)."""
     cases = 0
     for n in sizes:
         posets = enumerate_posets(n)[share::shares]

@@ -124,30 +124,47 @@ def _validate_pairmap(table, label, n):
 
 @functools.lru_cache(maxsize=1)
 def _lift_memo(base):
-    """{(mul, imp, f, g): lift} over the last base poset only: the
-    sweeps bring the blocks of a poset's units one after another."""
-    return {}
+    """Two dicts over the last base poset only, as the sweeps bring the
+    blocks of a poset's units one after another: {(mul, imp, f, g):
+    lift}, and the lifted columns, {(column a of mul, row a of imp,
+    column b of mul, row b of imp): (product column, implication row,
+    adjunction verdict)}.  Lifted column q reads base columns a = f(q)
+    and b = g(q) only, since (x,y)*q = (x*a, b->y) and
+    q->(z,v) = (a->z, v*b); so that key fixes all three."""
+    return {}, {}
 
 
 def _lift(s, f, g):
     """Every unit-free fact of the lift of s through f and g: the lifted
     structure with unit 0, and condition (3) in the base and in the lift.
     Memoized by (mul, imp, f, g), f and g as tuples of rows, in the base
-    poset's _lift_memo."""
+    poset's _lift_memo.  The lift is assembled from its memoized columns
+    (see _lift_memo), each decided once by order.adjunction_failure on
+    its own as _cond3 decides it; as that scan decides every column
+    alone, the lift satisfies (3) exactly when every column passes."""
     base = s.poset
-    memo = _lift_memo(base)
+    lifts, columns = _lift_memo(base)
     key = (s.mul, s.imp, f, g)
-    lift = memo.get(key)
+    lift = lifts.get(key)
     if lift is None:
-        n, mul, imp = base.n, s.mul, s.imp
-        pairs = [(x, y) for x in range(n) for y in range(n)]
-        omul = (tuple(mul[x][f[z][v]] * n + imp[g[z][v]][y] for z, v in pairs)
-                for x, y in pairs)
-        oimp = (tuple(imp[f[x][y]][z] * n + mul[v][g[x][y]] for z, v in pairs)
-                for x, y in pairs)
-        ts = ResStructure(full_twist(base), tuple(omul), tuple(oimp), 0)
-        lift = memo[key] = (ts, condition_holds(s, 3)[0],
-                            condition_holds(ts, 3)[0])
+        n, twist = base.n, full_twist(base)
+        reads = list(zip(zip(*s.mul), s.imp))
+        zbits = [1 << q for q in range(n * n)]
+        lifted = []
+        for a, b in zip(sum(f, ()), sum(g, ())):
+            read = reads[a] + reads[b]
+            column = columns.get(read)
+            if column is None:
+                mul_a, imp_a, mul_b, imp_b = read
+                dot = tuple([u * n + w for u in mul_a for w in imp_b])
+                arrow = tuple([u * n + w for u in imp_a for w in mul_b])
+                column = columns[read] = (dot, arrow, (
+                    adjunction_failure(twist, (dot,), (zip(arrow, zbits),),
+                                       twist.up) is None))
+            lifted.append(column)
+        dots, arrows, passed = zip(*lifted)
+        ts = ResStructure(twist, tuple(zip(*dots)), arrows, 0)
+        lift = lifts[key] = (ts, condition_holds(s, 3)[0], all(passed))
     return lift
 
 
@@ -175,19 +192,19 @@ def check_twist_lifting(s, f, g, const):
     (_lift) through the checked pair maps and are not validated again."""
     if s.mul is None or s.imp is None:
         raise StructureError("twist lifting needs both operation tables")
-    base = s.poset
-    if not all(0 <= c < base.n for c in const):
+    base, n = s.poset, s.poset.n
+    if not all(0 <= c < n for c in const):
         raise StructureError("unit element required")
     f, g = (tuple(map(tuple, t)) for t in (f, g))
     a, b = const
     for table, label in ((f, "f"), (g, "g")):
-        _validate_pairmap(table, label, base.n)
+        _validate_pairmap(table, label, n)
         if table[a][b] != s.one:
             raise StructureError(
                 "%s does not send the unit pair (%s,%s) to %s"
                 % (label, base.names[a], base.names[b], base.names[s.one]))
     ts, base3, twist3 = _lift(s, f, g)
-    ts = ts._replace(one=a * base.n + b)
+    ts = ts._replace(one=a * n + b)
     base6 = condition_holds(s, 6)[0]
     base9 = condition_holds(s, 9)[0]
     twist6 = condition_holds(ts, 6)[0]

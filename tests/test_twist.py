@@ -5,12 +5,12 @@ import re
 
 import pytest
 
-from resposet import search, twist
+from resposet import residuation, search, twist
 from resposet.kleene_twist import check_kleene_twist
 from resposet.order import antichain, bits, bounds, chain, poset_from_covers
 from resposet.residuation import (StructureError, classify, condition_holds,
                                   structure, synthesize_residuum)
-from resposet.search import enumerate_structures
+from resposet.search import enumerate_posets, enumerate_structures
 from resposet.twist import (build_operator_twist, check_embedding,
                             check_operator_residuated, check_twist_lifting,
                             full_twist, pair_names, projection,
@@ -351,6 +351,62 @@ def test_lift_memo_exact_on_projections_of_a_sample_at_3():
     for s in rng.sample(enumerate_structures(3, "residuated-pair"), 300):
         for f, g in ((first, second), (second, first)):
             _assert_lift_exact(s, f, g, (s.one, s.one))
+
+
+def test_lift_memo_exact_where_lifted_columns_fail(monkeypatch):
+    # every (poset, unit, mul, imp) at n = 2, most of them not residuated,
+    # in enumeration order through one memo: a table at unit 0 is a new
+    # lift, and one that decides no new column takes every column, its
+    # failing ones too, with its verdict from the memo
+    decided = []
+    real = twist.adjunction_failure
+    monkeypatch.setattr(twist, "adjunction_failure",
+                        lambda *args: decided.append(args) or real(*args))
+    twist._lift_memo.cache_clear()
+    first, second = projection(2, "proj1"), projection(2, "proj2")
+    tables = [(cells[:2], cells[2:])
+              for cells in itertools.product(range(2), repeat=4)]
+    cases, failing, reused = 0, 0, 0
+    for p in enumerate_posets(2):
+        for one in range(2):
+            for mul, imp in itertools.product(tables, repeat=2):
+                s = structure(p, mul, imp, one=one)
+                for f, g in ((first, second), (second, first)):
+                    before = len(decided)
+                    _assert_lift_exact(s, f, g, (one, one))
+                    cases += 1
+                    ref = _reference_lift(s, f, g, (one, one))
+                    if not condition_holds(ref, 3)[0]:
+                        failing += 1
+                        reused += one == 0 and len(decided) == before
+    # each poset's 16 (column of mul, row of imp) reads, paired every way
+    assert cases == 2 * 1536 and len(decided) == 3 * 16 ** 2
+    assert failing > cases // 2 and reused > 1000, (failing, reused)
+
+
+def test_a_lifting_sweep_decides_each_lifted_column_once(monkeypatch):
+    # the one-process sweep scans adjunction once per (poset, mul, imp)
+    # for base (3), the lift memo holding each table's lift for the
+    # poset's later units, and once per distinct lifted column of the
+    # poset: column q = (a, b) of a lift through the projections reads
+    # columns a and b of mul and rows a and b of imp, and nothing else
+    calls = []
+    for module in (residuation, twist):
+        monkeypatch.setattr(module, "adjunction_failure", lambda *args,
+                            real=module.adjunction_failure:
+                            calls.append(args) or real(*args))
+    monkeypatch.setattr(search, "_cpus", lambda: 1)
+    twist._lift_memo.cache_clear()
+    prop = search.PROPERTIES["twist-lifting-first-projections"]
+    assert search.check_universal(prop.name) == (prop.name, 5191, None)
+    tables, columns = set(), set()
+    for n in prop.sizes:
+        for s in enumerate_structures(n, prop.kind):
+            tables.add(s[:3])
+            reads = list(zip(zip(*s.mul), s.imp))
+            columns.update((s.poset, ra, rb) for ra in reads for rb in reads)
+    assert (len(tables), len(columns)) == (1735, 343)
+    assert len(calls) == 1735 + 343
 
 
 def test_every_lift_at_3_passes_the_validating_constructor():
