@@ -63,9 +63,9 @@ def _cmd_check(args):
     wit = ()
     if not lat.is_lattice:
         cand = "mub" if lat.kind == "join" else "mlb"
-        wit = (("kind", lat.kind), ("x", s.poset.names[lat.x]),
-               ("y", s.poset.names[lat.y]),
-               (cand, s.poset.render_set(lat.candidates)))
+        wit = ((("kind", lat.kind),)
+               + named_witness(s.names, ("x", "y"), (lat.x, lat.y))
+               + ((cand, s.poset.render_set(lat.candidates)),))
     items.append(CheckItem("lattice", lat.is_lattice, wit, gating=False))
     dist = is_distributive(s.poset)
     items.append(CheckItem(

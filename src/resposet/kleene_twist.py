@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .order import Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of
 from .report import CheckItem, agreement, all_pass
-from .residuation import check_condition, require_bcrm
+from .residuation import check_condition, named_witness, require_bcrm
 from .twist import OperatorStructure, check_embedding, \
     check_operator_residuated, operator_rows, pair_names
 
@@ -86,8 +86,7 @@ def check_restriction_assumptions(s, rt):
     aa = s.mul[a][a]
     items.append(CheckItem(
         "assumption-idempotence", aa == a,
-        () if aa == a else
-        (("a", s.names[a]), ("a*a", s.names[aa]))))
+        named_witness(s.names, ("a", "a*a"), None if aa == a else (a, aa))))
     # (a, a) is always in the carrier: L(a,a) = down(a) lies below a and
     # U(a,a) = up(a) above it
     center = rt.index[a * rt.base.n + a]
@@ -277,9 +276,8 @@ def check_kleene_twist(s, a):
     pk = is_pseudo_kleene(rt.poset, rt.swap)
     items.append(CheckItem(
         "pseudo-kleene", pk.ok,
-        () if pk.ok else ((("reason", pk.reason),) + tuple(
-            ("w%d" % k, rt.poset.names[i])
-            for k, i in enumerate(pk.witness)))))
+        () if pk.ok else (("reason", pk.reason),)
+        + named_witness(rt.poset.names, ("w0", "w1"), pk.witness)))
     kl = is_kleene(rt.poset, rt.swap, pk)
     items.append(CheckItem("kleene", kl.ok, gating=False))
     n = s.poset.n

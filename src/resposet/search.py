@@ -6,30 +6,31 @@ recursion that grows their cone masks, operation tables are assembled
 from columns, or from free cells, in lexicographic order, so re-running
 any sweep reproduces the identical sequence.
 
-Each kind's generator takes the posets to enumerate from, all of one
-size, rather than the size, and yields its structures in blocks, one per
-(poset, unit) in enumeration order: a block is (base, tables), base the
-structure with the block's poset, unit and zero and no tables, and
-tables the (mul, imp) pairs of its structures in order.  Residuated
-pairs, unital groupoids and unital implications are generated from the
-posets, the units of a residuated pair's poset sharing one list of
-tables; left-residuated groupoids are filtered from the residuated
-pairs, commutative residuated monoids from those, and bounded ones from
-the commutative monoids of the posets with both bounds, each filter
-reading its base kind's blocks.  enumerate_structures(n, kind) passes all
-posets of size n; a share of a universal sweep passes its own slice of
-them.  Only posets and residuable columns are cached: check_universal
-alone enumerates a sweep's items, streaming them, and prefixes its
-witness with the item's description.
+A structure kind is a block generator and the condition-table rows its
+structures satisfy (_KINDS).  A generator takes the posets to enumerate
+from, all of one size, and yields blocks, one per (poset, unit) in
+enumeration order: a block is (base, tables), base the structure with
+the block's poset, unit and zero and no tables, and tables the candidate
+(mul, imp) pairs in order.  The units of a residuated pair's poset share
+one list of tables; the bounded pairs are those of the posets with both
+bounds at the top unit, with the bottom as zero.  _structures builds
+each candidate once and keeps it where every row holds: (6) for a
+left-residuated groupoid, and also commutativity and associativity for a
+commutative residuated monoid, bounded or not.  enumerate_structures(n,
+kind) passes all posets of size n; a share of a universal sweep passes
+its own slice of them.  Only posets and residuable columns are cached:
+check_universal alone enumerates a sweep's items, streaming them, and
+prefixes its witness with the item's description.
 
 A sweep decides each part of a case's work once per distinct input it
 reads.  A block whose cases a check's hook decides counts them as passes
-without building its structures (Property): where a law premise that
-reads only the poset and the unit ("unit-top") fails, and, for a check
-that reads no unit, at each later unit of a residuated pair's poset,
-whose tables passed at unit 0.  The twist lift memo (twist._lift) holds
-the unit-free parts of the current poset's lifts, and builds and decides
-each distinct lifted column of the poset once.
+without checking its structures, and builds them only to count those a
+kind with rows keeps (Property): where a law premise that reads only the
+poset and the unit ("unit-top") fails, and, for a check that reads no
+unit, at each later unit of a residuated pair's poset, whose tables
+passed at unit 0.  The twist lift memo (twist._lift) holds the unit-free
+parts of the current poset's lifts, and builds and decides each distinct
+lifted column of the poset once.
 """
 
 from __future__ import annotations
@@ -109,11 +110,18 @@ def residuable_columns(p):
     return out
 
 
-def _structures(base, tables):
-    """The structures of one block: base, with the block's poset, unit
-    and zero, given each (mul, imp) of tables in turn."""
+def _structures(base, tables, rows):
+    """The structures of one block that satisfy every row of rows: base,
+    with the block's poset, unit and zero, given each (mul, imp) of tables
+    in turn."""
     p, _, _, one, zero, _ = base
-    return (ResStructure(p, mul, imp, one, zero) for mul, imp in tables)
+    for mul, imp in tables:
+        s = ResStructure(p, mul, imp, one, zero)
+        for k in rows:
+            if not condition_holds(s, k)[0]:
+                break
+        else:
+            yield s
 
 
 def _residuated_pairs(posets):
@@ -126,31 +134,10 @@ def _residuated_pairs(posets):
             yield ResStructure(p, None, None, one), tables
 
 
-def _kept(base, tables, rows):
-    """The tables of a block whose structures satisfy every row of rows."""
-    p, _, _, one, zero, _ = base
-    for mul, imp in tables:
-        s = ResStructure(p, mul, imp, one, zero)
-        for k in rows:
-            if not condition_holds(s, k)[0]:
-                break
-        else:
-            yield mul, imp
-
-
-def _lrgs(posets):
-    for base, tables in _residuated_pairs(posets):
-        yield base, _kept(base, tables, (6,))   # x*1 = x: the unit column
-
-
-def _crms(posets):
-    for base, tables in _lrgs(posets):
-        yield base, _kept(base, tables, ("commutative", "associative"))
-
-
-def _bcrms(posets):
-    # a BCRM's zero and unit are the bottom and top of its poset
-    for base, tables in _crms([p for p in posets if None not in bounds(p)]):
+def _bounded_pairs(posets):
+    # the residuated pairs whose zero and unit are the bottom and top
+    for base, tables in _residuated_pairs(
+            [p for p in posets if None not in bounds(p)]):
         bot, top = bounds(base.poset)
         if base.one == top:
             yield base._replace(zero=bot), tables
@@ -190,13 +177,16 @@ def _unital_implications(posets):
                 _tables(n, {(one, x): x for x in range(n)}))
 
 
+# each kind: its block generator, and the rows its structures satisfy
 _KINDS = {
-    "residuated-pair": _residuated_pairs,
-    "left-residuated-groupoid": _lrgs,
-    "commutative-residuated-monoid": _crms,
-    "bounded-commutative-residuated-monoid": _bcrms,
-    "unital-groupoid": _unital_groupoids,
-    "unital-implication": _unital_implications,
+    "residuated-pair": (_residuated_pairs, ()),
+    "left-residuated-groupoid": (_residuated_pairs, (6,)),
+    "commutative-residuated-monoid": (
+        _residuated_pairs, (6, "commutative", "associative")),
+    "bounded-commutative-residuated-monoid": (
+        _bounded_pairs, (6, "commutative", "associative")),
+    "unital-groupoid": (_unital_groupoids, ()),
+    "unital-implication": (_unital_implications, ()),
 }
 
 STRUCTURE_KINDS = tuple(_KINDS)
@@ -215,8 +205,9 @@ def _check_structures(n, kind):
 
 def enumerate_structures(n, kind="left-residuated-groupoid"):
     _check_structures(n, kind)
-    return tuple(s for block in _KINDS[kind](enumerate_posets(n))
-                 for s in _structures(*block))
+    generator, rows = _KINDS[kind]
+    return tuple(s for base, tables in generator(enumerate_posets(n))
+                 for s in _structures(base, tables, rows))
 
 
 def describe_poset(p):
@@ -247,8 +238,8 @@ class Property(NamedTuple):
     """A universal sweep: check(item) yields one failure reason, or None,
     per case of each item of kind (a structure kind, or "poset") over
     sizes.  A structure check may carry a decided(base) attribute: the
-    number of passing cases each structure of base's block counts without
-    being built, or 0 when they must be checked.  A block is decided where
+    number of passing cases each structure of base's block counts
+    unchecked, or 0 when they must be checked.  A block is decided where
     a premise reading only the poset and the unit fails, or, for a check
     that reads no unit, where it is a later unit of a residuated pair's
     poset: the tables are unit 0's, and the sweep stops at a failure."""
@@ -354,15 +345,18 @@ def _sweep(prop, sizes, share=0, shares=1):
 def _blocks(prop, posets):
     """The (poset, unit) blocks of prop's kind over posets, each as
     (decided cases, structures): a block the check's decided hook
-    settles (see Property) counts its cases as passes and builds none of
-    its structures."""
+    settles (see Property) counts its cases as passes, building its
+    structures only where the kind's rows decide which it keeps."""
+    generator, rows = _KINDS[prop.kind]
     decided = getattr(prop.check, "decided", None)
-    for base, tables in _KINDS[prop.kind](posets):
+    for base, tables in generator(posets):
         each = decided(base) if decided else 0
         if each:
-            yield each * sum(1 for _ in tables), ()
+            # a kind with rows counts only the structures it keeps
+            kept = _structures(base, tables, rows) if rows else tables
+            yield each * sum(1 for _ in kept), ()
         else:
-            yield 0, _structures(base, tables)
+            yield 0, _structures(base, tables, rows)
 
 
 def _split(prop, sizes, shares):

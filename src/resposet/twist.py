@@ -298,12 +298,9 @@ def check_operator_residuated(os):
     if os.zero is None or os.one is None:
         items.append(CheckItem("op-bounded", n == 0))
     else:
-        bot, top = bounds(p)
-        ok = bot == os.zero and top == os.one
-        witness = ()
-        if not ok:
-            witness = (("zero", p.names[os.zero]), ("one", p.names[os.one]))
-        items.append(CheckItem("op-bounded", ok, witness))
+        ok = bounds(p) == (os.zero, os.one)
+        items.append(CheckItem("op-bounded", ok, named_witness(
+            p.names, ("zero", "one"), None if ok else (os.zero, os.one))))
 
     full = p.full
     wf = next(((op_name, x, y)
@@ -314,7 +311,7 @@ def check_operator_residuated(os):
     items.append(CheckItem(
         "op-wellformed", wf is None,
         () if wf is None else
-        (("op", wf[0]), ("x", p.names[wf[1]]), ("y", p.names[wf[2]]))))
+        (("op", wf[0]),) + named_witness(p.names, ("x", "y"), wf[1:])))
 
     comm = commutativity_failure(os.odot)
     items.append(CheckItem("op-commutative", comm is None,
@@ -325,10 +322,8 @@ def check_operator_residuated(os):
     items.append(CheckItem(
         "op-associative", assoc is None,
         () if assoc is None else
-        (("x", p.names[assoc[0]]), ("y", p.names[assoc[1]]),
-         ("z", p.names[assoc[2]]),
-         ("lhs", p.render_set(assoc[3])),
-         ("rhs", p.render_set(assoc[4])))))
+        named_witness(p.names, ("x", "y", "z"), assoc)
+        + (("lhs", p.render_set(assoc[3])), ("rhs", p.render_set(assoc[4])))))
 
     adj = _adjunction_failure(p, os.odot, os.oimp)
     items.append(CheckItem("op-adjunction", adj is None,

@@ -9,7 +9,7 @@ from resposet.kleene_twist import (build_restricted_operators,
                                    check_restricted_closure,
                                    check_restriction_assumptions,
                                    pair_in_carrier)
-from resposet.order import chain
+from resposet.order import InvolutionVerdict, chain
 from resposet.report import CheckItem, all_pass
 from resposet.residuation import StructureError, check_condition, \
     condition_holds, structure
@@ -181,6 +181,25 @@ def test_assumption_failure_on_diamond(diamond):
     assert report.items == []
     assert report.audit == []
     assert report.operators is None
+
+
+@pytest.mark.parametrize("verdict, line", [
+    (InvolutionVerdict(False, "not an involution", (2,)),
+     "CHECK (pseudo-kleene) FAIL witness reason=not an involution w0=a0"),
+    (InvolutionVerdict(False, "normality fails", (3, 6)),
+     "CHECK (pseudo-kleene) FAIL witness reason=normality fails w0=aa w1=1a"),
+])
+def test_a_failing_pseudo_kleene_verdict_names_its_witness(
+        monkeypatch, chain3, verdict, line):
+    # swap is pseudo-Kleene on every restricted twist, so only a forced
+    # verdict reaches this line: its reason, then each witness element
+    # named in the restricted carrier
+    monkeypatch.setattr(kleene_twist, "is_pseudo_kleene",
+                        lambda p, mapping: verdict)
+    report = check_kleene_twist(chain3, 1)
+    assert report.rt.poset.names == CHAIN3_CARRIER
+    by_id = {it.check_id: it for it in report.items}
+    assert by_id["pseudo-kleene"].line() == line
 
 
 def test_idempotence_assumption(example1):

@@ -5,7 +5,7 @@ import pytest
 
 from resposet import residuation, search
 from resposet.kleene_twist import build_restricted_twist
-from resposet.order import (InvolutionVerdict, lowest, mask_of,
+from resposet.order import (InvolutionVerdict, bounds, lowest, mask_of,
                             maximal_elements)
 from resposet.residuation import (LAWS, classify, condition_applicable,
                                   condition_holds, condition_needs,
@@ -67,7 +67,7 @@ def test_check_universal_streams_its_structures(monkeypatch):
     # lists see every case.  The check carries no decided hook, so no
     # block is skipped.
     name, kind = "law-7-from-comm-1-6-top", "unital-groupoid"
-    prop, real = PROPERTIES[name], search._KINDS[kind]
+    prop, (real, rows) = PROPERTIES[name], search._KINDS[kind]
     drawn, checked = [], []
 
     def drawing(tables):
@@ -85,7 +85,7 @@ def test_check_universal_streams_its_structures(monkeypatch):
         checked.append(s)
         yield from prop.check(s)
 
-    monkeypatch.setitem(search._KINDS, kind, generator)
+    monkeypatch.setitem(search._KINDS, kind, (generator, rows))
     result = search._sweep(prop._replace(check=check), (1, 2))
     assert result.ok
     # one table at n = 1; 3 posets x 2 units x 2 ** 2 tables at n = 2
@@ -490,9 +490,10 @@ def test_rows_without_the_unit_give_one_verdict_for_every_unit(kind):
 @pytest.mark.parametrize("kind", STRUCTURE_KINDS)
 def test_rows_of_the_unit_alone_give_one_verdict_per_block(kind):
     for n in range(1, STRUCTURE_CAP + 1):
-        for base, tables in search._KINDS[kind](enumerate_posets(n)):
+        generator, rows = search._KINDS[kind]
+        for base, tables in generator(enumerate_posets(n)):
             want = {k: condition_holds(base, k) for k in UNIT_ONLY_ROWS}
-            for s in search._structures(base, tables):
+            for s in search._structures(base, tables, rows):
                 for k in UNIT_ONLY_ROWS:
                     assert condition_holds(s, k) == want[k], (
                         k, describe_structure(s))
@@ -582,6 +583,41 @@ def test_a_repeated_block_builds_no_structures(monkeypatch, name):
     assert _built_by_passing_sweep(monkeypatch, prop) == unit_0
 
 
+@pytest.mark.parametrize("name, built", [
+    ("law-13-from-idempotent", 5191), ("law-2-from-3-6", 5191),
+    ("operator-twist-audit", 1305)])
+def test_a_filtered_kind_builds_each_candidate_once(monkeypatch, name,
+                                                    built):
+    # a kind with rows builds each residuated pair it reads once, tests
+    # its rows on that structure and checks the same structure: the 5,191
+    # residuated pairs at n <= 3, or the 1,305 of the posets with both
+    # bounds at the top unit
+    prop = PROPERTIES[name]
+    pairs = [s for n in prop.sizes
+             for s in enumerate_structures(n, "residuated-pair")]
+    assert len(pairs) == 5191
+    assert 1305 == sum(1 for s in pairs
+                       if bounds(s.poset)[1] == s.one
+                       and bounds(s.poset)[0] is not None)
+    assert len(_built_by_passing_sweep(monkeypatch, prop)) == built
+
+
+def test_a_decided_block_counts_only_the_structures_its_kind_keeps():
+    # no hook settles a block of a kind with rows in the registered
+    # sweeps; one that settles every block of law 13's commutative
+    # monoids, each case at every designated element, must count the
+    # sweep's cases, not the residuated pairs its blocks hold
+    prop = PROPERTIES["law-13-from-idempotent"]
+
+    def check(s):
+        raise AssertionError("a decided block checks no structure")
+        yield
+
+    check.decided = lambda base: base.poset.n
+    assert search._sweep(prop._replace(check=check), prop.sizes) == (
+        prop.name, EXPECTED_CASES[prop.name], None)
+
+
 def test_no_commutative_monoid_table_recurs_across_units():
     # commutativity makes the unit unique, so law 13's sweep meets each
     # (poset, mul, imp) at one unit only, and its hook settles no block
@@ -590,7 +626,7 @@ def test_no_commutative_monoid_table_recurs_across_units():
         monoids = enumerate_structures(n, prop.kind)
         assert len({s[:3] for s in monoids}) == len(monoids)
         assert not any(prop.check.decided(base) for base, _ in
-                       search._KINDS[prop.kind](enumerate_posets(n)))
+                       search._KINDS[prop.kind][0](enumerate_posets(n)))
 
 
 @pytest.mark.parametrize("name", ["law-5-from-1-3",
