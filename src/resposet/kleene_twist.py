@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 from .order import Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of
 from .report import CheckItem, agreement, all_pass
-from .residuation import check_condition, named_witness, require_bcrm
+from .residuation import StructureError, check_condition, named_witness, \
+    require_bcrm
 from .twist import OperatorStructure, check_embedding, \
     check_operator_residuated, operator_rows, pair_names
 
@@ -56,8 +57,11 @@ def build_restricted_twist(base, a):
     the carrier indices whose pair has first (second) coordinate u, the
     restricted up-cone of (x, y) is the OR of F over up[x] ANDed with the
     OR of S over down[y], and the down-cone is dual.  The names are the
-    full twist's (twist.pair_names), read without building its order."""
+    full twist's (twist.pair_names), read without building its order.
+    StructureError unless a is an element of base."""
     n = base.n
+    if not 0 <= a < n:
+        raise StructureError("designated element out of range")
     members = tuple((x, y) for x in range(n) for y in range(n)
                     if pair_in_carrier(base, a, x, y))
     index = {x * n + y: i for i, (x, y) in enumerate(members)}
@@ -165,11 +169,11 @@ def classify_escape(s, a, op, ppair, qpair, member):
 
 
 def build_restricted_operators(s, rt):
-    """The operator tables (operator_rows) over the carrier, each image the
-    mask of its members' carrier indices.  The rows come one carrier pair
-    at a time, row-major, and each is scanned odot before oimp, image
-    members ascending: at the first member outside the carrier the scan
-    stops and returns that escape's failing closure item instead."""
+    """The closure item and the operator tables (operator_rows) over the
+    carrier, each image the mask of its members' carrier indices.  The rows
+    come one carrier pair at a time, row-major, scanned odot before oimp,
+    image members ascending: the first member outside the carrier stops
+    the scan, which returns that escape's failing closure item and None."""
     n = rt.base.n
     index = rt.index
     outside = ~mask_of(index)
@@ -179,30 +183,26 @@ def build_restricted_operators(s, rt):
         for (z, v), *images in zip(rt.members, *rows):
             for op, image in zip(("odot", "oimp"), images):
                 if image & outside:
-                    return classify_escape(s, rt.a, op, (x, y), (z, v),
-                                           divmod(lowest(image & outside), n))
+                    return classify_escape(s, rt.a, op, (x, y), (z, v), divmod(
+                        lowest(image & outside), n)), None
                 if image not in carrier_mask:
                     carrier_mask[image] = mask_of(map(index.__getitem__,
                                                       bits(image)))
         for row, table in zip(rows, (odot, oimp)):
             table.append(tuple(map(carrier_mask.__getitem__, row)))
-    return OperatorStructure(rt.poset, tuple(odot), tuple(oimp),
-                             index[s.zero * n + s.one],
-                             index[s.one * n + s.zero])
+    return CheckItem("closure", True), OperatorStructure(
+        rt.poset, tuple(odot), tuple(oimp), index[s.zero * n + s.one],
+        index[s.one * n + s.zero])
 
 
 def check_restricted_closure(s, rt):
-    """Check the standing assumptions, then build the restricted operators.
-    Returns the assumption items, the closure item and the restricted
-    OperatorStructure; the operators are None when an image member leaves
-    the carrier, and both are None when an assumption fails."""
+    """Check the standing assumptions, then build the restricted operators:
+    the assumption items, then build_restricted_operators' pair (closure
+    item, operators), or (None, None) when an assumption fails."""
     assumptions = check_restriction_assumptions(s, rt)
     if not all_pass(assumptions):
         return assumptions, None, None
-    found = build_restricted_operators(s, rt)
-    if isinstance(found, CheckItem):
-        return assumptions, found, None
-    return assumptions, CheckItem("closure", True), found
+    return (assumptions, *build_restricted_operators(s, rt))
 
 
 def check_involution_membership(s, rt):

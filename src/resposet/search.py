@@ -279,11 +279,11 @@ def check_universal(name, sizes=None):
     structure kind: a size error raises here, and the workers inherit
     the posets and columns.  This process runs share 0 and a forked
     worker runs each other share (_split).  A worker only computes,
-    writes its report to a pipe and leaves by os._exit, which flushes
-    none of the stdio buffers it inherited.
+    writes its case count to a pipe if its share passes, and leaves by
+    os._exit, which flushes none of the stdio buffers it inherited.
 
     When every share passes, the result is PASS with the shares' case
-    counts summed.  On any failure, exception or missing report, the
+    counts summed.  On any failure, exception or empty report, the
     workers are stopped and the property runs again in this process over
     the whole range in enumeration order (_sweep).  That gives the exact
     first witness and case count, or raises the exception a one-process
@@ -361,22 +361,37 @@ def _blocks(prop, posets):
 
 def _split(prop, sizes, shares):
     """Run share 0 of prop here and shares 1.. in forked workers; return
-    the summed case count when every share passes, else None."""
+    the summed case count when every share passes, else None.  A worker's
+    report is its share's case count when the share passes, else empty."""
     import signal       # here, as every command imports this module
     workers = []                        # (pid, read end of its pipe)
     try:
         for k in range(1, shares):
-            workers.append(_fork_share(prop, sizes, k, shares))
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:                # the worker
+                try:
+                    result = _sweep(prop, sizes, k, shares)
+                    if result.ok:
+                        os.write(write, b"%d" % result.cases)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            workers.append((pid, read))
         result = _sweep(prop, sizes, 0, shares)
         if not result.ok:
             return None
         cases = result.cases
         for _, fd in workers:
-            with open(fd, "rb", closefd=False) as pipe:
-                report = pipe.read().split()
-            if report[1:] != [b"1"]:    # a failure, or no report
+            report = os.read(fd, 64)
+            if not report:              # the share failed or raised
                 return None
-            cases += int(report[0])
+            cases += int(report)
         return cases
     except Exception:
         # the one-process sweep raises the first exception in enumeration
@@ -387,26 +402,6 @@ def _split(prop, sizes, shares):
             os.close(fd)
             os.kill(pid, signal.SIGKILL)    # one that reported is exiting
             os.waitpid(pid, 0)
-
-
-def _fork_share(prop, sizes, share, shares):
-    """Fork a worker that runs one share and writes "cases ok" to a pipe;
-    return its pid and the pipe's read end."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:                        # the worker
-        try:
-            result = _sweep(prop, sizes, share, shares)
-            os.write(write, b"%d %d" % (result.cases, result.ok))
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, read
 
 
 def _at(p, a, reason):

@@ -111,10 +111,12 @@ def projection(n, kind):
 
 @functools.lru_cache(maxsize=256)
 def _validate_pairmap(table, label, n):
-    """StructureError unless the pair map table (a tuple of rows) sends
-    the n x n pairs into the carrier and onto it.  Memoized per distinct
-    map, as a sweep brings the same maps to every case; the unit pair is
-    the caller's check, since it depends on the case."""
+    """StructureError unless the pair map table (a tuple of rows) is
+    n x n and sends the pairs into the carrier and onto it.  Memoized per
+    distinct map, as a sweep brings the same maps to every case; the unit
+    pair is the caller's check, since it depends on the case."""
+    if len(table) != n or any(len(row) != n for row in table):
+        raise StructureError("%s is not %d x %d" % (label, n, n))
     seen = {table[x][y] for x in range(n) for y in range(n)}
     if any(not 0 <= v < n for v in seen):
         raise StructureError("%s maps outside the carrier" % label)
@@ -193,7 +195,7 @@ def check_twist_lifting(s, f, g, const):
     if s.mul is None or s.imp is None:
         raise StructureError("twist lifting needs both operation tables")
     base, n = s.poset, s.poset.n
-    if not all(0 <= c < n for c in const):
+    if len(const) != 2 or not all(0 <= c < n for c in const):
         raise StructureError("unit element required")
     f, g = (tuple(map(tuple, t)) for t in (f, g))
     a, b = const

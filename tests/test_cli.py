@@ -36,6 +36,18 @@ def test_check_evaluates_each_condition_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_check_names_a_refuted_derived_law(monkeypatch, capsys):
+    # (3) and (6) hold on example1, so a failing (9) refutes 9-from-3-6
+    real = residuation.condition_holds
+    monkeypatch.setattr(residuation, "condition_holds", lambda s, k: (
+        (False, (0,)) if k == 9 else real(s, k)))
+    assert run(["check", "example1"]) == 1
+    out = capsys.readouterr().out
+    assert "CHECK (law-9-from-3-6) FAIL witness x=0\n" in out
+    assert out.endswith("laws: 5 confirmed, 1 vacuous, 1 refuted\n"
+                        "DERIVED LAW REFUTED: 9-from-3-6\n")
+
+
 def test_check_gates_on_groupoid_failure(tmp_path, capsys):
     # break the unit law: classification drops, exit goes nonzero
     bad = tmp_path / "bad.struct"

@@ -101,7 +101,8 @@ def test_a_failing_audit_item_fails_the_biconditional(monkeypatch, chain3):
 
 def test_chain3_golden_tables(chain3):
     rt = build_restricted_twist(chain3.poset, 1)
-    ops = build_restricted_operators(chain3, rt)
+    closure, ops = build_restricted_operators(chain3, rt)
+    assert closure == CheckItem("closure", True)
     assert emit_tables(ops) == CHAIN3_TABLES
 
 
@@ -219,6 +220,17 @@ def test_kleene_twist_requires_bcrm(diamond):
         check_kleene_twist(s, 1)
 
 
+@pytest.mark.parametrize("a", [3, -1])
+def test_designated_element_must_be_an_element(chain3, a):
+    # 3 lies past the carrier, and -1 would build the carrier around
+    # element 2 while recording a = -1
+    message = "^designated element out of range$"
+    with pytest.raises(StructureError, match=message):
+        check_kleene_twist(chain3, a)
+    with pytest.raises(StructureError, match=message):
+        build_restricted_twist(chain3.poset, a)
+
+
 def test_involution_membership_fails_without_unit_law(chain3):
     # 1->a = 1 breaks (9), and (y,x) leaves the image of
     # (x,y) => (0,1) = {(x->0, x), (1->y, x)} at every carrier pair (x,a)
@@ -253,7 +265,7 @@ def test_escape_scan_order(monkeypatch, mul, imp, escape):
     s = structure(chain(3), mul, imp, one=2, zero=0)
     rt = build_restricted_twist(s.poset, 2)
     assert rt.members == ((0, 2), (1, 2), (2, 0), (2, 1), (2, 2))
-    assert build_restricted_operators(s, rt) == (2, *escape)
+    assert build_restricted_operators(s, rt) == ((2, *escape), None)
 
 
 def _restricted_reference(p, a):

@@ -313,6 +313,38 @@ def test_no_fork_means_one_share(monkeypatch):
     assert search._cpus() == 1
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to list open descriptors")
+def test_a_failed_fork_closes_its_pipe_and_sweeps_here(monkeypatch,
+                                                       three_shares):
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("fork failed")
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert check_universal("cone-product-law") == (
+        "cone-product-law", 242, None)
+    assert forks == [1]
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_posets(0), "poset size must be positive"),
+    (lambda: enumerate_structures(2, "lattice"),
+     "unknown structure kind 'lattice'"),
+    (lambda: enumerate_structures(0), "structure size must be positive"),
+    (lambda: check_universal("law-0"), "unknown property 'law-0'"),
+], ids=["poset-size", "structure-kind", "structure-size", "property"])
+def test_enumeration_errors_name_the_bad_input(call, message):
+    with pytest.raises(EnumerationError, match="^%s$" % re.escape(message)):
+        call()
+
+
 def test_size_errors_raise_before_any_sweep(monkeypatch):
     # a bad size late in the range raises before the first case runs
     def check(s):
@@ -404,6 +436,44 @@ def test_operator_audit_reports_first_cardinality_failure(monkeypatch):
     assert not result.ok
     assert result.witness == describe_structure(target) + (
         " :: implication image cardinality law fails at 00, 00")
+
+
+def _audit_first_failure(real):
+    # an empty product image at (00, 01) of the first two-element monoid
+    target = enumerate_structures(
+        2, "bounded-commutative-residuated-monoid")[0]
+
+    def fake(s):
+        ops = real(s)
+        return ops if s != target else ops._replace(
+            odot=_tamper(ops.odot, {(0, 1): 0}))
+    return fake
+
+
+_ONE_POINT = "elements=0;covers=none"
+_BCRM_2 = "elements=01;covers=1<0;one=0;zero=1;mul=01.11;imp=01.00"
+
+
+@pytest.mark.parametrize("name, predicate, fake, cases, witness", [
+    ("synthesis-adjunction", "synthesize_residuum",
+     lambda real: lambda p, mul: real(p, mul)._replace(ok=False), 1,
+     _ONE_POINT + ";one=0;mul=0;imp=0 :: synthesized residuum mismatch"),
+    ("operator-twist-audit", "build_operator_twist", _audit_first_failure, 2,
+     _BCRM_2 + " :: CHECK (op-wellformed) FAIL witness op=odot x=00 y=01"),
+    ("restricted-pseudo-kleene", "is_distributive",
+     lambda real: lambda p: real(p)._replace(is_distributive=False), 1,
+     _ONE_POINT + " :: a=0 :: restricted twist kleene but base not"
+     " distributive"),
+    ("restricted-pseudo-kleene", "is_kleene",
+     lambda real: lambda q, m, pk: InvolutionVerdict(False, "forced"), 1,
+     _ONE_POINT + " :: a=0 :: bounded distributive base but restricted"
+     " twist not kleene"),
+], ids=["synthesis-mismatch", "audit-item", "kleene-not-distributive",
+        "distributive-not-kleene"])
+def test_forced_failures_give_their_reasons(monkeypatch, name, predicate,
+                                            fake, cases, witness):
+    monkeypatch.setattr(search, predicate, fake(getattr(search, predicate)))
+    assert check_universal(name) == (name, cases, witness)
 
 
 def _residuum_row_without_principal_test(p, col):

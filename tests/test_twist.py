@@ -268,6 +268,22 @@ def test_embedding_witness_names_the_pair_then_each_side(chain3):
         "CHECK (embedding) FAIL witness x=0 y=a a0=a base=PASS twist=FAIL"
 
 
+def test_check_embeddings_returns_the_first_failure(monkeypatch, chain3):
+    # at a0 = a (index 1) the image is reversed, as in the test above,
+    # and the scan stops there: a0 = 1 (index 2) is never tried
+    tried = []
+    real = twist.check_embedding
+
+    def fake(base, poset, a0, image):
+        tried.append(a0)
+        return real(base, poset, a0, image[::-1] if a0 == 1 else image)
+
+    monkeypatch.setattr(twist, "check_embedding", fake)
+    assert twist.check_embeddings(chain3.poset).line() == \
+        "CHECK (embedding) FAIL witness x=0 y=a a0=a base=PASS twist=FAIL"
+    assert tried == [0, 1]
+
+
 @pytest.mark.parametrize("missing", ["mul", "imp"])
 def test_lift_needs_both_tables(chain3, missing):
     f, g = projection(3, "proj1"), projection(3, "proj2")
@@ -526,4 +542,25 @@ def test_unit_pair_must_be_two_elements(chain3, const):
     f, g = projection(3, "proj1"), projection(3, "proj2")
     for check in (twist_operations, check_twist_lifting):
         with pytest.raises(StructureError, match="^unit element required$"):
+            check(chain3, f, g, const)
+
+
+PROJ1 = projection(3, "proj1")
+
+
+@pytest.mark.parametrize("f, const, message", [
+    # too few rows, too few columns and too many rows: each is read by
+    # index, and an extra row would be ignored, so the shape is checked
+    # before the range
+    (PROJ1[:1], (2, 2), "f is not 3 x 3"),
+    (tuple(row[:2] for row in PROJ1), (2, 2), "f is not 3 x 3"),
+    (PROJ1 + ((0, 1, 2),), (2, 2), "f is not 3 x 3"),
+    # a unit pair with one component
+    (PROJ1, (2,), "unit element required"),
+], ids=["one-row", "three-by-two", "four-rows", "one-component-unit"])
+def test_pair_maps_and_unit_pair_must_have_their_shape(chain3, f, const,
+                                                       message):
+    g = projection(3, "proj2")
+    for check in (twist_operations, check_twist_lifting):
+        with pytest.raises(StructureError, match="^%s$" % message):
             check(chain3, f, g, const)
