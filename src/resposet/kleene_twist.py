@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from .order import Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of
 from .report import CheckItem, agreement, all_pass
-from .residuation import StructureError, check_condition, named_witness, \
-    require_bcrm
+from .residuation import StructureError, check_condition, is_index, \
+    named_witness, require_bcrm
 from .twist import OperatorStructure, check_embedding, \
     check_operator_residuated, operator_rows, pair_names
 
@@ -60,7 +60,7 @@ def build_restricted_twist(base, a):
     full twist's (twist.pair_names), read without building its order.
     StructureError unless a is an element of base."""
     n = base.n
-    if not 0 <= a < n:
+    if not is_index(a, n):
         raise StructureError("designated element out of range")
     members = tuple((x, y) for x in range(n) for y in range(n)
                     if pair_in_carrier(base, a, x, y))

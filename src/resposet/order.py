@@ -234,36 +234,23 @@ def _cone(cone, table, mask):
     return cone
 
 
-class ConeMemo(dict):
-    """cone(p, mask) for each mask looked up (cone is lower_cone or
-    upper_cone), computed once per distinct mask.  A mask with a member
-    past the carrier has the empty cone: that member is comparable to
-    nothing."""
-
-    def __init__(self, cone, p):
-        super().__init__()
-        self.cone = cone
-        self.p = p
-        self.full = p.full
-
-    def __missing__(self, mask):
-        value = self[mask] = \
-            self.cone(self.p, mask) if mask <= self.full else 0
-        return value
-
-
-def principal_cone_memos(p):
-    """ConeMemos of lower_cone and upper_cone over p that hold the cones
+def principal_cones(up, down):
+    """Two dicts, of lower and of upper cones by mask, that hold the cones
     of the principal sets from the start: L(up[m]) = down[m], as every
     element below all of up[m] is below m, which is in up[m], and every
     element below m is below all of up[m]; dually U(down[m]) = up[m].  So
     the members of a principal set are never scanned.  In a lattice every
     common up-set up[x] & up[y] is principal (the up-set of the join), and
     dually every common down-set."""
-    lower, upper = ConeMemo(lower_cone, p), ConeMemo(upper_cone, p)
-    lower.update(zip(p.up, p.down))
-    upper.update(zip(p.down, p.up))
-    return lower, upper
+    return dict(zip(up, down)), dict(zip(down, up))
+
+
+def cached_cone(memo, full, table, mask):
+    """memo[mask], the AND of table over mask, computed on first use."""
+    cone = memo.get(mask)
+    if cone is None:
+        cone = memo[mask] = _cone(full, table, mask)
+    return cone
 
 
 def _monotone_failure(p, t, antitone=False):
@@ -369,24 +356,27 @@ def _lu_identity_failure(p, dual):
     then in the right side at w, inside the one at z): U(L(x,w)) &
     U(L(y,w)) inside up[w], two up-cone lookups.  That holds outright when
     w <= x (L(x,w) = down[w]) or w <= y, so only the other w are tested.
-    Both sides are built, for all z at once, only for the first failing
-    pair, to name its first z.  The cones come from principal_cone_memos.
+    At the first failing pair only, the two sides are compared z by z,
+    ascending, to name its first z.  The dual swaps the cone tables; the
+    cones come from principal_cones, and the scan and the witness compute
+    each other cone once, on first use (cached_cone).
     """
-    if dual:
-        p = Poset(p.names, p.down, p.up)
-    n, full = p.n, p.full
-    up, down = p.up, p.down
-    lower, upper = principal_cone_memos(p)
-    for x in range(n):
-        dx = down[x]
-        for y in bits((full ^ (up[x] | dx)) >> x << x):
+    up, down = (p.down, p.up) if dual else (p.up, p.down)
+    full = p.full
+    lower, upper = principal_cones(up, down)
+    for x, (ux, dx) in enumerate(zip(up, down)):
+        for y in bits((full ^ (ux | dx)) >> x << x):
             dy = down[y]
-            outer = lower[up[x] & up[y]]
-            if any(upper[dx & down[w]] & upper[dy & down[w]] & ~up[w]
-                   for w in bits(outer & ~(dx | dy))):
-                lhs = list(map(outer.__and__, down))
-                rhs = [lower[upper[dx & dz] & upper[dy & dz]] for dz in down]
-                return x, y, next(z for z in range(n) if lhs[z] != rhs[z])
+            outer = cached_cone(lower, full, down, ux & up[y])
+            for w in bits(outer & ~(dx | dy)):
+                dw = down[w]
+                if (cached_cone(upper, full, up, dx & dw)
+                        & cached_cone(upper, full, up, dy & dw) & ~up[w]):
+                    for z, dz in enumerate(down):
+                        rhs = cached_cone(upper, full, up, dx & dz) \
+                            & cached_cone(upper, full, up, dy & dz)
+                        if cached_cone(lower, full, down, rhs) != outer & dz:
+                            return x, y, z
     return None
 
 

@@ -27,13 +27,19 @@ class StructureError(ValueError):
     """The structure's ingredients are missing or inconsistent."""
 
 
+def is_index(v, n):
+    """v is an element index, an int in range(n): a library caller's float
+    or string would otherwise fail far from where it entered, if at all."""
+    return isinstance(v, int) and 0 <= v < n
+
+
 def _as_table(rows, n):
     table = tuple(tuple(r) for r in rows)
     if len(table) != n or any(len(r) != n for r in table):
         raise StructureError("table is not %d x %d" % (n, n))
     for r in table:
         for v in r:
-            if not 0 <= v < n:
+            if not is_index(v, n):
                 raise StructureError("table entry %r out of range" % (v,))
     return table
 
@@ -59,10 +65,10 @@ def structure(poset, mul=None, imp=None, one=None, zero=None, designated=None):
     bounded by the two constants, not merely that bounds happen to exist)."""
     n = poset.n
     check_names(poset.names)
-    if one is None or not 0 <= one < n:
+    if not is_index(one, n):
         raise StructureError("unit element required")
     for label, v in (("zero", zero), ("designated", designated)):
-        if v is not None and not 0 <= v < n:
+        if v is not None and not is_index(v, n):
             raise StructureError("%s element out of range" % label)
     mul = None if mul is None else _as_table(mul, n)
     imp = None if imp is None else _as_table(imp, n)
@@ -99,14 +105,24 @@ def _transpose(t):
     return tuple(zip(*t))
 
 
+def adjunction_args(p, cols, rows):
+    """The arguments with which order.adjunction_failure decides (3) on
+    the columns y of mul in cols and the rows y of imp in rows: each z
+    seeded at its one element y->z, and above is up, since x*y <= z says
+    z is in up[x*y].  The lift (twist._lift) decides its columns so too."""
+    zbits = _zbits(p.n)
+    return p, cols, (zip(row, zbits) for row in rows), p.up
+
+
+@functools.lru_cache(maxsize=None)
+def _zbits(n):
+    """1 << z for each z < n, built once per size."""
+    return tuple(1 << z for z in range(n))
+
+
 def _cond3(s):
-    """x*y <= z iff x <= y->z, decided by order.adjunction_failure: column
-    y seeds each z at its one element y->z, and above is up, since
-    x*y <= z says z is in up[x*y]."""
-    p = s.poset
-    zbits = [1 << z for z in range(p.n)]
-    return adjunction_failure(p, zip(*s.mul),
-                              (zip(row, zbits) for row in s.imp), p.up)
+    """x*y <= z iff x <= y->z (adjunction_args)."""
+    return adjunction_failure(*adjunction_args(s.poset, zip(*s.mul), s.imp))
 
 
 def _cond6(s):

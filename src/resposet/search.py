@@ -2,9 +2,10 @@
 universal property sweeps built on top of them.
 
 Everything here is deterministic: posets come out of a fixed extension
-recursion that grows their cone masks, operation tables are assembled
-from columns, or from free cells, in lexicographic order, so re-running
-any sweep reproduces the identical sequence.
+recursion that grows their cone masks (_extensions, one pass over the
+masks of the old elements), operation tables are assembled from
+columns, or from free cells, in lexicographic order, so re-running any
+sweep reproduces the identical sequence.
 
 A structure kind is a block generator and the condition-table rows its
 structures satisfy (_KINDS).  A generator takes the posets to enumerate
@@ -29,8 +30,9 @@ kind with rows keeps (Property): where a law premise that reads only the
 poset and the unit ("unit-top") fails, and, for a check that reads no
 unit, at each later unit of a residuated pair's poset, whose tables
 passed at unit 0.  The twist lift memo (twist._lift) holds the unit-free
-parts of the current poset's lifts, and builds and decides each distinct
-lifted column of the poset once.
+parts of the current poset's lifts, and decides (3) on each distinct
+base column and lifted column of the poset once.  A distributivity scan
+computes each cone once per call (order._lu_identity_failure).
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import itertools
 import os
 from typing import NamedTuple
 
-from .order import (Poset, _lu_identity_failure, bits, bounds,
-                    is_distributive, is_kleene, is_pseudo_kleene)
+from .order import (Poset, _lu_identity_failure, bounds, is_distributive,
+                    is_kleene, is_pseudo_kleene)
 from .residuation import (LAWS, ResStructure, condition_holds,
                           condition_needs, evaluate_law, residuum_row,
                           synthesize_residuum)
@@ -80,22 +82,32 @@ def enumerate_posets(n):
 def _extensions(up, down, k):
     """Extend the cones over {0..k-1} by element k: choose the down-set A
     of elements below k and the up-set B above it, with every member of A
-    below every member of B."""
-    downsets = [m for m in range(1 << k)
-                if all(down[a] & ~m == 0 for a in bits(m))]
-    upsets = [m for m in range(1 << k)
-              if all(up[a] & ~m == 0 for a in bits(m))]
-    new = 1 << k
-    for amask in downsets:
-        for bmask in upsets:
-            if amask & bmask:
-                continue
-            if any(bmask & ~up[a] for a in bits(amask)):
-                continue
-            yield (tuple(u | new if amask >> x & 1 else u
-                         for x, u in enumerate(up)) + (bmask | new,),
-                   tuple(d | new if bmask >> x & 1 else d
-                         for x, d in enumerate(down)) + (amask | new,))
+    below every member of B; A ascending, then B.
+
+    One pass over the 2^k masks derives each mask's down-closure,
+    up-closure and common up-cone from those of the mask less its lowest
+    bit: the down-sets and up-sets are the masks equal to their closures,
+    and (A, B) is kept when disjoint, with B inside A's common up-cone.
+    The old up-cones grow by A only and the down-cones by B only."""
+    size = new = 1 << k
+    below, above, common = [0] * size, [0] * size, [size - 1] * size
+    for m in range(1, size):
+        low = m & -m
+        rest, a = m ^ low, low.bit_length() - 1
+        below[m] = below[rest] | down[a]
+        above[m] = above[rest] | up[a]
+        common[m] = common[rest] & up[a]
+    upsets = [(b, tuple(d | new if b >> x & 1 else d
+                        for x, d in enumerate(down)))
+              for b in range(size) if above[b] == b]
+    for amask in range(size):
+        if below[amask] != amask:
+            continue
+        ups, cone = tuple(u | new if amask >> x & 1 else u
+                          for x, u in enumerate(up)), common[amask]
+        for bmask, downs in upsets:
+            if not amask & bmask and not bmask & ~cone:
+                yield ups + (bmask | new,), downs + (amask | new,)
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,11 +22,11 @@ from array import array
 from itertools import count, repeat
 from typing import NamedTuple
 
-from .order import (ConeMemo, Poset, adjunction_failure, bits, bounds,
-                    lower_cone, maximal_elements, upper_cone)
+from .order import (Poset, adjunction_failure, bits, bounds, lower_cone,
+                    maximal_elements, upper_cone)
 from .report import CheckItem, agreement
-from .residuation import (ResStructure, StructureError,
-                          commutativity_failure, condition_holds,
+from .residuation import (ResStructure, StructureError, adjunction_args,
+                          commutativity_failure, condition_holds, is_index,
                           named_witness, require_bcrm)
 
 
@@ -111,47 +111,50 @@ def projection(n, kind):
 
 @functools.lru_cache(maxsize=256)
 def _validate_pairmap(table, label, n):
-    """StructureError unless the pair map table (a tuple of rows) is
-    n x n and sends the pairs into the carrier and onto it.  Memoized per
-    distinct map, as a sweep brings the same maps to every case; the unit
-    pair is the caller's check, since it depends on the case."""
+    """The pair map table (a tuple of rows), once it is checked n x n, into
+    the carrier as element indices, and onto it.  Memoized per distinct
+    map, as a sweep brings the same maps to every case; maps are compared
+    by value, so a map equal to one validated (2.0 for 2) gets that one.
+    The unit pair is the caller's check, as it depends on the case."""
     if len(table) != n or any(len(row) != n for row in table):
         raise StructureError("%s is not %d x %d" % (label, n, n))
-    seen = {table[x][y] for x in range(n) for y in range(n)}
-    if any(not 0 <= v < n for v in seen):
+    if not all(is_index(v, n) for row in table for v in row):
         raise StructureError("%s maps outside the carrier" % label)
-    if len(seen) != n:
+    if len({v for row in table for v in row}) != n:
         raise StructureError("%s is not surjective" % label)
+    return table
 
 
 @functools.lru_cache(maxsize=1)
 def _lift_memo(base):
-    """Two dicts over the last base poset only, as the sweeps bring the
+    """Three dicts over the last base poset only, as the sweeps bring the
     blocks of a poset's units one after another: {(mul, imp, f, g):
-    lift}, and the lifted columns, {(column a of mul, row a of imp,
-    column b of mul, row b of imp): (product column, implication row,
-    adjunction verdict)}.  Lifted column q reads base columns a = f(q)
-    and b = g(q) only, since (x,y)*q = (x*a, b->y) and
-    q->(z,v) = (a->z, v*b); so that key fixes all three."""
-    return {}, {}
+    lift}; the base columns, {(column a of mul, row a of imp): verdict of
+    (3)}; and the lifted columns, {base column a + base column b:
+    (product column, implication row, verdict of (3))}.  Lifted column q
+    reads base columns a = f(q) and b = g(q) only, since (x,y)*q =
+    (x*a, b->y) and q->(z,v) = (a->z, v*b); so that key fixes all three."""
+    return {}, {}, {}
 
 
 def _lift(s, f, g):
-    """Every unit-free fact of the lift of s through f and g: the lifted
-    structure with unit 0, and condition (3) in the base and in the lift.
-    Memoized by (mul, imp, f, g), f and g as tuples of rows, in the base
-    poset's _lift_memo.  The lift is assembled from its memoized columns
-    (see _lift_memo), each decided once by order.adjunction_failure on
-    its own as _cond3 decides it; as that scan decides every column
-    alone, the lift satisfies (3) exactly when every column passes."""
+    """Every unit-free fact of the lift of s through f and g: the pair
+    poset, the lifted tables, and condition (3) in the base and in the
+    lift.  Memoized by (mul, imp, f, g), f and g as tuples of rows, in the
+    base poset's _lift_memo, where each base and lifted column is decided
+    once, on its own, as _cond3 decides it (residuation.adjunction_args);
+    so (3) holds exactly when every column passes."""
     base = s.poset
-    lifts, columns = _lift_memo(base)
+    lifts, bases, columns = _lift_memo(base)
     key = (s.mul, s.imp, f, g)
     lift = lifts.get(key)
     if lift is None:
         n, twist = base.n, full_twist(base)
         reads = list(zip(zip(*s.mul), s.imp))
-        zbits = [1 << q for q in range(n * n)]
+        for read in reads:
+            if read not in bases:
+                bases[read] = adjunction_failure(*adjunction_args(
+                    base, read[:1], read[1:])) is None
         lifted = []
         for a, b in zip(sum(f, ()), sum(g, ())):
             read = reads[a] + reads[b]
@@ -160,13 +163,12 @@ def _lift(s, f, g):
                 mul_a, imp_a, mul_b, imp_b = read
                 dot = tuple([u * n + w for u in mul_a for w in imp_b])
                 arrow = tuple([u * n + w for u in imp_a for w in mul_b])
-                column = columns[read] = (dot, arrow, (
-                    adjunction_failure(twist, (dot,), (zip(arrow, zbits),),
-                                       twist.up) is None))
+                column = columns[read] = (dot, arrow, adjunction_failure(
+                    *adjunction_args(twist, (dot,), (arrow,))) is None)
             lifted.append(column)
         dots, arrows, passed = zip(*lifted)
-        ts = ResStructure(twist, tuple(zip(*dots)), arrows, 0)
-        lift = lifts[key] = (ts, condition_holds(s, 3)[0], all(passed))
+        lift = lifts[key] = (twist, tuple(zip(*dots)), arrows,
+                             all(map(bases.__getitem__, reads)), all(passed))
     return lift
 
 
@@ -190,30 +192,41 @@ def check_twist_lifting(s, f, g, const):
     exactly when the lifted pair structure is.  Also checks the two exact
     transfers behind it: adjunction transfers on its own, and the lifted
     unit law holds exactly when the base satisfies both unit laws
-    (x*1 = x and 1->x = x).  The lifted tables come from the memo
-    (_lift) through the checked pair maps and are not validated again."""
+    (x*1 = x and 1->x = x).  A case decides only the unit laws: the pair
+    maps are validated once per distinct map, the lift's columns of (3)
+    once per poset (_lift), and the items built once per verdict tuple."""
     if s.mul is None or s.imp is None:
         raise StructureError("twist lifting needs both operation tables")
     base, n = s.poset, s.poset.n
-    if len(const) != 2 or not all(0 <= c < n for c in const):
+    if len(const) != 2 or not all(is_index(c, n) for c in const):
         raise StructureError("unit element required")
-    f, g = (tuple(map(tuple, t)) for t in (f, g))
     a, b = const
+    maps = []
     for table, label in ((f, "f"), (g, "g")):
-        _validate_pairmap(table, label, n)
+        try:
+            table = tuple(map(tuple, table))
+        except TypeError:       # rows that are not rows: not n x n
+            table = ()
+        table = _validate_pairmap(table, label, n)
         if table[a][b] != s.one:
             raise StructureError(
                 "%s does not send the unit pair (%s,%s) to %s"
                 % (label, base.names[a], base.names[b], base.names[s.one]))
-    ts, base3, twist3 = _lift(s, f, g)
-    ts = ts._replace(one=a * n + b)
-    base6 = condition_holds(s, 6)[0]
-    base9 = condition_holds(s, 9)[0]
-    twist6 = condition_holds(ts, 6)[0]
+        maps.append(table)
+    twist, mul, imp, base3, twist3 = _lift(s, *maps)
+    ts = ResStructure(twist, mul, imp, a * n + b)
+    return ts, list(_lifting_items(
+        base3, twist3, condition_holds(s, 6)[0], condition_holds(s, 9)[0],
+        condition_holds(ts, 6)[0]))
+
+
+@functools.lru_cache(maxsize=32)
+def _lifting_items(base3, twist3, base6, base9, twist6):
+    """check_twist_lifting's items from (3) and (6) in the base and the
+    lift and (9) in the base, one tuple per verdict tuple."""
     base_lrg = base3 and base6
     twist_lrg = twist3 and twist6
-
-    items = [
+    return (
         CheckItem("base-left-residuated-groupoid", base_lrg, gating=False),
         CheckItem("twist-left-residuated-groupoid", twist_lrg, gating=False),
         agreement("adjunction-transfer", twist3 == base3,
@@ -222,8 +235,7 @@ def check_twist_lifting(s, f, g, const):
                   (("base-6", base6), ("base-9", base9), ("twist-6", twist6))),
         agreement("lifting-biconditional", base_lrg == twist_lrg,
                   (("base", base_lrg), ("twist", twist_lrg))),
-    ]
-    return ts, items
+    )
 
 
 class OperatorStructure(NamedTuple):
@@ -405,22 +417,25 @@ def _adjunction_failure(p, dot, imp):
     when x is in L(y (=>) z), the down-set of its maximal elements.  So
     order.adjunction_failure decides it, with above the upper cones and
     each z of column y seeded at the maximal elements of L(y (=>) z).
-    Those seeds are found once per distinct image: a principal cone, the
-    down-cone of one element, by one lookup.  An image with a member past
-    the carrier has the empty cone and seeds nothing; the empty image
-    seeds the maximal elements of p.
+    Each cone is computed once per distinct image, and the seeds of a
+    principal cone, the down-cone of one element, by one lookup.  An image
+    with a member past the carrier (a mask above full) has the empty cone,
+    so it seeds nothing and is below nothing; the empty image seeds the
+    maximal elements of p.
     """
-    lower = ConeMemo(lower_cone, p)
+    full = p.full
     principal = {down: x for x, down in enumerate(p.down)}
     tops = {}
     for m in set().union(*imp):
-        cone = lower[m]
+        cone = lower_cone(p, m) if m <= full else 0
         tops[m] = (principal[cone],) if cone in principal else \
             tuple(bits(maximal_elements(p, cone)))
     zbits = [1 << z for z in range(p.n)]
     seeds = ([(w, zbit) for zbit, m in zip(zbits, row) for w in tops[m]]
              for row in imp)
-    return adjunction_failure(p, zip(*dot), seeds, ConeMemo(upper_cone, p))
+    above = {m: upper_cone(p, m) if m <= full else 0
+             for m in set().union(*dot)}
+    return adjunction_failure(p, zip(*dot), seeds, above)
 
 
 def check_embedding(base, poset, a0, image):

@@ -3,7 +3,7 @@
 Cone distributivity (order._lu_identity_failure, both orientations), the
 pseudo-Kleene test order.is_pseudo_kleene (antitone decided on the covers,
 normality on one lower cone), the principal cones that
-order.principal_cone_memos holds from the start, the adjunction scan of
+order.principal_cones holds from the start, the adjunction scan of
 condition (3) and the five-point operator audit
 (twist.check_operator_residuated) must give the same verdicts and the
 same first witnesses, row-major in (x, y, z), as the plain loops below,
@@ -41,8 +41,8 @@ from resposet import twist as twist_module
 from resposet.kleene_twist import build_restricted_twist, \
     check_kleene_twist, check_restricted_closure, classify_escape
 from resposet.order import _cone, _lu_identity_failure, antichain, bits, \
-    chain, is_antitone_involution, is_pseudo_kleene, lowest, mask_of, \
-    poset_from_covers, poset_from_leq, principal_cone_memos
+    cached_cone, chain, is_antitone_involution, is_pseudo_kleene, lowest, \
+    mask_of, poset_from_covers, poset_from_leq, principal_cones
 from resposet.report import CheckItem
 from resposet.residuation import condition_holds, structure
 from resposet.search import enumerate_posets, enumerate_structures, \
@@ -265,6 +265,20 @@ def test_distributivity_matches_reference_on_all_small_posets():
                 reference_lu_failure(p, dual), (p.names, p.up, dual)
 
 
+def test_distributivity_matches_reference_on_the_five_element_posets():
+    # every labeled poset of the largest size the
+    # distributivity-identities-agree sweep reaches, both orientations
+    posets = enumerate_posets(5)
+    assert len(posets) == 4231
+    failed = 0
+    for p in posets:
+        for dual in (False, True):
+            want = reference_lu_failure(p, dual)
+            assert _lu_identity_failure(p, dual) == want, (p.up, dual)
+            failed += want is not None
+    assert failed == 6842
+
+
 def _poset_permutations():
     # every (poset, permutation) pair with n <= 4: 1 + 3*2 + 19*6 + 219*24
     for n in range(1, 5):
@@ -340,14 +354,19 @@ def test_pseudo_kleene_matches_reference_on_restricted_carriers():
 
 
 def test_principal_cones_match_the_cone_scan():
-    # principal_cone_memos answers L(up[m]) and U(down[m]) by lookup; it
-    # must give _cone's answer on every mask of every poset with n <= 4,
-    # and on the principal masks and their pairwise meets on the carriers
+    # principal_cones answers L(up[m]) and U(down[m]) by lookup, and
+    # cached_cone every other mask; in both orientations, as the dual
+    # distributivity scan reads them, they must give _cone's answer on
+    # every mask of every poset with n <= 4, and on the principal masks
+    # and their pairwise meets on the carriers
     def check(p, masks):
-        lower, upper = principal_cone_memos(p)
-        for mask in masks:
-            assert lower[mask] == _cone(p.full, p.down, mask), (p.up, mask)
-            assert upper[mask] == _cone(p.full, p.up, mask), (p.up, mask)
+        for up, down in ((p.up, p.down), (p.down, p.up)):
+            lower, upper = principal_cones(up, down)
+            for mask in masks:
+                for memo, table in ((lower, down), (upper, up)):
+                    want = _cone(p.full, table, mask)
+                    assert memo.get(mask, want) == want, (p.up, mask)
+                    assert cached_cone(memo, p.full, table, mask) == want
 
     for n in range(1, 5):
         for p in enumerate_posets(n):

@@ -231,6 +231,17 @@ def test_designated_element_must_be_an_element(chain3, a):
         build_restricted_twist(chain3.poset, a)
 
 
+@pytest.mark.parametrize("a", [1.5, 1.0, "1"])
+def test_designated_element_must_be_an_int(chain3, a):
+    # 1.5 and "1" used to raise TypeError, and 1.0 to build a carrier
+    # that later reads fail to index
+    message = "^designated element out of range$"
+    with pytest.raises(StructureError, match=message):
+        check_kleene_twist(chain3, a)
+    with pytest.raises(StructureError, match=message):
+        build_restricted_twist(chain3.poset, a)
+
+
 def test_involution_membership_fails_without_unit_law(chain3):
     # 1->a = 1 breaks (9), and (y,x) leaves the image of
     # (x,y) => (0,1) = {(x->0, x), (1->y, x)} at every carrier pair (x,a)

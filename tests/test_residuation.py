@@ -129,6 +129,22 @@ def test_structure_requires_a_unit_in_range(one):
         structure(chain(3), one=one)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(one=1.0), "^unit element required$"),
+    (dict(one="1"), "^unit element required$"),
+    # 0.0 equals the bottom 0, so it used to pass as the zero
+    (dict(one=2, zero=0.0), "^zero element out of range$"),
+    (dict(one=2, designated="1"), "^designated element out of range$"),
+    (dict(one=2, designated=1.0), "^designated element out of range$"),
+    (dict(one=2, mul=((0, 0, 0), (0, 1, 1), (0, 1, 2.0))),
+     "^table entry 2.0 out of range$"),
+], ids=["float-unit", "string-unit", "float-zero", "string-designated",
+        "float-designated", "float-entry"])
+def test_structure_takes_int_indices_only(kwargs, message):
+    with pytest.raises(StructureError, match=message):
+        structure(chain(3), **kwargs)
+
+
 def test_structure_checks_the_element_names():
     # a Poset built directly skips the poset_from_* constructors' check
     p = Poset(("covers", "b"), (3, 2), (1, 3))

@@ -5,8 +5,8 @@ import pytest
 
 from resposet import residuation, search
 from resposet.kleene_twist import build_restricted_twist
-from resposet.order import (InvolutionVerdict, bounds, lowest, mask_of,
-                            maximal_elements)
+from resposet.order import (InvolutionVerdict, bits, bounds, lowest,
+                            mask_of, maximal_elements)
 from resposet.residuation import (LAWS, classify, condition_applicable,
                                   condition_holds, condition_needs,
                                   evaluate_law, structure)
@@ -20,6 +20,41 @@ from resposet.search import (POSET_CAP, STRUCTURE_CAP, EnumerationError,
 def test_poset_counts():
     assert [len(enumerate_posets(n)) for n in (1, 2, 3, 4, 5)] == [
         1, 3, 19, 219, 4231]
+
+
+def reference_extensions(up, down, k):
+    """search._extensions as written before its one-pass form: the
+    down-sets and up-sets of {0..k-1} found by testing each member's cone,
+    and each pair (A, B) tested member by member."""
+    downsets = [m for m in range(1 << k)
+                if all(down[a] & ~m == 0 for a in bits(m))]
+    upsets = [m for m in range(1 << k)
+              if all(up[a] & ~m == 0 for a in bits(m))]
+    new = 1 << k
+    for amask in downsets:
+        for bmask in upsets:
+            if amask & bmask:
+                continue
+            if any(bmask & ~up[a] for a in bits(amask)):
+                continue
+            yield (tuple(u | new if amask >> x & 1 else u
+                         for x, u in enumerate(up)) + (bmask | new,),
+                   tuple(d | new if bmask >> x & 1 else d
+                         for x, d in enumerate(down)) + (amask | new,))
+
+
+def test_extensions_match_the_reference():
+    # every parent with k <= 4 elements grows the same children in the
+    # same order; the children at each size are OEIS A001035
+    counts = [1]
+    for k in range(1, 5):
+        grown = 0
+        for p in enumerate_posets(k):
+            got = list(search._extensions(p.up, p.down, k))
+            assert got == list(reference_extensions(p.up, p.down, k)), p.up
+            grown += len(got)
+        counts.append(grown)
+    assert counts == [1, 3, 19, 219, 4231]
 
 
 def test_poset_cap():

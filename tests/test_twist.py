@@ -395,17 +395,18 @@ def test_lift_memo_exact_where_lifted_columns_fail(monkeypatch):
                     if not condition_holds(ref, 3)[0]:
                         failing += 1
                         reused += one == 0 and len(decided) == before
-    # each poset's 16 (column of mul, row of imp) reads, paired every way
-    assert cases == 2 * 1536 and len(decided) == 3 * 16 ** 2
+    # each poset's 16 (column of mul, row of imp) reads, once for base (3)
+    # and paired every way for the lifted columns
+    assert cases == 2 * 1536 and len(decided) == 3 * 16 + 3 * 16 ** 2
     assert failing > cases // 2 and reused > 1000, (failing, reused)
 
 
 def test_a_lifting_sweep_decides_each_lifted_column_once(monkeypatch):
-    # the one-process sweep scans adjunction once per (poset, mul, imp)
-    # for base (3), the lift memo holding each table's lift for the
-    # poset's later units, and once per distinct lifted column of the
-    # poset: column q = (a, b) of a lift through the projections reads
-    # columns a and b of mul and rows a and b of imp, and nothing else
+    # the one-process sweep scans adjunction once per distinct (poset,
+    # column of mul, row of imp) for base (3), and once per distinct
+    # lifted column of the poset: column q = (a, b) of a lift through the
+    # projections reads columns a and b of mul and rows a and b of imp,
+    # and nothing else
     calls = []
     for module in (residuation, twist):
         monkeypatch.setattr(module, "adjunction_failure", lambda *args,
@@ -415,14 +416,14 @@ def test_a_lifting_sweep_decides_each_lifted_column_once(monkeypatch):
     twist._lift_memo.cache_clear()
     prop = search.PROPERTIES["twist-lifting-first-projections"]
     assert search.check_universal(prop.name) == (prop.name, 5191, None)
-    tables, columns = set(), set()
+    bases, columns = set(), set()
     for n in prop.sizes:
         for s in enumerate_structures(n, prop.kind):
-            tables.add(s[:3])
             reads = list(zip(zip(*s.mul), s.imp))
+            bases.update((s.poset, read) for read in reads)
             columns.update((s.poset, ra, rb) for ra in reads for rb in reads)
-    assert (len(tables), len(columns)) == (1735, 343)
-    assert len(calls) == 1735 + 343
+    assert (len(bases), len(columns)) == (79, 343)
+    assert len(calls) == 79 + 343
 
 
 def test_every_lift_at_3_passes_the_validating_constructor():
@@ -564,3 +565,37 @@ def test_pair_maps_and_unit_pair_must_have_their_shape(chain3, f, const,
     for check in (twist_operations, check_twist_lifting):
         with pytest.raises(StructureError, match="^%s$" % message):
             check(chain3, f, g, const)
+
+
+PROJ2 = projection(3, "proj2")
+
+
+@pytest.mark.parametrize("f, g, const, message", [
+    # a flat map has no rows to read
+    ((0, 1, 2), PROJ2, (2, 2), "f is not 3 x 3"),
+    (PROJ1, (0, 1, 2), (2, 2), "g is not 3 x 3"),
+    (PROJ1[:2] + ((2, 2, "2"),), PROJ2, (2, 2), "f maps outside the carrier"),
+    (PROJ1, PROJ2, (2.0, 2), "unit element required"),
+    (PROJ1, PROJ2, ("2", 2), "unit element required"),
+], ids=["flat-f", "flat-g", "string-entry", "float-unit", "string-unit"])
+def test_lift_indices_must_be_ints(chain3, f, g, const, message):
+    for check in (twist_operations, check_twist_lifting):
+        with pytest.raises(StructureError, match="^%s$" % message):
+            check(chain3, f, g, const)
+
+
+def test_a_float_pair_map_lifts_as_the_int_map_it_equals(chain3):
+    # 2.0 equals 2, so it passes the range, surjectivity and unit pair
+    # tests on values, but it cannot index a column: a map first seen
+    # with such an entry is refused, and one equal to a map already
+    # validated lifts as that map
+    floats = PROJ1[:2] + ((2, 2, 2.0),)
+    const = (chain3.one, chain3.one)
+    twist._validate_pairmap.cache_clear()
+    for check in (twist_operations, check_twist_lifting):
+        with pytest.raises(StructureError,
+                           match="^f maps outside the carrier$"):
+            check(chain3, floats, PROJ2, const)
+    want = check_twist_lifting(chain3, PROJ1, PROJ2, const)
+    twist._lift_memo.cache_clear()
+    assert check_twist_lifting(chain3, floats, PROJ2, const) == want
