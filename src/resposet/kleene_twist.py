@@ -17,16 +17,15 @@ report holds the assumption items and nothing else.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
 from typing import NamedTuple
 
-from .order import Poset, bits, is_kleene, is_pseudo_kleene, lowest, mask_of
+from .order import Poset, bits, is_index, is_kleene, is_pseudo_kleene, \
+    lowest, mask_of
 from .report import CheckItem, agreement, all_pass
-from .residuation import StructureError, check_condition, is_index, \
-    named_witness, require_bcrm
+from .residuation import StructureError, check_condition, named_witness, \
+    require_bcrm
 from .twist import OperatorStructure, check_embedding, \
-    check_operator_residuated, operator_rows, pair_names
+    check_operator_residuated, operator_rows, pair_names, pair_poset
 
 
 class RestrictedTwist(NamedTuple):
@@ -49,37 +48,16 @@ def pair_in_carrier(base, a, x, y):
 
 
 def build_restricted_twist(base, a):
-    """Collect the carrier in row-major pair order and restrict the full
-    twist's names, cones and the swap involution to it.
-
-    The full twist's cones are products of base cones, up[x] x down[y] for
-    (x, y), and so are their restrictions: with F[u] (S[u]) the mask of
-    the carrier indices whose pair has first (second) coordinate u, the
-    restricted up-cone of (x, y) is the OR of F over up[x] ANDed with the
-    OR of S over down[y], and the down-cone is dual.  The names are the
-    full twist's (twist.pair_names), read without building its order.
-    StructureError unless a is an element of base."""
+    """The carrier pairs, row-major, their twist order (pair_poset, with
+    no full twist built) and swap; StructureError unless a is in base."""
     n = base.n
     if not is_index(a, n):
         raise StructureError("designated element out of range")
     members = tuple((x, y) for x in range(n) for y in range(n)
                     if pair_in_carrier(base, a, x, y))
     index = {x * n + y: i for i, (x, y) in enumerate(members)}
-    first, second = [0] * n, [0] * n
-    for i, (x, y) in enumerate(members):
-        first[x] |= 1 << i
-        second[y] |= 1 << i
-    # the OR of first (second) over each base up-cone, then down-cone
-    fu, fd, su, sd = ([reduce(or_, map(by.__getitem__, bits(c)), 0)
-                       for c in cones]
-                      for by in (first, second)
-                      for cones in (base.up, base.down))
-    names = pair_names(base)
-    poset = Poset(tuple(map(names.__getitem__, index)),
-                  tuple(fu[x] & sd[y] for x, y in members),
-                  tuple(fd[x] & su[y] for x, y in members))
-    swap = tuple(index[y * n + x] for x, y in members)
-    return RestrictedTwist(base, a, members, poset, swap, index)
+    return RestrictedTwist(base, a, members, pair_poset(base, members),
+                           tuple(index[y * n + x] for x, y in members), index)
 
 
 def check_restriction_assumptions(s, rt):

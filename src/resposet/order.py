@@ -12,6 +12,7 @@ posets the package builds.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from typing import NamedTuple
 
 
@@ -37,6 +38,12 @@ def mask_of(indices):
 def lowest(mask):
     """Index of the lowest set bit of a nonzero mask."""
     return (mask & -mask).bit_length() - 1
+
+
+def is_index(v, n):
+    """v is an element index, an int in range(n): a library caller's float
+    or string would otherwise fail far from where it entered, if at all."""
+    return isinstance(v, int) and 0 <= v < n
 
 
 class Poset(NamedTuple):
@@ -387,8 +394,8 @@ class InvolutionVerdict(NamedTuple):
 
 
 def is_antitone_involution(p, mapping):
-    """mapping is a tuple sending index to index; checks x'' = x and that
-    x <= y forces y' <= x'.
+    """mapping is a sequence of element indices (is_index), or else not a
+    self-map; checks x'' = x and that x <= y forces y' <= x'.
 
     The antitone law is decided on the Hasse covers (upper_covers): every
     cover is a comparable pair, and in a finite poset every x < y is a
@@ -397,8 +404,8 @@ def is_antitone_involution(p, mapping):
     exactly when c' <= x' for each upper cover c of each x.  Only when that
     fails does the scan over every comparable pair (x, y), x ascending,
     then y, name the first failing pair."""
-    mapping = tuple(mapping)
-    if len(mapping) != p.n or any(not 0 <= i < p.n for i in mapping):
+    if not isinstance(mapping, Sequence) or len(mapping) != p.n \
+            or not all(is_index(i, p.n) for i in mapping):
         return InvolutionVerdict(False, "not a self-map", ())
     for x in range(p.n):
         if mapping[mapping[x]] != x:

@@ -19,7 +19,8 @@ import functools
 from typing import NamedTuple
 
 from .order import (Poset, _monotone_failure, adjunction_failure, bits,
-                    bounds, check_names, lowest, mask_of, maximal_elements)
+                    bounds, check_names, is_index, lowest, mask_of,
+                    maximal_elements)
 from .report import CheckItem
 
 
@@ -27,16 +28,23 @@ class StructureError(ValueError):
     """The structure's ingredients are missing or inconsistent."""
 
 
-def is_index(v, n):
-    """v is an element index, an int in range(n): a library caller's float
-    or string would otherwise fail far from where it entered, if at all."""
-    return isinstance(v, int) and 0 <= v < n
+def as_rows(table):
+    """table as a tuple of row tuples, or () if it or a row is no sequence."""
+    try:
+        return tuple(map(tuple, table))
+    except TypeError:
+        return ()
+
+
+def require_square(table, n, label):
+    """The rows table (as_rows); StructureError unless it is n x n."""
+    if len(table) != n or any(len(row) != n for row in table):
+        raise StructureError("%s is not %d x %d" % (label, n, n))
+    return table
 
 
 def _as_table(rows, n):
-    table = tuple(tuple(r) for r in rows)
-    if len(table) != n or any(len(r) != n for r in table):
-        raise StructureError("table is not %d x %d" % (n, n))
+    table = require_square(as_rows(rows), n, "table")
     for r in table:
         for v in r:
             if not is_index(v, n):
@@ -351,7 +359,7 @@ class Classification(NamedTuple):
         return "not a left-residuated groupoid"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def classify(s):
     """Structure flags; left-residuated means (3) and (6) both hold."""
     return Classification.of(Verdicts(s))
@@ -377,7 +385,7 @@ class SynthesisResult(NamedTuple):
     candidates: int = 0     # bitmask: the solution set at the failure point
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def residuum_row(p, col):
     """Recover y->z for one product column col[x] = x*y: row[z] is the
     greatest x with col[x] <= z.

@@ -110,7 +110,7 @@ def _extensions(up, down, k):
                 yield ups + (bmask | new,), downs + (amask | new,)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def residuable_columns(p):
     """Map each product column admitting a residuum to its residuum row
     (see residuation.residuum_row)."""

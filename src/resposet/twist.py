@@ -1,10 +1,10 @@
 """Twist products over a finite poset.
 
 The pair carrier Q x Q is ordered first coordinate up, second coordinate
-down; full_twist builds it as a plain Poset in which the pair (x, y) has
-index x*n + y.  Pair maps Q x Q -> Q are n x n tables (projection gives
-the two projections).  On top of that order this module builds two
-different structures:
+down; pair_poset orders any of the pairs, and full_twist all of them as
+a plain Poset in which the pair (x, y) has index x*n + y.  Pair maps
+Q x Q -> Q are n x n tables (projection gives the two projections).  On
+top of that order this module builds two different structures:
 
 * a single-valued product/implication pair lifted through a pair of
   surjective pair maps f, g (with the biconditional check that the lift
@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import functools
 from array import array
-from itertools import count, repeat
+from itertools import count, product, repeat
 from typing import NamedTuple
 
-from .order import (Poset, adjunction_failure, bits, bounds, lower_cone,
-                    maximal_elements, upper_cone)
+from .order import (Poset, adjunction_failure, bits, bounds, is_index,
+                    lower_cone, maximal_elements, upper_cone)
 from .report import CheckItem, agreement
 from .residuation import (ResStructure, StructureError, adjunction_args,
-                          commutativity_failure, condition_holds, is_index,
-                          named_witness, require_bcrm)
+                          as_rows, commutativity_failure, condition_holds,
+                          named_witness, require_bcrm, require_square)
 
 
 def pair_name(base, pair, long=False):
@@ -53,6 +53,26 @@ def pair_names(base):
     return tuple(pair_name(base, pair, long=True) for pair in pairs)
 
 
+def pair_poset(base, members):
+    """The twist order, (x,y) <= (z,v) when x <= z and v <= y, on the
+    pairs members in their order, named by pair_names.  With F[u] (S[u])
+    the disjoint masks of the members with first (second) coordinate u,
+    the up-cone up[x] x down[y] of (x, y) is the sum of F over up[x]
+    ANDed with the sum of S over down[y], and the down-cone is dual."""
+    n = base.n
+    first, second = [0] * n, [0] * n
+    for i, (x, y) in enumerate(members):
+        first[x] |= 1 << i
+        second[y] |= 1 << i
+    fu, fd, su, sd = ([sum(map(by.__getitem__, bits(c))) for c in cones]
+                      for by in (first, second)
+                      for cones in (base.up, base.down))
+    names = pair_names(base)
+    return Poset(tuple(names[x * n + y] for x, y in members),
+                 tuple(fu[x] & sd[y] for x, y in members),
+                 tuple(fd[x] & su[y] for x, y in members))
+
+
 def _spread(n, amask):
     """The sum of 2^(a*n) over the members a of A.  A product of masks is
     a product of ints: for B < 2^n, B * _spread(n, A) is the mask of
@@ -61,19 +81,12 @@ def _spread(n, amask):
     return sum(1 << a * n for a in bits(amask))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def full_twist(base):
-    """The pair poset: (x,y) <= (z,v) when x <= z and v <= y, with the
-    pair (x, y) at index x*n + y.  Its up-cone is up[x] x down[y] and its
-    down-cone down[x] x up[y], each from one spread per base cone.
-
-    Its cones factor as products of base cones; that law is checked by
-    cone_product_failure in the cone-product-law sweep, not on each build.
-    """
-    n, up, down = base.n, base.up, base.down
-    ups, downs = ([_spread(n, c) for c in cones] for cones in (up, down))
-    return Poset(pair_names(base), tuple(d * s for s in ups for d in down),
-                 tuple(u * s for s in downs for u in up))
+    """pair_poset on every pair, the pair (x, y) at index x*n + y.  Its
+    cones factor as products of base cones; that law is checked by
+    cone_product_failure in the cone-product-law sweep, not on each build."""
+    return pair_poset(base, list(product(range(base.n), repeat=2)))
 
 
 def cone_product_failure(base):
@@ -81,7 +94,8 @@ def cone_product_failure(base):
     L({p,q}) = L(x,z) x U(y,v) and U({p,q}) = U(x,z) x L(y,v).  Returns
     the first (p, q) in row-major order where it fails, or None.  Each
     p's row over q is compared in one list comparison, its products from
-    the spreads of L(x,z) and U(x,z), made once per (x, z)."""
+    the spreads of L(x,z) and U(x,z), made once per (x, z), independent of
+    how pair_poset builds the cones."""
     n, up, down = base.n, base.up, base.down
     twist = full_twist(base)
     cones = list(zip(twist.down, twist.up))
@@ -101,10 +115,12 @@ def cone_product_failure(base):
     return None
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def projection(n, kind):
     """The pair map (x, y) |-> x ("proj1") or y ("proj2") on n elements,
-    as an n x n table."""
+    as an n x n table; StructureError for any other kind."""
+    if kind not in ("proj1", "proj2"):
+        raise StructureError("unknown projection %r" % (kind,))
     first = kind == "proj1"
     return tuple(tuple(x if first else y for y in range(n)) for x in range(n))
 
@@ -116,8 +132,7 @@ def _validate_pairmap(table, label, n):
     map, as a sweep brings the same maps to every case; maps are compared
     by value, so a map equal to one validated (2.0 for 2) gets that one.
     The unit pair is the caller's check, as it depends on the case."""
-    if len(table) != n or any(len(row) != n for row in table):
-        raise StructureError("%s is not %d x %d" % (label, n, n))
+    require_square(table, n, label)
     if not all(is_index(v, n) for row in table for v in row):
         raise StructureError("%s maps outside the carrier" % label)
     if len({v for row in table for v in row}) != n:
@@ -203,11 +218,7 @@ def check_twist_lifting(s, f, g, const):
     a, b = const
     maps = []
     for table, label in ((f, "f"), (g, "g")):
-        try:
-            table = tuple(map(tuple, table))
-        except TypeError:       # rows that are not rows: not n x n
-            table = ()
-        table = _validate_pairmap(table, label, n)
+        table = _validate_pairmap(as_rows(table), label, n)
         if table[a][b] != s.one:
             raise StructureError(
                 "%s does not send the unit pair (%s,%s) to %s"

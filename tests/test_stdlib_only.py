@@ -52,3 +52,33 @@ def test_only_the_parser_calls_the_validating_constructor():
                 if name == "structure":
                     callers.add(path.name)
     assert callers == {"structfile.py"}
+
+
+def test_every_memo_is_bounded_but_the_three_with_few_entries():
+    # a memo keyed by a range or a caller's input grows for the life of
+    # the process unless bounded; these three hold at most POSET_CAP
+    # sizes, one entry per size and one per law
+    unbounded, bounded = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                fn = call.func if call else dec
+                name = fn.attr if isinstance(fn, ast.Attribute) else \
+                    getattr(fn, "id", None)
+                if name not in ("lru_cache", "cache"):
+                    continue
+                # lru_cache's maxsize, keyword or positional, defaults to 128
+                size = [k.value for k in call.keywords if k.arg == "maxsize"
+                        ] + call.args[:1] if call else []
+                if name == "cache" or (
+                        size and ast.literal_eval(size[0]) is None):
+                    unbounded.add(node.name)
+                else:
+                    bounded.add(node.name)
+    assert unbounded == {"enumerate_posets", "_zbits", "needs"}
+    assert {"full_twist", "classify", "residuum_row", "residuable_columns",
+            "projection"} <= bounded

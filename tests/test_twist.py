@@ -4,16 +4,19 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from resposet import residuation, search, twist
-from resposet.kleene_twist import check_kleene_twist
-from resposet.order import antichain, bits, bounds, chain, poset_from_covers
+from resposet.kleene_twist import build_restricted_twist, check_kleene_twist
+from resposet.order import (antichain, bits, bounds, chain,
+                            is_antitone_involution, is_kleene,
+                            is_pseudo_kleene, poset_from_covers)
 from resposet.residuation import (StructureError, classify, condition_holds,
                                   structure, synthesize_residuum)
 from resposet.search import enumerate_posets, enumerate_structures
 from resposet.twist import (build_operator_twist, check_embedding,
                             check_operator_residuated, check_twist_lifting,
-                            full_twist, pair_names, projection,
+                            full_twist, pair_names, pair_poset, projection,
                             twist_operations)
 from test_kernels import operator_implication, operator_product
 
@@ -599,3 +602,99 @@ def test_a_float_pair_map_lifts_as_the_int_map_it_equals(chain3):
     want = check_twist_lifting(chain3, PROJ1, PROJ2, const)
     twist._lift_memo.cache_clear()
     assert check_twist_lifting(chain3, floats, PROJ2, const) == want
+
+
+def _restricted_order(base, members):
+    # the twist order on members from its definition: (x,y) <= (z,v) when
+    # x <= z and v <= y; names are the full twist's
+    n, full = base.n, full_twist(base)
+    up = tuple(sum(1 << j for j, (z, v) in enumerate(members)
+                   if base.leq(x, z) and base.leq(v, y)) for x, y in members)
+    down = tuple(sum(1 << j for j, (z, v) in enumerate(members)
+                     if base.leq(z, x) and base.leq(y, v)) for x, y in members)
+    return tuple(full.names[x * n + y] for x, y in members), up, down
+
+
+def test_pair_poset_is_the_twist_order_on_every_subset_up_to_2():
+    checked = 0
+    for n in (1, 2):
+        pairs = list(itertools.product(range(n), repeat=2))
+        for p in enumerate_posets(n):
+            for mask in range(1 << n * n):
+                members = [pairs[i] for i in bits(mask)]
+                assert tuple(pair_poset(p, members)) == \
+                    _restricted_order(p, members), (p.up, members)
+                checked += 1
+    assert checked == 2 + 3 * 16
+
+
+POSETS_3_4 = enumerate_posets(3) + enumerate_posets(4)
+
+
+@given(st.data())
+def test_pair_poset_is_the_twist_order_on_drawn_members(data):
+    # any members in any order, not only a restricted carrier's
+    p = data.draw(st.sampled_from(POSETS_3_4))
+    pairs = list(itertools.product(range(p.n), repeat=2))
+    members = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    assert tuple(pair_poset(p, members)) == _restricted_order(p, members)
+
+
+def test_full_twist_is_the_pair_poset_on_every_pair(example1):
+    p = example1.poset
+    pairs = list(itertools.product(range(p.n), repeat=2))
+    assert full_twist(p) == pair_poset(p, pairs)
+    assert tuple(full_twist(p)) == _restricted_order(p, pairs)
+
+
+def test_projection_knows_only_its_two_kinds():
+    with pytest.raises(StructureError, match="^unknown projection 'bogus'$"):
+        projection(2, "bogus")
+
+
+_MUL3 = ((0, 0, 0), (0, 1, 1), (0, 1, 2))     # chain3's product
+_JUNK_TABLES = [(0, 1, 2), 5, _MUL3[:2] + ((0, 1.5, 2),),
+                _MUL3[:2] + ((0, "1", 2),)]
+_JUNK_MAPPINGS = [((2,), (1,), (0,)), 5, (2, 1.0, 0), (2, "1", 0)]
+_JUNK_ELEMENTS = [(0, 1), 5, 1.0, "1"]
+_JUNK_IDS = ["shape", "int", "float", "string"]
+
+
+def _junk_cases():
+    c3, proj2 = chain(3), projection(3, "proj2")
+    lift = residuation.ResStructure(c3, _MUL3, ((2, 2, 2), (0, 2, 2),
+                                                (0, 1, 2)), 2)
+    entries = {
+        "structure-mul": (_JUNK_TABLES,
+                          lambda t: structure(c3, mul=t, one=2)),
+        "structure-imp": (_JUNK_TABLES,
+                          lambda t: structure(c3, imp=t, one=2)),
+        "synthesize_residuum": (_JUNK_TABLES,
+                                lambda t: synthesize_residuum(c3, t)),
+        "lift-f": (_JUNK_TABLES,
+                   lambda t: check_twist_lifting(lift, t, proj2, (2, 2))),
+        "lift-g": (_JUNK_TABLES, lambda t: check_twist_lifting(
+            lift, projection(3, "proj1"), t, (2, 2))),
+        "is_antitone_involution": (
+            _JUNK_MAPPINGS, lambda m: is_antitone_involution(c3, m)),
+        "is_pseudo_kleene": (_JUNK_MAPPINGS,
+                             lambda m: is_pseudo_kleene(c3, m)),
+        "is_kleene": (_JUNK_MAPPINGS, lambda m: is_kleene(c3, m)),
+        "build_restricted_twist": (
+            _JUNK_ELEMENTS, lambda a: build_restricted_twist(c3, a)),
+        "projection": (_JUNK_ELEMENTS, lambda k: projection(3, k)),
+    }
+    for entry, (values, call) in entries.items():
+        for label, value in zip(_JUNK_IDS, values):
+            yield pytest.param(call, value, id="%s-%s" % (entry, label))
+
+
+@pytest.mark.parametrize("call, value", _junk_cases())
+def test_junk_input_is_refused_where_it_enters(call, value):
+    # a wrong shape, a bare int, a float or a string index: a
+    # StructureError or a failing verdict, never a TypeError or IndexError
+    try:
+        verdict = call(value)
+    except StructureError:
+        return
+    assert not verdict.ok and verdict.reason.endswith("not a self-map")
