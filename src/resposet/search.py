@@ -47,9 +47,9 @@ from .order import (Poset, _lu_identity_failure, bounds, is_distributive,
 from .residuation import (LAWS, ResStructure, condition_holds,
                           condition_needs, evaluate_law, residuum_row,
                           synthesize_residuum)
-from .twist import (build_operator_twist, check_embeddings,
-                    check_operator_residuated, check_twist_lifting,
-                    cone_product_failure, full_twist, projection)
+from .twist import (_lifting, build_operator_twist, check_embeddings,
+                    check_operator_residuated, cone_product_failure,
+                    full_twist, projection)
 from .kleene_twist import build_restricted_twist, check_kleene_twist
 
 
@@ -63,14 +63,21 @@ POSET_CAP = 5
 STRUCTURE_CAP = 3
 
 
+def _check_size(n, what, cap):
+    """Raise unless the size n is an int (as order.is_index) in 1..cap."""
+    if not isinstance(n, int):
+        raise EnumerationError("%s size %r is not an int" % (what, n))
+    if n < 1:
+        raise EnumerationError("%s size must be positive" % what)
+    if n > cap:
+        raise EnumerationError("%s size %d above cap %d" % (what, n, cap))
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_posets(n):
     """All labeled posets on n elements, grown by relating each new
     element to a down-set below it and an up-set above it."""
-    if n < 1:
-        raise EnumerationError("poset size must be positive")
-    if n > POSET_CAP:
-        raise EnumerationError("poset size %d above cap %d" % (n, POSET_CAP))
+    _check_size(n, "poset", POSET_CAP)
     cones = [((1,), (1,))]
     for k in range(1, n):
         cones = [grown for up, down in cones
@@ -208,11 +215,7 @@ def _check_structures(n, kind):
     """Raise unless kind is a structure kind and n a size it enumerates."""
     if kind not in _KINDS:
         raise EnumerationError("unknown structure kind %r" % (kind,))
-    if n < 1:
-        raise EnumerationError("structure size must be positive")
-    if n > STRUCTURE_CAP:
-        raise EnumerationError("structure size %d above cap %d"
-                               % (n, STRUCTURE_CAP))
+    _check_size(n, "structure", STRUCTURE_CAP)
 
 
 def enumerate_structures(n, kind="left-residuated-groupoid"):
@@ -252,9 +255,8 @@ class Property(NamedTuple):
     sizes.  A structure check may carry a decided(base) attribute: the
     number of passing cases each structure of base's block counts
     unchecked, or 0 when they must be checked.  A block is decided where
-    a premise reading only the poset and the unit fails, or, for a check
-    that reads no unit, where it is a later unit of a residuated pair's
-    poset: the tables are unit 0's, and the sweep stops at a failure."""
+    a premise reading only the poset and the unit fails, or by the unit-0
+    rule (_repeats_unit_0)."""
     name: str
     suite: str
     sizes: tuple[int, ...]
@@ -421,15 +423,21 @@ def _at(p, a, reason):
     return "a=%s :: %s" % (p.names[a], reason)
 
 
+def _repeats_unit_0(kind, needs, base):
+    """The unit-0 rule: a residuated pair's units share its poset's tables
+    (_residuated_pairs), so a check of that kind that needs no unit passes
+    at a later unit what it passed at unit 0, as the sweep stops at a
+    failure.  True where base is such a later unit."""
+    return kind == "residuated-pair" and "one" not in needs and base.one != 0
+
+
 def _law_check(law):
     """The check of law's sweep, with its block hook (decided, see
     Property): a block passes unchecked where a premise that reads only
-    the unit fails, or where law reads no unit and the block is a later
-    unit of a residuated pair's poset."""
+    the unit fails, or by the unit-0 rule (_repeats_unit_0)."""
     designated = "designated" in law.needs
     unit_only = [k for k in law.premises
                  if set(condition_needs(k)) <= {"one"}]
-    repeats = "one" not in law.needs and law.kind == "residuated-pair"
 
     def check(s):
         # a law about a designated element is checked at each element
@@ -444,7 +452,7 @@ def _law_check(law):
             yield reason if a is None else _at(s.poset, a, reason)
 
     def decided(base):
-        if (repeats and base.one) or not all(
+        if _repeats_unit_0(law.kind, law.needs, base) or not all(
                 condition_holds(base, k)[0] for k in unit_only):
             return base.poset.n if designated else 1    # the cases of one item
         return 0
@@ -465,16 +473,21 @@ def _synthesis(s):
         "synthesized residuum fails condition 3 at " + _witness_names(s, w))
 
 
-# reads no unit, over residuated pairs: a later unit of a poset brings
-# the tables unit 0 passed (Property)
-_synthesis.decided = lambda base: 1 if base.one else 0
+# the recovery and condition 3 read mul and imp only
+_synthesis.decided = lambda base: int(_repeats_unit_0(
+    "residuated-pair", ("mul", "imp"), base))
 
 
 def _lifting_check(first_projection):
+    """A lifting sweep's check: the lift through the two projections in
+    the given order, built once per size and lifted unchecked
+    (twist._lifting), as they are onto and send (one, one) to one."""
+    kinds = ("proj1", "proj2") if first_projection else ("proj2", "proj1")
+    maps = {n: [projection(n, kind) for kind in kinds]
+            for n in range(1, STRUCTURE_CAP + 1)}
+
     def check(s):
-        f = projection(s.poset.n, "proj1" if first_projection else "proj2")
-        g = projection(s.poset.n, "proj2" if first_projection else "proj1")
-        _, items = check_twist_lifting(s, f, g, (s.one, s.one))
+        _, items = _lifting(s, *maps[s.poset.n], (s.one, s.one))
         bad = [it for it in items if it.gating and not it.passed]
         yield bad[0].line() if bad else None
     return check

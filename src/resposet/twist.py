@@ -115,7 +115,6 @@ def cone_product_failure(base):
     return None
 
 
-@functools.lru_cache(maxsize=256)
 def projection(n, kind):
     """The pair map (x, y) |-> x ("proj1") or y ("proj2") on n elements,
     as an n x n table; StructureError for any other kind."""
@@ -125,14 +124,11 @@ def projection(n, kind):
     return tuple(tuple(x if first else y for y in range(n)) for x in range(n))
 
 
-@functools.lru_cache(maxsize=256)
 def _validate_pairmap(table, label, n):
-    """The pair map table (a tuple of rows), once it is checked n x n, into
-    the carrier as element indices, and onto it.  Memoized per distinct
-    map, as a sweep brings the same maps to every case; maps are compared
-    by value, so a map equal to one validated (2.0 for 2) gets that one.
-    The unit pair is the caller's check, as it depends on the case."""
-    require_square(table, n, label)
+    """The pair map table as a tuple of rows (as_rows), once it is checked
+    n x n, into the carrier as element indices, and onto it.  The unit
+    pair is the caller's check, as it depends on the case."""
+    table = require_square(as_rows(table), n, label)
     if not all(is_index(v, n) for row in table for v in row):
         raise StructureError("%s maps outside the carrier" % label)
     if len({v for row in table for v in row}) != n:
@@ -207,9 +203,9 @@ def check_twist_lifting(s, f, g, const):
     exactly when the lifted pair structure is.  Also checks the two exact
     transfers behind it: adjunction transfers on its own, and the lifted
     unit law holds exactly when the base satisfies both unit laws
-    (x*1 = x and 1->x = x).  A case decides only the unit laws: the pair
-    maps are validated once per distinct map, the lift's columns of (3)
-    once per poset (_lift), and the items built once per verdict tuple."""
+    (x*1 = x and 1->x = x).  A caller's unit pair and pair maps are
+    checked once per call, the unit pair first, then f before g, with
+    nothing memoized before the check; _lifting does the rest."""
     if s.mul is None or s.imp is None:
         raise StructureError("twist lifting needs both operation tables")
     base, n = s.poset, s.poset.n
@@ -218,14 +214,22 @@ def check_twist_lifting(s, f, g, const):
     a, b = const
     maps = []
     for table, label in ((f, "f"), (g, "g")):
-        table = _validate_pairmap(as_rows(table), label, n)
+        table = _validate_pairmap(table, label, n)
         if table[a][b] != s.one:
             raise StructureError(
                 "%s does not send the unit pair (%s,%s) to %s"
                 % (label, base.names[a], base.names[b], base.names[s.one]))
         maps.append(table)
-    twist, mul, imp, base3, twist3 = _lift(s, *maps)
-    ts = ResStructure(twist, mul, imp, a * n + b)
+    return _lifting(s, *maps, const)
+
+
+def _lifting(s, f, g, const):
+    """check_twist_lifting past its checks, on f and g as tuples of rows.
+    A case decides only the unit laws: the lift's columns of (3) once per
+    poset (_lift), and the items once per verdict tuple."""
+    a, b = const
+    twist, mul, imp, base3, twist3 = _lift(s, f, g)
+    ts = ResStructure(twist, mul, imp, a * s.poset.n + b)
     return ts, list(_lifting_items(
         base3, twist3, condition_holds(s, 6)[0], condition_holds(s, 9)[0],
         condition_holds(ts, 6)[0]))

@@ -51,6 +51,7 @@ def _commands():
     cmds.append(["pa", "chain3", "--a", "a", "--style", "long"])
     for suite in ("lemmas", "theorems"):
         cmds.append(["verify", "--suite", suite, "--max-size", "2"])
+        cmds.append(["verify", "--suite", suite])
     return cmds
 
 

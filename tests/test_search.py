@@ -374,7 +374,14 @@ def test_a_failed_fork_closes_its_pipe_and_sweeps_here(monkeypatch,
      "unknown structure kind 'lattice'"),
     (lambda: enumerate_structures(0), "structure size must be positive"),
     (lambda: check_universal("law-0"), "unknown property 'law-0'"),
-], ids=["poset-size", "structure-kind", "structure-size", "property"])
+    (lambda: enumerate_posets(2.0), "poset size 2.0 is not an int"),
+    (lambda: enumerate_posets("2"), "poset size '2' is not an int"),
+    (lambda: enumerate_structures(2.0), "structure size 2.0 is not an int"),
+    (lambda: check_universal("law-5-from-1-3", (2.0,)),
+     "structure size 2.0 is not an int"),
+], ids=["poset-size", "structure-kind", "structure-size", "property",
+        "float-poset-size", "string-poset-size", "float-structure-size",
+        "float-sweep-size"])
 def test_enumeration_errors_name_the_bad_input(call, message):
     with pytest.raises(EnumerationError, match="^%s$" % re.escape(message)):
         call()

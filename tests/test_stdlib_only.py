@@ -80,5 +80,5 @@ def test_every_memo_is_bounded_but_the_three_with_few_entries():
                 else:
                     bounded.add(node.name)
     assert unbounded == {"enumerate_posets", "_zbits", "needs"}
-    assert {"full_twist", "classify", "residuum_row", "residuable_columns",
-            "projection"} <= bounded
+    assert {"full_twist", "classify", "residuum_row",
+            "residuable_columns"} <= bounded

@@ -527,16 +527,22 @@ def test_pair_map_errors_come_in_the_reference_order(bool2):
     assert len(errors) == 7 and min(errors.values()) > 10, errors
 
 
-def test_pair_maps_are_validated_once_per_distinct_map():
-    # a lifting sweep brings the two projections to every case: range and
-    # surjectivity are checked once per map, label and size (one map at
-    # n = 1, as both projections are the same table there); the
-    # one-process share loop runs the whole range, so this cache sees it
-    prop = search.PROPERTIES["twist-lifting-first-projections"]
-    twist._validate_pairmap.cache_clear()
-    result = search._sweep(prop, prop.sizes)
-    info = twist._validate_pairmap.cache_info()
-    assert (info.misses, info.hits) == (6, 2 * result.cases - 6)
+@pytest.mark.parametrize("name", ["twist-lifting-first-projections",
+                                  "twist-lifting-second-projections"])
+def test_a_lifting_sweep_validates_no_pair_map(monkeypatch, chain3, name):
+    # a lifting sweep lifts its own projections as given, while a caller's
+    # lift checks each of its two maps once per call
+    calls = []
+    real = twist._validate_pairmap
+    monkeypatch.setattr(twist, "_validate_pairmap",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    prop = search.PROPERTIES[name]
+    assert search._sweep(prop, prop.sizes) == (name, 5191, None)
+    assert calls == []
+    f, g = projection(3, "proj1"), projection(3, "proj2")
+    for check in (twist_operations, check_twist_lifting, check_twist_lifting):
+        check(chain3, f, g, (chain3.one, chain3.one))
+    assert calls == ["f", "g"] * 3
 
 
 @pytest.mark.parametrize("const", [(3, 0), (2, -1)])
@@ -587,21 +593,29 @@ def test_lift_indices_must_be_ints(chain3, f, g, const, message):
             check(chain3, f, g, const)
 
 
-def test_a_float_pair_map_lifts_as_the_int_map_it_equals(chain3):
-    # 2.0 equals 2, so it passes the range, surjectivity and unit pair
-    # tests on values, but it cannot index a column: a map first seen
-    # with such an entry is refused, and one equal to a map already
-    # validated lifts as that map
-    floats = PROJ1[:2] + ((2, 2, 2.0),)
-    const = (chain3.one, chain3.one)
-    twist._validate_pairmap.cache_clear()
+@pytest.mark.parametrize("label", ["f", "g"])
+def test_a_list_entry_in_a_pair_map_is_outside_the_carrier(chain3, label):
+    # an unhashable entry is refused by the range check, not by a memo
+    maps = {"f": PROJ1, "g": PROJ2}
+    maps[label] = PROJ1[:1] + ((1, [1], 1),) + PROJ1[2:]
     for check in (twist_operations, check_twist_lifting):
         with pytest.raises(StructureError,
-                           match="^f maps outside the carrier$"):
-            check(chain3, floats, PROJ2, const)
-    want = check_twist_lifting(chain3, PROJ1, PROJ2, const)
-    twist._lift_memo.cache_clear()
-    assert check_twist_lifting(chain3, floats, PROJ2, const) == want
+                           match="^%s maps outside the carrier$" % label):
+            check(chain3, maps["f"], maps["g"], (chain3.one, chain3.one))
+
+
+def test_a_float_pair_map_is_refused_before_and_after_the_int_map(chain3):
+    # 2.0 equals 2 but is no element index (order.is_index), so the map
+    # is refused whether or not the int map it equals has been lifted
+    floats = PROJ1[:2] + ((2, 2, 2.0),)
+    const = (chain3.one, chain3.one)
+    for lifted in (False, True):
+        if lifted:
+            check_twist_lifting(chain3, PROJ1, PROJ2, const)
+        for check in (twist_operations, check_twist_lifting):
+            with pytest.raises(StructureError,
+                               match="^f maps outside the carrier$"):
+                check(chain3, floats, PROJ2, const)
 
 
 def _restricted_order(base, members):
@@ -650,6 +664,12 @@ def test_full_twist_is_the_pair_poset_on_every_pair(example1):
 def test_projection_knows_only_its_two_kinds():
     with pytest.raises(StructureError, match="^unknown projection 'bogus'$"):
         projection(2, "bogus")
+
+
+def test_an_unhashable_projection_kind_is_unknown():
+    with pytest.raises(StructureError,
+                       match=r"^unknown projection \['proj1'\]$"):
+        projection(3, ["proj1"])
 
 
 _MUL3 = ((0, 0, 0), (0, 1, 1), (0, 1, 2))     # chain3's product
